@@ -1,9 +1,9 @@
 """Exact-arithmetic and asymptotic-analysis laboratory for the Hadamard walk."""
 
-from .ring import RationalSeries, Sqrt2Scalar, series_reciprocal, series_sqrt
+from .ring import RationalSeries, Sqrt2Scalar
 from .walk import (WalkCache, WalkState, evolve, fourier_evolve, initial_state,
                    probability, step)
-from .jacobi import (check_jacobi_identities, check_symmetry, jacobi_at,
+from .jacobi import (check_jacobi_identities, check_reflections, jacobi_at,
                      psi_closed_l, psi_closed_r)
 from .genfun import (GenFunSpec, LagrangeProblem, SrivastavaSinghalSpec,
                      closed_form_series, definitional_series, equivalence_ledger,
@@ -15,10 +15,10 @@ from .asymptotics import (b_pathintegral, btilde, contour_shift_check,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Sqrt2Scalar", "RationalSeries", "series_sqrt", "series_reciprocal",
+    "Sqrt2Scalar", "RationalSeries",
     "WalkState", "WalkCache", "initial_state", "step", "evolve", "probability",
     "fourier_evolve",
-    "jacobi_at", "psi_closed_r", "psi_closed_l", "check_symmetry",
+    "jacobi_at", "psi_closed_r", "psi_closed_l", "check_reflections",
     "check_jacobi_identities",
     "GenFunSpec", "closed_form_series", "definitional_series",
     "jacobi_generating", "equivalence_ledger", "LagrangeProblem",

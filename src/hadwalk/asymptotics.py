@@ -30,6 +30,9 @@ from dataclasses import dataclass
 import mpmath
 import numpy as np
 
+from .ledger import Ledger
+from .walk import WalkCache
+
 __all__ = [
     "ARCSINH1",
     "SINGULAR_POINTS",
@@ -49,6 +52,7 @@ __all__ = [
     "QuadratureResult",
     "quadrature_psi",
     "quadrature_psi_tilde_l",
+    "check_quadrature",
     "contour_shift_check",
     "ContourReport",
     "saddle_residual_fd",
@@ -345,6 +349,23 @@ def quadrature_psi(n: int, t: int, tol: float = 1e-10,
         est = est / (2.0 * math.pi) + abs(val.imag)
         out.append(QuadratureResult(val, est, nodes))
     return tuple(out)
+
+
+def check_quadrature(walk: WalkCache, t_max: int, tol: float = 1e-9) -> Ledger:
+    """Momentum integrals == exact simulator amplitudes within ``tol``.
+
+    Both chiralities at every reachable (n, t) with t <= t_max; each integral
+    is computed to tol/10.  Witnesses are (n, t, deviation).
+    """
+    ledger = Ledger("momentum integrals == simulator", worst=0.0, tol=tol)
+    for t in range(t_max + 1):
+        for n in range(-t, t + 1, 2):
+            qr, ql = quadrature_psi(n, t, tol=tol * 0.1)
+            dev = max(abs(qr.real - walk.amp_r_float(n, t)),
+                      abs(ql.real - walk.amp_l_float(n, t)))
+            ledger.worst = max(ledger.worst, dev)
+            ledger.record("momentum integral", (n, t, dev), dev <= tol)
+    return ledger
 
 
 def quadrature_psi_tilde_l(n: int, t: int, tol: float = 1e-10) -> QuadratureResult:

@@ -14,17 +14,11 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
-import os
-import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import asymptotics, genfun, jacobi, ring, walk
-
-WORKERS_ENV = "HADWALK_WORKERS"
+from . import asymptotics, genfun, jacobi, walk
 
 
 def _fmt(x: float) -> str:
@@ -120,142 +114,113 @@ class VerifyConfig:
     inject_fault: bool = False
 
 
-def _suite_exact_equivalence(cfg: VerifyConfig, cache: walk.WalkCache) -> dict:
-    if cfg.t_max == 0:
-        return {"passed": True, "vacuous": True, "detail": "t_max=0"}
-    for t in range(cfg.t_max + 1):
-        for n in range(-t, t + 1, 2 if t else 1):
-            if (n - t) % 2:
-                continue
-            if (cache.amp_r(n, t) != jacobi.psi_closed_r(n, t)
-                    or cache.amp_l(n, t) != jacobi.psi_closed_l(n, t)):
-                return {"passed": False, "witness": {"n": n, "t": t},
-                        "detail": "closed form != simulator"}
-        if t and t % 2 == 0:
-            if (cache.amp_r(0, t) != jacobi.psi_center_r(t)
-                    or cache.amp_l(0, t) != jacobi.psi_center_l(t)):
-                return {"passed": False, "witness": {"n": 0, "t": t},
-                        "detail": "center closed form != simulator"}
-    return {"passed": True, "vacuous": False,
-            "detail": f"all amplitudes equal through t={cfg.t_max}"}
+# Each suite maps the config to its checks' sizes and the checks' ledgers to
+# the suite's report entry; it returns (entry, ledgers).
 
 
-def _suite_symmetry(cfg: VerifyConfig, cache: walk.WalkCache) -> dict:
+def _passed(detail: str, *ledgers, vacuous: bool = False) -> tuple:
+    return {"passed": True, "vacuous": vacuous, "detail": detail}, list(ledgers)
+
+
+def _failed(witness: dict, detail: str, *ledgers) -> tuple:
+    return {"passed": False, "witness": witness, "detail": detail}, list(ledgers)
+
+
+def _suite_exact_equivalence(cfg: VerifyConfig, cache: walk.WalkCache) -> tuple:
     if cfg.t_max == 0:
-        return {"passed": True, "vacuous": True, "detail": "t_max=0"}
-    states = {t: cache.state(t) for t in range(cfg.t_max + 1)}
+        return _passed("t_max=0", vacuous=True)
+    ledger = jacobi.check_closed_forms(cache, cfg.t_max)
+    if not ledger.passed:
+        item, (n, t) = ledger.failures[0]
+        return _failed({"n": n, "t": t}, f"{item} != simulator", ledger)
+    return _passed(f"all amplitudes equal through t={cfg.t_max}", ledger)
+
+
+def _suite_symmetry(cfg: VerifyConfig, cache: walk.WalkCache) -> tuple:
+    if cfg.t_max == 0:
+        return _passed("t_max=0", vacuous=True)
+    states = [cache.state(t) for t in range(cfg.t_max + 1)]
     if cfg.inject_fault:
         t_bad = max(1, cfg.t_max // 2)
         bad = states[t_bad]
         mant = list(bad.psi_r)
         mant[t_bad] += 1  # flip one mantissa at position 0
         states[t_bad] = walk.WalkState(t_bad, tuple(mant), bad.psi_l)
-    for t in range(cfg.t_max + 1):
-        st = states[t]
-        for n in range(-t, t + 1):
-            if (n - t) % 2:
-                continue
-            ok_r = True
-            if abs(n + 2) <= t:
-                ok_r = (st.mantissa_r(-n) == (-1) ** (n + 1) * st.mantissa_r(n + 2))
-            ok_l = ((t - n) * st.mantissa_l(-n)
-                    == (-1) ** n * (t + n) * st.mantissa_l(n))
-            if not (ok_r and ok_l):
-                return {"passed": False, "witness": {"n": n, "t": t},
-                        "detail": "reflection relation violated"}
-    return {"passed": True, "vacuous": False,
-            "detail": f"reflection relations exact through t={cfg.t_max}"}
+    ledger = jacobi.check_reflections(states)
+    if not ledger.passed:
+        _, (n, t) = ledger.failures[0]
+        return _failed({"n": n, "t": t}, "reflection relation violated", ledger)
+    return _passed(f"reflection relations exact through t={cfg.t_max}", ledger)
 
 
-def _suite_generating_function(cfg: VerifyConfig, cache: walk.WalkCache) -> dict:
+def _suite_generating_function(cfg: VerifyConfig, cache: walk.WalkCache) -> tuple:
     if cfg.order < 2:
-        return {"passed": True, "vacuous": True, "detail": f"order={cfg.order}"}
-    rep = genfun.equivalence_ledger(cache, m_max=cfg.m_max, order=cfg.order)
-    if not rep.passed:
-        item, witness = rep.failures[0]
-        return {"passed": False, "witness": {"item": item, "at": list(witness)},
-                "detail": f"{len(rep.failures)} failures of {rep.checked} checks"}
-    for m in range(cfg.m_max + 1):
-        for r in genfun.check_intermediate_relations(cache, m, cfg.order):
-            if not r.passed:
-                return {"passed": False,
-                        "witness": {"relation": r.name, "m": m,
-                                    "coefficient": r.first_mismatch},
-                        "detail": "intermediate relation violated"}
-    return {"passed": True, "vacuous": False,
-            "detail": f"{rep.checked} equivalence checks exact"}
+        return _passed(f"order={cfg.order}", vacuous=True)
+    chain = genfun.equivalence_ledger(cache, m_max=cfg.m_max, order=cfg.order)
+    if not chain.passed:
+        item, witness = chain.failures[0]
+        return _failed({"item": item, "at": list(witness)},
+                       f"{len(chain.failures)} failures of {chain.checked} checks", chain)
+    bridges = genfun.check_intermediate_relations(cache, cfg.m_max, cfg.order)
+    if not bridges.passed:
+        relation, (m, coefficient) = bridges.failures[0]
+        return _failed({"relation": relation, "m": m, "coefficient": coefficient},
+                       "intermediate relation violated", chain, bridges)
+    return _passed(f"{chain.checked} equivalence checks exact", chain, bridges)
 
 
-def _suite_jacobi_identity(cfg: VerifyConfig, cache: walk.WalkCache) -> dict:
+def _suite_jacobi_identity(cfg: VerifyConfig, cache: walk.WalkCache) -> tuple:
     m_id = min(cfg.t_max, 20)
     if m_id == 0:
-        return {"passed": True, "vacuous": True, "detail": "t_max=0"}
-    rep = jacobi.check_jacobi_identities(m_max=m_id, uv_max=6)
-    if not rep.passed:
-        name, params = rep.failures[0]
-        return {"passed": False,
-                "witness": {"identity": name, "params": [str(p) for p in params]},
-                "detail": f"{len(rep.failures)} failures of {rep.checked}"}
+        return _passed("t_max=0", vacuous=True)
+    identities = jacobi.check_jacobi_identities(m_max=m_id, uv_max=6)
+    if not identities.passed:
+        name, params = identities.failures[0]
+        return _failed({"identity": name, "params": [str(p) for p in params]},
+                       f"{len(identities.failures)} failures of {identities.checked}",
+                       identities)
     kmax = min(cfg.order, 20)
     if kmax < 2:
-        return {"passed": True, "vacuous": False,
-                "detail": f"{rep.checked} identity instances exact (series sweep skipped)"}
-    for r in range(0, 4):
-        for s in range(0, 4):
-            series = genfun.jacobi_generating(0, r, s, kmax)
-            for k in range(kmax + 1):
-                if series.coefficient(k) != ring.Sqrt2Scalar(jacobi.jacobi_at(k, r, s)):
-                    return {"passed": False, "witness": {"k": k, "r": r, "s": s},
-                            "detail": "generating-function coefficient mismatch"}
-    return {"passed": True, "vacuous": False,
-            "detail": f"{rep.checked} identity instances exact"}
+        return _passed(f"{identities.checked} identity instances exact "
+                       "(series sweep skipped)", identities)
+    coefficients = genfun.check_jacobi_generating(k_max=kmax, rs_max=3)
+    if not coefficients.passed:
+        _, (k, r, s) = coefficients.failures[0]
+        return _failed({"k": k, "r": r, "s": s},
+                       "generating-function coefficient mismatch", identities, coefficients)
+    return _passed(f"{identities.checked} identity instances exact",
+                   identities, coefficients)
 
 
-def _suite_quadrature(cfg: VerifyConfig, cache: walk.WalkCache) -> dict:
+def _suite_quadrature(cfg: VerifyConfig, cache: walk.WalkCache) -> tuple:
     if cfg.quad_t_max == 0:
-        return {"passed": True, "vacuous": True, "detail": "quad_t_max=0"}
-    worst = 0.0
-    for t in range(cfg.quad_t_max + 1):
-        for n in range(-t, t + 1):
-            if (n - t) % 2:
-                continue
-            qr, ql = asymptotics.quadrature_psi(n, t, tol=cfg.tol * 0.1)
-            dr = abs(qr.real - cache.amp_r_float(n, t))
-            dl = abs(ql.real - cache.amp_l_float(n, t))
-            worst = max(worst, dr, dl)
-            if dr > cfg.tol or dl > cfg.tol:
-                return {"passed": False, "witness": {"n": n, "t": t},
-                        "detail": f"|numeric - exact| = {max(dr, dl):.3e}"}
-    return {"passed": True, "vacuous": False,
-            "detail": f"max deviation {worst:.3e} through t={cfg.quad_t_max}"}
+        return _passed("quad_t_max=0", vacuous=True)
+    ledger = asymptotics.check_quadrature(cache, cfg.quad_t_max, tol=cfg.tol)
+    if not ledger.passed:
+        _, (n, t, deviation) = ledger.failures[0]
+        return _failed({"n": n, "t": t}, f"|numeric - exact| = {deviation:.3e}", ledger)
+    return _passed(f"max deviation {ledger.worst:.3e} through t={cfg.quad_t_max}", ledger)
 
 
-def _suite_lagrange(cfg: VerifyConfig, cache: walk.WalkCache) -> dict:
+# ledger item -> (report witness key, report detail)
+_LAGRANGE_FAILURES = {
+    "tree function": ("n", "tree-function coefficient mismatch"),
+    "tree function squared": ("n", "squared tree-function coefficient mismatch"),
+    "w == z phi(w)": ("trial", "w != z*phi(w) for randomized phi"),
+    "implicit series": ("case", "implicit series != 1/sqrt(1+z^2)"),
+}
+
+
+def _suite_lagrange(cfg: VerifyConfig, cache: walk.WalkCache) -> tuple:
     if cfg.order < 2:
-        return {"passed": True, "vacuous": True, "detail": f"order={cfg.order}"}
-    order = max(4, min(cfg.order, 20))
-    phi = ring.RationalSeries(
-        [Fraction(1, math.factorial(k)) for k in range(order + 1)], order)
-    ident = ring.RationalSeries.z(order)
-    tree = genfun.lagrange_invert(genfun.LagrangeProblem(phi, ident, order))
-    for n in range(1, order + 1):
-        want = Fraction(n ** (n - 1), math.factorial(n))
-        if tree.coefficient(n) != ring.Sqrt2Scalar(want):
-            return {"passed": False, "witness": {"n": n},
-                    "detail": "tree-function coefficient mismatch"}
-    rng = random.Random(cfg.seed)
-    for trial in range(5):
-        phi_rand = ring.random_rational_series(rng, order, constant=1)
-        w = genfun.lagrange_invert(genfun.LagrangeProblem(phi_rand, ident, order))
-        if phi_rand.compose(w).shift(1) != w:
-            return {"passed": False, "witness": {"trial": trial},
-                    "detail": "w != z*phi(w) for randomized phi"}
-    ss = genfun.srivastava_singhal_series(
-        genfun.SrivastavaSinghalSpec(0, 0, 0, 0, max(cfg.order, 4)))
-    if ss != genfun.jacobi_generating(0, 0, 0, max(cfg.order, 4)):
-        return {"passed": False, "witness": {"case": "a=b=gamma=beta=0"},
-                "detail": "implicit series != 1/sqrt(1+z^2)"}
-    return {"passed": True, "vacuous": False, "detail": "inversion checks exact"}
+        return _passed(f"order={cfg.order}", vacuous=True)
+    ledger = genfun.check_lagrange(order=max(4, min(cfg.order, 20)),
+                                   implicit_order=max(cfg.order, 4), seed=cfg.seed)
+    if not ledger.passed:
+        item, witness = ledger.failures[0]
+        key, detail = _LAGRANGE_FAILURES[item]
+        return _failed({key: witness}, detail, ledger)
+    return _passed("inversion checks exact", ledger)
 
 
 _SUITES = {
@@ -268,41 +233,49 @@ _SUITES = {
 }
 
 
-def run_verify(cfg: VerifyConfig) -> dict:
+def run_verify(cfg: VerifyConfig) -> tuple:
+    """Run the suites one after another in name order.
+
+    Returns the JSON report and, per suite, the ledgers behind its entry.
+    """
     cache = walk.WalkCache("canonical")
     cache.state(max(cfg.t_max, 2 * cfg.order + 1, cfg.quad_t_max))
-    workers = int(os.environ.get(WORKERS_ENV, "0")) or None
-    names = sorted(_SUITES)
-    with ThreadPoolExecutor(max_workers=workers or min(len(names), os.cpu_count() or 1)
-                            ) as pool:
-        futures = {name: pool.submit(_SUITES[name], cfg, cache) for name in names}
-        results = {name: futures[name].result() for name in names}
+    entries, ledgers = {}, {}
+    for name in sorted(_SUITES):
+        entries[name], ledgers[name] = _SUITES[name](cfg, cache)
     report = {
         "config": {"t_max": cfg.t_max, "order": cfg.order, "m_max": cfg.m_max,
                    "quad_t_max": cfg.quad_t_max, "tol": cfg.tol, "seed": cfg.seed,
                    "inject_fault": cfg.inject_fault},
-        "suites": {name: results[name] for name in names},
-        "all_passed": all(r["passed"] for r in results.values()),
+        "suites": entries,
+        "all_passed": all(e["passed"] for e in entries.values()),
     }
-    return report
+    return report, ledgers
+
+
+def _ledger_summary(ledgers: list) -> str:
+    parts = [f"checked={sum(led.checked for led in ledgers)}"]
+    parts += [f"worst={led.worst:.3e} tol={led.tol:g}"
+              for led in ledgers if led.tol is not None]
+    return " ".join(parts)
 
 
 def cmd_verify(args) -> int:
     cfg = VerifyConfig(t_max=args.t_max, order=args.order, m_max=args.m_max,
                        quad_t_max=args.quad_t_max, tol=args.tol, seed=args.seed,
                        inject_fault=args.inject_fault)
-    report = run_verify(cfg)
+    report, ledgers = run_verify(cfg)
     payload = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if args.report == "-":
         sys.stdout.write(payload)
     else:
         with open(args.report, "w") as fh:
             fh.write(payload)
-    for name in sorted(report["suites"]):
-        entry = report["suites"][name]
+    for name, entry in report["suites"].items():
         status = "PASS" if entry["passed"] else "FAIL"
         vac = " (vacuous)" if entry.get("vacuous") else ""
-        print(f"{status:4s} {name}{vac}: {entry.get('detail', '')}")
+        print(f"{status:4s} {name}{vac}: {entry['detail']}; "
+              f"{_ledger_summary(ledgers[name])}")
     return 0 if report["all_passed"] else 1
 
 
@@ -315,6 +288,10 @@ def cmd_asymptotics(args) -> int:
     ts = sorted({int(x) for x in args.t.split(",") if x.strip()})
     if not ts or any(t <= 0 for t in ts):
         print("asymptotics needs positive --t values", file=sys.stderr)
+        return 2
+    if not (args.alpha_step > 0 and args.alpha_stop >= args.alpha_start):
+        print("asymptotics needs --alpha-step > 0 and --alpha-stop >= --alpha-start",
+              file=sys.stderr)
         return 2
     cache = walk.WalkCache("canonical")
     cache.state(max(ts))

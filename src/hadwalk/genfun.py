@@ -24,12 +24,16 @@ generating function that ties the two together.
 """
 
 from __future__ import annotations
-from dataclasses import dataclass, field
+
+import math
+import random
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal
 
-from .jacobi import jacobi_at, psi_closed_l, psi_closed_r
-from .ring import RationalSeries, Sqrt2Scalar
+from .jacobi import _sign, jacobi_at, psi_closed_l, psi_closed_r
+from .ledger import Ledger
+from .ring import RationalSeries, Sqrt2Scalar, random_rational_series
 from .walk import WalkCache
 
 __all__ = [
@@ -40,18 +44,14 @@ __all__ = [
     "definitional_series",
     "check_intermediate_relations",
     "jacobi_generating",
+    "check_jacobi_generating",
     "equivalence_ledger",
     "lagrange_invert",
     "srivastava_singhal_series",
-    "RelationReport",
-    "EquivalenceReport",
+    "check_lagrange",
 ]
 
 Family = Literal["F", "G", "H", "I"]
-
-
-def _sign(exponent: int) -> int:
-    return -1 if exponent % 2 else 1
 
 
 @dataclass(frozen=True)
@@ -148,18 +148,6 @@ def definitional_series(spec: GenFunSpec, walk: WalkCache) -> RationalSeries:
     return RationalSeries(coeffs, order)
 
 
-@dataclass
-class RelationReport:
-    """Result of an exact series-relation check."""
-
-    name: str
-    passed: bool
-    first_mismatch: int | None = None
-
-    def __bool__(self) -> bool:
-        return self.passed
-
-
 def _first_mismatch(a: RationalSeries, b: RationalSeries) -> int | None:
     for i in range(a.order + 1):
         if a.coefficient(i) != b.coefficient(i):
@@ -167,31 +155,34 @@ def _first_mismatch(a: RationalSeries, b: RationalSeries) -> int | None:
     return None
 
 
-def check_intermediate_relations(walk: WalkCache, m: int, order: int) -> list:
+def check_intermediate_relations(walk: WalkCache, m_max: int, order: int) -> Ledger:
     """Exact checks, on definitional series, of the two bridge relations
 
         H_m == (1+z)/(2(1-z)) * (F_{m+1} - F_m)
         I_m == sqrt(2)/(4(1-z)) * (2(2-z) F_m - z F_{|m-1|} - z F_{m+1})
-    """
-    if order < m + 1:
-        raise ValueError("order must be at least m+1")
-    f_m = definitional_series(GenFunSpec("F", m, order), walk)
-    f_m1 = definitional_series(GenFunSpec("F", m + 1, order), walk)
-    f_mm1 = definitional_series(GenFunSpec("F", abs(m - 1), order), walk)
-    h_m = definitional_series(GenFunSpec("H", m, order), walk)
-    i_m = definitional_series(GenFunSpec("I", m, order), walk)
 
+    for every m <= m_max.  Witnesses are (m, first mismatching coefficient).
+    """
+    if order < m_max + 1:
+        raise ValueError("order must be at least m_max+1")
+    ledger = Ledger("bridge relations")
     one_minus_z = RationalSeries.polynomial([1, -1], order)
     one_plus_z = RationalSeries.polynomial([1, 1], order)
     two_minus_z = RationalSeries.polynomial([2, -1], order)
+    for m in range(m_max + 1):
+        f_m = definitional_series(GenFunSpec("F", m, order), walk)
+        f_m1 = definitional_series(GenFunSpec("F", m + 1, order), walk)
+        f_mm1 = definitional_series(GenFunSpec("F", abs(m - 1), order), walk)
+        h_m = definitional_series(GenFunSpec("H", m, order), walk)
+        i_m = definitional_series(GenFunSpec("I", m, order), walk)
 
-    rhs_h = one_plus_z * one_minus_z.reciprocal() * (f_m1 - f_m) / 2
-    rep_h = RelationReport("H bridge", rhs_h == h_m, _first_mismatch(rhs_h, h_m))
+        rhs_h = one_plus_z * one_minus_z.reciprocal() * (f_m1 - f_m) / 2
+        ledger.record("H bridge", (m, _first_mismatch(rhs_h, h_m)), rhs_h == h_m)
 
-    bracket = two_minus_z * f_m * 2 - (f_mm1 + f_m1).shift(1)
-    rhs_i = (one_minus_z.reciprocal() * bracket / 4) * Sqrt2Scalar(1, 1)
-    rep_i = RelationReport("I bridge", rhs_i == i_m, _first_mismatch(rhs_i, i_m))
-    return [rep_h, rep_i]
+        bracket = two_minus_z * f_m * 2 - (f_mm1 + f_m1).shift(1)
+        rhs_i = (one_minus_z.reciprocal() * bracket / 4) * Sqrt2Scalar(1, 1)
+        ledger.record("I bridge", (m, _first_mismatch(rhs_i, i_m)), rhs_i == i_m)
+    return ledger
 
 
 def jacobi_generating(x, r: int, s: int, order: int) -> RationalSeries:
@@ -208,25 +199,22 @@ def jacobi_generating(x, r: int, s: int, order: int) -> RationalSeries:
     return series * (Fraction(2) ** (r + s))
 
 
-@dataclass
-class EquivalenceReport:
-    """Coefficient-by-coefficient record of the exact equivalence chain."""
-
-    checked: int = 0
-    failures: list = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-    def record(self, item: str, witness: tuple, ok: bool) -> None:
-        self.checked += 1
-        if not ok:
-            self.failures.append((item, witness))
+def check_jacobi_generating(k_max: int, rs_max: int) -> Ledger:
+    """Coefficient k of ``jacobi_generating(0, r, s, k_max)`` == jacobi_at(k, r, s)
+    for k <= k_max and 0 <= r, s <= rs_max.  Witnesses are (k, r, s).
+    """
+    ledger = Ledger("Jacobi generating coefficients")
+    for r in range(rs_max + 1):
+        for s in range(rs_max + 1):
+            series = jacobi_generating(0, r, s, k_max)
+            for k in range(k_max + 1):
+                ledger.record("generating coefficient", (k, r, s),
+                              series.coefficient(k) == Sqrt2Scalar(jacobi_at(k, r, s)))
+    return ledger
 
 
 def equivalence_ledger(walk: WalkCache, m_max: int = 10, order: int = 40
-                       ) -> EquivalenceReport:
+                       ) -> Ledger:
     """Machine check of the full equivalence chain at desk scale.
 
     For every family and m <= m_max: definitional series == closed form,
@@ -235,7 +223,7 @@ def equivalence_ledger(walk: WalkCache, m_max: int = 10, order: int = 40
     reduced single-J forms), which in turn equal the closed-form amplitude
     routines used elsewhere.
     """
-    rep = EquivalenceReport()
+    rep = Ledger("equivalence chain")
     one_plus_z = RationalSeries.polynomial([1, 1], order)
     for m in range(m_max + 1):
         for fam in "FGHI":
@@ -398,3 +386,40 @@ def srivastava_singhal_series(spec: SrivastavaSinghalSpec) -> RationalSeries:
     denom = RationalSeries.polynomial([1, a - b, 1 + a + b], order)
     target = numer * denom.reciprocal()
     return target.compose(u)
+
+
+def check_lagrange(order: int, implicit_order: int, seed: int = 0) -> Ledger:
+    """Lagrange inversion against answers known in closed form, exactly.
+
+    - tree function T = z e^T: [z^n] T == n^(n-1)/n! and
+      [z^n] T^2 == 2 n^(n-3)/(n-2)!, for n <= order;
+    - w == z phi(w) for five random phi drawn from ``random.Random(seed)``;
+    - the implicit series at a = b = gamma = beta = 0 equals
+      1/sqrt(1+z^2) at ``implicit_order``.
+
+    Witnesses are the coefficient index n, the trial number, or the case.
+    """
+    ledger = Ledger("Lagrange inversion")
+    phi = RationalSeries([Fraction(1, math.factorial(k)) for k in range(order + 1)],
+                         order)
+    ident = RationalSeries.z(order)
+    tree = lagrange_invert(LagrangeProblem(phi, ident, order))
+    for n in range(1, order + 1):
+        want = Fraction(n ** (n - 1), math.factorial(n))
+        ledger.record("tree function", n, tree.coefficient(n) == Sqrt2Scalar(want))
+    square = RationalSeries.polynomial([0, 0, 1], order)
+    tree_sq = lagrange_invert(LagrangeProblem(phi, square, order))
+    for n in range(2, order + 1):
+        want = 2 * Fraction(n) ** (n - 3) / math.factorial(n - 2)
+        ledger.record("tree function squared", n,
+                      tree_sq.coefficient(n) == Sqrt2Scalar(want))
+    rng = random.Random(seed)
+    for trial in range(5):
+        phi_rand = random_rational_series(rng, order, constant=1)
+        w = lagrange_invert(LagrangeProblem(phi_rand, ident, order))
+        ledger.record("w == z phi(w)", trial, phi_rand.compose(w).shift(1) == w)
+    implicit = srivastava_singhal_series(
+        SrivastavaSinghalSpec(0, 0, 0, 0, implicit_order))
+    ledger.record("implicit series", "a=b=gamma=beta=0",
+                  implicit == jacobi_generating(0, 0, 0, implicit_order))
+    return ledger

@@ -17,9 +17,9 @@ left edge value is psi_L(-t, t) = +2^(-t/2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .ledger import Ledger
 from .ring import Sqrt2Scalar
 from .walk import WalkCache
 
@@ -30,9 +30,9 @@ __all__ = [
     "psi_closed_l",
     "psi_center_r",
     "psi_center_l",
-    "check_symmetry",
+    "check_closed_forms",
+    "check_reflections",
     "check_jacobi_identities",
-    "JacobiIdentityReport",
 ]
 
 
@@ -117,46 +117,51 @@ def psi_center_l(t: int) -> Sqrt2Scalar:
     return Sqrt2Scalar(val)
 
 
-def check_symmetry(walk: WalkCache, n: int, t: int) -> bool:
-    """Exact check of both reflection relations on simulator values:
+def check_closed_forms(walk: WalkCache, t_max: int) -> Ledger:
+    """Exact check of the closed forms against simulator values: both
+    chiralities at every reachable (n, t) with t <= t_max, and the center
+    forms at every even t > 0.  Witnesses are (n, t).
+    """
+    ledger = Ledger("closed forms == simulator")
+    for t in range(t_max + 1):
+        for n in range(-t, t + 1, 2):
+            ledger.record("closed form", (n, t),
+                          walk.amp_r(n, t) == psi_closed_r(n, t)
+                          and walk.amp_l(n, t) == psi_closed_l(n, t))
+        if t and t % 2 == 0:
+            ledger.record("center closed form", (0, t),
+                          walk.amp_r(0, t) == psi_center_r(t)
+                          and walk.amp_l(0, t) == psi_center_l(t))
+    return ledger
+
+
+def check_reflections(states) -> Ledger:
+    """Exact check of both reflection relations on simulator values,
 
         psi_R(-n, t) == (-1)^(n+1) psi_R(n+2, t)
-        (t-n) psi_L(-n, t) == (-1)^n (t+n) psi_L(n, t)
+        (t-n) psi_L(-n, t) == (-1)^n (t+n) psi_L(n, t),
+
+    at every reachable position n of each given WalkState.  Taking states
+    rather than a cache lets a caller check a tampered state.  Witnesses are
+    (n, t).
     """
-    ok = True
-    if abs(n) <= t and abs(n + 2) <= t:
-        lhs = walk.mantissa_r(-n, t)
-        rhs = (-1) ** (n + 1) * walk.mantissa_r(n + 2, t)
-        ok = ok and lhs == rhs
-    if abs(n) <= t:
-        lhs = (t - n) * walk.mantissa_l(-n, t)
-        rhs = (-1) ** n * (t + n) * walk.mantissa_l(n, t)
-        ok = ok and lhs == rhs
-    return ok
-
-
-@dataclass
-class JacobiIdentityReport:
-    """Outcome of the exact identity sweep, with counterexample witnesses."""
-
-    checked: int = 0
-    failures: list = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-    def record(self, name: str, params: tuple, ok: bool) -> None:
-        self.checked += 1
-        if not ok:
-            self.failures.append((name, params))
+    ledger = Ledger("reflection relations")
+    for st in states:
+        t = st.t
+        for n in range(-t, t + 1, 2):
+            ok_r = (abs(n + 2) > t
+                    or st.mantissa_r(-n) == _sign(n + 1) * st.mantissa_r(n + 2))
+            ok_l = ((t - n) * st.mantissa_l(-n)
+                    == _sign(n) * (t + n) * st.mantissa_l(n))
+            ledger.record("reflection relation", (n, t), ok_r and ok_l)
+    return ledger
 
 
 _DEFAULT_XS = (Fraction(0), Fraction(1, 2), Fraction(-1, 2))
 
 
 def check_jacobi_identities(m_max: int = 20, uv_max: int = 6,
-                            xs=_DEFAULT_XS) -> JacobiIdentityReport:
+                            xs=_DEFAULT_XS) -> Ledger:
     """Exact verification of three Jacobi-polynomial relations.
 
     parameter-lowering:  C(m,l) J_m^{(u,-l)}(x)
@@ -165,7 +170,7 @@ def check_jacobi_identities(m_max: int = 20, uv_max: int = 6,
     contiguous:          (u+v+2k) J_k^{(u,v-1)}(x)
                            == (u+v+k) J_k^{(u,v)}(x) + (u+k) J_{k-1}^{(u,v)}(x)
     """
-    report = JacobiIdentityReport()
+    report = Ledger("Jacobi identities")
     xs = tuple(Fraction(x) for x in xs)
     for x in xs:
         for m in range(m_max + 1):

@@ -22,8 +22,6 @@ RationalLike = Union[int, Fraction]
 __all__ = [
     "Sqrt2Scalar",
     "RationalSeries",
-    "series_sqrt",
-    "series_reciprocal",
     "random_rational_series",
 ]
 
@@ -228,15 +226,6 @@ class RationalSeries:
             raise ValueError("polynomial degree exceeds series order")
         coeffs = list(low_coeffs) + [0] * (order + 1 - len(low_coeffs))
         return cls(coeffs, order, scale)
-
-    @classmethod
-    def from_scalars(cls, scalars: Sequence[Sqrt2Scalar], order: int) -> "RationalSeries":
-        """Build from per-coefficient ring elements of one common sqrt(2) grade."""
-        grades = {s.k for s in scalars if not s.is_zero}
-        if len(grades) > 1:
-            raise ValueError("coefficients have mixed sqrt(2) grade")
-        k = grades.pop() if grades else 0
-        return cls([s.q for s in scalars], order, Sqrt2Scalar(1, k))
 
     # -- accessors ----------------------------------------------------------
 
@@ -445,16 +434,6 @@ class RationalSeries:
         head = ", ".join(str(c) for c in self.coeffs[: min(5, self.order + 1)])
         tail = ", ..." if self.order >= 5 else ""
         return f"RationalSeries([{head}{tail}], order={self.order}, scale={self.scale!r})"
-
-
-def series_sqrt(s: RationalSeries) -> RationalSeries:
-    """Square root of a series; r satisfies r*r == s through the order."""
-    return s.sqrt()
-
-
-def series_reciprocal(s: RationalSeries) -> RationalSeries:
-    """Multiplicative inverse of a series with nonzero constant term."""
-    return s.reciprocal()
 
 
 def random_rational_series(rng, order: int, max_num: int = 9,

@@ -156,11 +156,7 @@ def probability(state: WalkState, n: int) -> Fraction:
 
 
 class WalkCache:
-    """Lazily extended list of states for one orientation.
-
-    The cached states are immutable; extending appends only, so concurrent
-    readers of already-computed entries are safe.
-    """
+    """Lazily extended list of states for one orientation."""
 
     def __init__(self, orientation: str = "canonical"):
         if orientation not in ORIENTATIONS:

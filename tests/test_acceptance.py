@@ -11,7 +11,6 @@ from fractions import Fraction
 import pytest
 
 from hadwalk import asymptotics, genfun, jacobi, walk
-from hadwalk.ring import RationalSeries, Sqrt2Scalar
 
 
 @pytest.fixture(scope="module")
@@ -38,33 +37,22 @@ class _Line:
         print(f"{self.tag} FAIL  {self.description}: {detail}  [{dt:.1f}s]")
         raise AssertionError(f"{self.tag}: {detail}")
 
+    def check(self, ledger):
+        if not ledger.passed:
+            item, witness = ledger.failures[0]
+            self.fail(f"{ledger.name}: {len(ledger.failures)} of {ledger.checked} "
+                      f"failed, first {item} at {witness}")
+
 
 def test_ac01_exact_closed_form_equivalence(cache400):
     line = _Line("AC-01", "closed forms == simulator exactly, t <= 60")
-    for t in range(61):
-        for n in range(-t, t + 1):
-            if (n - t) % 2:
-                continue
-            if jacobi.psi_closed_r(n, t) != cache400.amp_r(n, t):
-                line.fail(f"psi_R mismatch at (n={n}, t={t})")
-            if jacobi.psi_closed_l(n, t) != cache400.amp_l(n, t):
-                line.fail(f"psi_L mismatch at (n={n}, t={t})")
-        if t and t % 2 == 0:
-            if jacobi.psi_center_r(t) != cache400.amp_r(0, t):
-                line.fail(f"center psi_R mismatch at t={t}")
-            if jacobi.psi_center_l(t) != cache400.amp_l(0, t):
-                line.fail(f"center psi_L mismatch at t={t}")
+    line.check(jacobi.check_closed_forms(cache400, 60))
     line.ok()
 
 
 def test_ac02_symmetry_relations(cache400):
     line = _Line("AC-02", "reflection relations exact, t <= 60")
-    for t in range(61):
-        for n in range(-t, t + 1):
-            if (n - t) % 2:
-                continue
-            if not jacobi.check_symmetry(cache400, n, t):
-                line.fail(f"violated at (n={n}, t={t})")
+    line.check(jacobi.check_reflections(cache400.state(t) for t in range(61)))
     line.ok()
 
 
@@ -82,46 +70,30 @@ def test_ac03_unitarity_to_t1000():
 
 
 def test_ac04_generating_functions(cache400):
-    line = _Line("AC-04", "definitional == closed series, m <= 10, order 40; bridges")
-    for m in range(11):
-        for family in "FGHI":
-            spec = genfun.GenFunSpec(family, m, 40)
-            if genfun.definitional_series(spec, cache400) != genfun.closed_form_series(spec):
-                line.fail(f"family {family}, m={m}")
-        for rep in genfun.check_intermediate_relations(cache400, m, 40):
-            if not rep.passed:
-                line.fail(f"{rep.name} m={m} first mismatch {rep.first_mismatch}")
+    line = _Line("AC-04", "equivalence chain and bridges exact, m <= 10, order 40")
+    chain = genfun.equivalence_ledger(cache400, m_max=10, order=40)
+    line.check(chain)
+    if chain.checked != 2820:
+        line.fail(f"{chain.checked} equivalence checks, expected 2820")
+    line.check(genfun.check_intermediate_relations(cache400, 10, 40))
     line.ok()
 
 
 def test_ac05_jacobi_generating_and_identities():
     line = _Line("AC-05", "generating coefficients k <= 40, r,s in [0,5]; identities")
-    for r in range(6):
-        for s in range(6):
-            series = genfun.jacobi_generating(0, r, s, 40)
-            for k in range(41):
-                if series.coefficient(k) != Sqrt2Scalar(jacobi.jacobi_at(k, r, s)):
-                    line.fail(f"coefficient (k={k}, r={r}, s={s})")
-    report = jacobi.check_jacobi_identities(m_max=20, uv_max=6)
-    if not report.passed:
-        line.fail(f"identity failures: {report.failures[:3]}")
+    line.check(genfun.check_jacobi_generating(k_max=40, rs_max=5))
+    identities = jacobi.check_jacobi_identities(m_max=20, uv_max=6)
+    line.check(identities)
+    if identities.checked != 11025:
+        line.fail(f"{identities.checked} identity instances, expected 11025")
     line.ok()
 
 
 def test_ac06_quadrature_oracle(cache400):
     line = _Line("AC-06", "momentum integrals match simulator to 1e-9, t <= 50")
-    worst = 0.0
-    for t in range(51):
-        for n in range(-t, t + 1):
-            if (n - t) % 2:
-                continue
-            qr, ql = asymptotics.quadrature_psi(n, t, tol=1e-10)
-            dr = abs(qr.real - cache400.amp_r_float(n, t))
-            dl = abs(ql.real - cache400.amp_l_float(n, t))
-            worst = max(worst, dr, dl)
-            if dr > 1e-9 or dl > 1e-9:
-                line.fail(f"deviation {max(dr, dl):.2e} at (n={n}, t={t})")
-    print(f"      worst quadrature deviation: {worst:.2e}")
+    ledger = asymptotics.check_quadrature(cache400, 50, tol=1e-9)
+    line.check(ledger)
+    print(f"      worst quadrature deviation: {ledger.worst:.2e}")
     line.ok()
 
 
@@ -181,23 +153,7 @@ def test_ac10_contour_shift():
 
 def test_ac11_lagrange_inversion():
     line = _Line("AC-11", "tree/w^2 coefficients exact to n=20; implicit series order 40")
-    order = 20
-    phi = RationalSeries([Fraction(1, math.factorial(k)) for k in range(order + 1)],
-                         order)
-    tree = genfun.lagrange_invert(
-        genfun.LagrangeProblem(phi, RationalSeries.z(order), order))
-    for n in range(1, order + 1):
-        if tree.coefficient(n) != Sqrt2Scalar(Fraction(n ** (n - 1), math.factorial(n))):
-            line.fail(f"tree coefficient n={n}")
-    fsq = RationalSeries.polynomial([0, 0, 1], order)
-    wsq = genfun.lagrange_invert(genfun.LagrangeProblem(phi, fsq, order))
-    for n in range(2, order + 1):
-        want = 2 * Fraction(n) ** (n - 3) / math.factorial(n - 2)
-        if wsq.coefficient(n) != Sqrt2Scalar(want):
-            line.fail(f"w^2 coefficient n={n}")
-    ss = genfun.srivastava_singhal_series(genfun.SrivastavaSinghalSpec(0, 0, 0, 0, 40))
-    if ss != genfun.jacobi_generating(0, 0, 0, 40):
-        line.fail("implicit series != 1/sqrt(1+z^2) at order 40")
+    line.check(genfun.check_lagrange(order=20, implicit_order=40))
     line.ok()
 
 

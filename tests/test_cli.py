@@ -1,8 +1,13 @@
 import csv
 import json
 from fractions import Fraction
+from pathlib import Path
+
+import pytest
 
 from hadwalk.cli import main
+
+DATA = Path(__file__).parent / "data"
 
 
 def read_csv(path):
@@ -69,37 +74,42 @@ class TestSimulate:
         assert code == 2
 
 
+def run_pinned_verify(tmp_path, pinned, args):
+    """Run verify; its report must equal the bytes pinned in tests/data."""
+    report = tmp_path / "report.json"
+    code = main(["verify", *args, "--report", str(report)])
+    assert report.read_bytes() == (DATA / pinned).read_bytes()
+    return code, json.loads(report.read_text())
+
+
 class TestVerify:
-    def test_small_run_passes(self, tmp_path):
-        report = tmp_path / "report.json"
-        code = main(["verify", "--t-max", "12", "--order", "8", "--m-max", "2",
-                     "--quad-t-max", "6", "--report", str(report)])
-        assert code == 0
-        data = json.loads(report.read_text())
-        assert data["all_passed"]
-        assert set(data["suites"]) == {
-            "exact-equivalence", "generating-function", "jacobi-identity",
-            "lagrange", "quadrature", "symmetry"}
-        assert all(s["passed"] for s in data["suites"].values())
+    def test_small_run_passes(self, tmp_path, capsys):
+        code, data = run_pinned_verify(
+            tmp_path, "verify-pass.json",
+            ["--t-max", "12", "--order", "8", "--m-max", "2", "--quad-t-max", "6"])
+        assert code == 0 and data["all_passed"]
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[2] == ("PASS jacobi-identity: 5733 identity instances exact; "
+                            "checked=5877")
+        assert lines[4] == ("PASS quadrature: max deviation 3.553e-15 through t=6; "
+                            "checked=28 worst=3.553e-15 tol=1e-09")
 
     def test_fault_injection_fails_symmetry(self, tmp_path):
-        report = tmp_path / "report.json"
-        code = main(["verify", "--t-max", "12", "--order", "8", "--m-max", "2",
-                     "--quad-t-max", "4", "--inject-fault",
-                     "--report", str(report)])
+        code, data = run_pinned_verify(
+            tmp_path, "verify-inject-fault.json",
+            ["--t-max", "12", "--order", "8", "--m-max", "2", "--quad-t-max", "4",
+             "--inject-fault"])
         assert code == 1
-        data = json.loads(report.read_text())
-        assert not data["suites"]["symmetry"]["passed"]
-        assert "witness" in data["suites"]["symmetry"]
+        failed = [name for name, s in data["suites"].items() if not s["passed"]]
+        assert failed == ["symmetry"]
+        assert data["suites"]["symmetry"]["witness"] == {"n": -2, "t": 6}
 
     def test_degenerate_run_flagged_vacuous(self, tmp_path):
-        report = tmp_path / "report.json"
-        code = main(["verify", "--t-max", "0", "--order", "0",
-                     "--quad-t-max", "0", "--report", str(report)])
+        code, data = run_pinned_verify(
+            tmp_path, "verify-vacuous.json",
+            ["--t-max", "0", "--order", "0", "--quad-t-max", "0"])
         assert code == 0
-        data = json.loads(report.read_text())
-        assert data["suites"]["exact-equivalence"]["vacuous"]
-        assert data["suites"]["quadrature"]["vacuous"]
+        assert all(s["vacuous"] for s in data["suites"].values())
 
     def test_deterministic_report(self, tmp_path):
         a = tmp_path / "a.json"
@@ -116,17 +126,6 @@ class TestVerify:
         assert code == 0
         out = capsys.readouterr().out
         assert '"all_passed": true' in out
-
-    def test_worker_count_does_not_change_report(self, tmp_path, monkeypatch):
-        a = tmp_path / "a.json"
-        b = tmp_path / "b.json"
-        args = ["verify", "--t-max", "8", "--order", "6", "--m-max", "1",
-                "--quad-t-max", "4"]
-        monkeypatch.setenv("HADWALK_WORKERS", "1")
-        main(args + ["--report", str(a)])
-        monkeypatch.setenv("HADWALK_WORKERS", "4")
-        main(args + ["--report", str(b)])
-        assert a.read_bytes() == b.read_bytes()
 
 
 class TestAsymptoticsCmd:
@@ -157,6 +156,16 @@ class TestAsymptoticsCmd:
                      "0.8", "--alpha-step", "1.0", "--t", "0",
                      "--out", str(tmp_path / "x.csv")])
         assert code == 2
+
+    @pytest.mark.parametrize("start, stop, step", [
+        ("0.75", "0.85", "0"), ("0.75", "0.85", "-0.05"), ("0.85", "0.75", "0.05")],
+        ids=["zero-step", "negative-step", "reversed-range"])
+    def test_empty_alpha_grid_exits_2(self, tmp_path, capsys, start, stop, step):
+        out = tmp_path / "x.csv"
+        code = main(["asymptotics", "--alpha-start", start, "--alpha-stop", stop,
+                     "--alpha-step", step, "--t", "40", "--out", str(out)])
+        assert code == 2 and not out.exists()
+        assert len(capsys.readouterr().err.splitlines()) == 1
 
     def test_deterministic_table(self, tmp_path):
         a = tmp_path / "a.csv"

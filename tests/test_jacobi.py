@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hadwalk.jacobi import (binomial, check_jacobi_identities, check_symmetry,
+from hadwalk.jacobi import (binomial, check_jacobi_identities, check_reflections,
                             jacobi_at, psi_center_l, psi_center_r,
                             psi_closed_l, psi_closed_r)
 from hadwalk.ring import Sqrt2Scalar
@@ -109,15 +109,15 @@ class TestClosedForms:
 
 class TestSymmetry:
     def test_all_positions_through_t60(self, walk60):
-        for t in range(61):
-            for n in range(-t, t + 1):
-                if (n - t) % 2 == 0:
-                    assert check_symmetry(walk60, n, t), (n, t)
+        rep = check_reflections(walk60.state(t) for t in range(61))
+        assert rep.passed, rep.failures[:3]
+        assert rep.checked == 61 * 62 // 2
 
     def test_left_relation_trivial_cases(self, walk60):
-        # n = 0 reduces to an identity; n = t pairs zeros on both sides
-        assert check_symmetry(walk60, 0, 10)
-        assert check_symmetry(walk60, 10, 10)
+        # a single state covers n = 0, where the left relation reduces to an
+        # identity, and n = t, where it pairs zeros on both sides
+        rep = check_reflections([walk60.state(10)])
+        assert rep.passed and rep.checked == 11
 
 
 class TestIdentities:
