@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -261,6 +262,14 @@ def _ledger_summary(ledgers: list) -> str:
 
 
 def cmd_verify(args) -> int:
+    for flag, size in (("--t-max", args.t_max), ("--order", args.order),
+                       ("--m-max", args.m_max), ("--quad-t-max", args.quad_t_max)):
+        if size < 0:
+            print(f"verify needs {flag} >= 0, got {size}", file=sys.stderr)
+            return 2
+    if not math.isfinite(args.tol):
+        print(f"verify needs a finite --tol, got {args.tol}", file=sys.stderr)
+        return 2
     cfg = VerifyConfig(t_max=args.t_max, order=args.order, m_max=args.m_max,
                        quad_t_max=args.quad_t_max, tol=args.tol, seed=args.seed,
                        inject_fault=args.inject_fault)

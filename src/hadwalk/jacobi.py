@@ -8,6 +8,12 @@ with generalized binomial coefficients, so negative integer parameters are
 covered by the same formula and the three-term relations can be *tested*
 against it rather than used as definitions.  J with negative degree is 0.
 
+The sum is evaluated in integers: with x = p/q in lowest terms, each term is
+C(k+r, j) C(k+s, k-j) (p-q)^{k-j} (p+q)^j / (2q)^k.  Both binomial rows are
+built as ints by c_{i+1} = c_i (a-i) // (i+1), a division that is exact for
+every integer a, and the integer numerator is divided by (2q)^k once, at the
+end.  Nothing is cached between calls.
+
 The closed forms here are written for the canonical walk orientation (the one
 matching the momentum-integral representations).  Note the left-amplitude sign
 convention: both chirality branches carry the factor (-1)^(n+1), and the
@@ -46,19 +52,25 @@ def binomial(a, k: int) -> Fraction:
     return num / math.factorial(k)
 
 
+def _binomial_row(a: int, k: int) -> list:
+    """[C(a, 0), ..., C(a, k)] as ints for integer a (negative a too)."""
+    row = [1]
+    for i in range(k):
+        row.append(row[-1] * (a - i) // (i + 1))
+    return row
+
+
 def jacobi_at(k: int, r: int, s: int, x=Fraction(0)) -> Fraction:
     """Degree-k Jacobi polynomial with integer parameters at rational x."""
     if k < 0:
         return Fraction(0)
     x = Fraction(x)
-    xm = x - 1
-    xp = x + 1
-    total = Fraction(0)
-    for j in range(k + 1):
-        c = binomial(k + r, j) * binomial(k + s, k - j)
-        if c:
-            total += c * xm ** (k - j) * xp**j
-    return total / 2**k
+    p, q = x.numerator, x.denominator
+    left = _binomial_row(k + r, k)
+    right = _binomial_row(k + s, k)
+    total = sum(left[j] * right[k - j] * (p - q) ** (k - j) * (p + q) ** j
+                for j in range(k + 1))
+    return Fraction(total, (2 * q) ** k)
 
 
 def _sign(exponent: int) -> int:

@@ -111,6 +111,22 @@ class TestVerify:
         assert code == 0
         assert all(s["vacuous"] for s in data["suites"].values())
 
+    def test_default_config_report(self, tmp_path):
+        code, data = run_pinned_verify(tmp_path, "verify-default.json", [])
+        assert code == 0 and data["all_passed"]
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--t-max", "-1"), ("--order", "-1"), ("--m-max", "-3"),
+        ("--quad-t-max", "-1"), ("--tol", "nan"), ("--tol", "inf"), ("--tol", "-inf")],
+        ids=["t-max", "order", "m-max", "quad-t-max", "tol-nan", "tol-inf", "tol-minus-inf"])
+    def test_bad_config_exits_2(self, tmp_path, capsys, flag, value):
+        report = tmp_path / "report.json"
+        code = main(["verify", "--t-max", "6", "--order", "4", "--m-max", "1",
+                     "--quad-t-max", "2", f"{flag}={value}", "--report", str(report)])
+        assert code == 2 and not report.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and flag in err[0]
+
     def test_deterministic_report(self, tmp_path):
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -33,7 +34,46 @@ class TestBinomial:
         assert binomial(5, -1) == 0
 
 
+def reference_jacobi(k, r, s, x):
+    """The explicit sum evaluated term by term in Fractions with the
+    generalized ``binomial``: an independent evaluation to pin jacobi_at."""
+    if k < 0:
+        return Fraction(0)
+    xm = x - 1
+    xp = x + 1
+    total = Fraction(0)
+    for j in range(k + 1):
+        c = binomial(k + r, j) * binomial(k + s, k - j)
+        if c:
+            total += c * xm ** (k - j) * xp**j
+    return total / 2**k
+
+
+def _reference_triples():
+    """(k, r, s) with k in [-1, 45] and r, s in [-50, 12]: fixed corners plus a
+    seeded sample, so k + r and k + s take both signs."""
+    corners = [(-1, 0, 0), (0, -50, 12), (1, -50, -50), (45, 12, 12),
+               (45, -50, -50), (3, -7, 2), (3, 2, -7), (10, -11, -11)]
+    rng = random.Random(2003)
+    return corners + [(rng.randint(-1, 45), rng.randint(-50, 12), rng.randint(-50, 12))
+                      for _ in range(64)]
+
+
+REFERENCE_TRIPLES = _reference_triples()
+REFERENCE_XS = [Fraction(0), Fraction(1, 2), Fraction(-1, 2), Fraction(1),
+                Fraction(-1), Fraction(3, 7), Fraction(-5, 3), Fraction(2)]
+
+
 class TestJacobiAt:
+    def test_reference_grid_covers_negative_binomial_tops(self):
+        signs = {(k + r < 0, k + s < 0) for k, r, s in REFERENCE_TRIPLES if k >= 0}
+        assert signs == {(False, False), (False, True), (True, False), (True, True)}
+
+    @pytest.mark.parametrize("x", REFERENCE_XS, ids=str)
+    def test_matches_reference_sum(self, x):
+        for k, r, s in REFERENCE_TRIPLES:
+            assert jacobi_at(k, r, s, x) == reference_jacobi(k, r, s, x), (k, r, s)
+
     def test_degree_zero(self):
         for r, s in [(0, 0), (3, -2), (-1, 5)]:
             assert jacobi_at(0, r, s, Fraction(1, 3)) == 1
