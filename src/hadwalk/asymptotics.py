@@ -7,8 +7,8 @@ arcsin realizes exactly this branch: it is real and odd on [-pi, pi], equals
  i*arcsinh(sinh v / sqrt 2) on the positive imaginary axis,
 -i*arcsinh(sinh v / sqrt 2) on the verticals Re theta = +-pi, and takes the
 values pi/2 +- i*ln(cosh v / sqrt 2 + sqrt(cosh^2 v / 2 - 1)) on the two sides
-of the right-hand cut.  Points within ``cut_tolerance`` of a cut are rejected
-instead of being silently assigned a side.
+of the right-hand cut.  Points within ``_CUT_TOLERANCE`` (1e-12) of a cut are
+rejected instead of being silently assigned a side.
 
 In the exponential-decay region 1/sqrt2 < alpha < 1 the saddle sits on the
 positive imaginary axis and the per-step decay base is
@@ -27,7 +27,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import mpmath
 import numpy as np
 
 from .ledger import Ledger
@@ -35,9 +34,6 @@ from .walk import WalkCache
 
 __all__ = [
     "ARCSINH1",
-    "SINGULAR_POINTS",
-    "PrincipalOmega",
-    "principal_omega",
     "omega",
     "BranchCutError",
     "ValidityError",
@@ -51,24 +47,15 @@ __all__ = [
     "psi_asymptotic",
     "QuadratureResult",
     "quadrature_psi",
-    "quadrature_psi_tilde_l",
     "check_quadrature",
     "contour_shift_check",
     "ContourReport",
-    "saddle_residual_fd",
-    "omega_second_derivative_fd",
 ]
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT2 = 1.0 / _SQRT2
 ARCSINH1 = math.asinh(1.0)
-
-SINGULAR_POINTS = (
-    complex(+math.pi / 2, +ARCSINH1),
-    complex(-math.pi / 2, +ARCSINH1),
-    complex(+math.pi / 2, -ARCSINH1),
-    complex(-math.pi / 2, -ARCSINH1),
-)
+_CUT_TOLERANCE = 1e-12
 
 
 class BranchCutError(ValueError):
@@ -91,39 +78,20 @@ class QuadratureBudgetError(RuntimeError):
         self.achieved = achieved
 
 
-class PrincipalOmega:
-    """Evaluation context for the phase on its principal sheet."""
-
-    def __init__(self, cut_tolerance: float = 1e-12):
-        self.cut_tolerance = cut_tolerance
-
-    def reduce_to_strip(self, theta: complex) -> complex:
-        """Shift by multiples of 2 pi so that -pi <= Re theta <= pi."""
-        u = theta.real
-        if -math.pi <= u <= math.pi:
-            return theta
-        k = math.floor((u + math.pi) / (2.0 * math.pi))
-        return complex(u - 2.0 * math.pi * k, theta.imag)
-
-    def on_cut(self, theta: complex) -> bool:
-        u, v = theta.real, theta.imag
-        if abs(v) < ARCSINH1 - self.cut_tolerance:
-            return False
-        return (abs(abs(u) - math.pi / 2) <= self.cut_tolerance)
-
-    def __call__(self, theta: complex) -> complex:
-        theta = self.reduce_to_strip(complex(theta))
-        if self.on_cut(theta):
-            raise BranchCutError(f"theta={theta} lies on a branch cut")
-        return cmath.asin(cmath.sin(theta) * _INV_SQRT2)
-
-
-principal_omega = PrincipalOmega()
-
-
 def omega(theta: complex) -> complex:
-    """Principal-branch phase value; raises BranchCutError on the cuts."""
-    return principal_omega(theta)
+    """Principal-branch phase value; raises BranchCutError on the cuts.
+
+    theta is first shifted by a multiple of 2 pi so that -pi <= Re theta <= pi.
+    """
+    theta = complex(theta)
+    u, v = theta.real, theta.imag
+    if not -math.pi <= u <= math.pi:
+        u -= 2.0 * math.pi * math.floor((u + math.pi) / (2.0 * math.pi))
+        theta = complex(u, v)
+    if (abs(v) >= ARCSINH1 - _CUT_TOLERANCE
+            and abs(abs(u) - math.pi / 2) <= _CUT_TOLERANCE):
+        raise BranchCutError(f"theta={theta} lies on a branch cut")
+    return cmath.asin(cmath.sin(theta) * _INV_SQRT2)
 
 
 def growth_check(u: float, v: float, t: int) -> float:
@@ -136,7 +104,7 @@ def growth_check(u: float, v: float, t: int) -> float:
         raise ValueError("growth bounds are stated for v > 0")
     if abs(abs(u) - math.pi / 2) < 1e-6:
         raise ValueError("u too close to +-pi/2: ill-conditioned")
-    om = principal_omega(complex(u, v))
+    om = omega(complex(u, v))
     measured = abs(cmath.exp(-1j * om * t))
     if abs(u) < math.pi / 2:
         reference = (math.exp(v) * _INV_SQRT2) ** t
@@ -151,16 +119,11 @@ def growth_check(u: float, v: float, t: int) -> float:
 
 @dataclass(frozen=True)
 class SaddleData:
-    """Saddle location and decay data for one value of alpha."""
+    """Saddle location for one value of alpha."""
 
     alpha: float
     region: str                 # "oscillatory" or "decay"
     theta_alpha: complex
-    omega_alpha: complex
-    btilde: float | None = None
-    b: float | None = None
-    prefactor_r: float | None = None
-    prefactor_l: float | None = None
 
 
 def _check_alpha(alpha: float, eps: float) -> None:
@@ -172,7 +135,7 @@ def _check_alpha(alpha: float, eps: float) -> None:
 
 
 def saddle(alpha: float, eps: float = 1e-3) -> SaddleData:
-    """Stationary point of omega(theta) - theta*alpha and the derived data.
+    """Stationary point of omega(theta) - theta*alpha.
 
     For |alpha| < 1/sqrt2 the two stationary points are real (+-theta_alpha;
     the positive representative is returned).  Beyond, the returned saddle is
@@ -181,21 +144,12 @@ def saddle(alpha: float, eps: float = 1e-3) -> SaddleData:
     _check_alpha(alpha, eps)
     x = alpha / math.sqrt(1.0 - alpha * alpha)
     if abs(alpha) < _INV_SQRT2:
-        theta = complex(math.acos(x), 0.0)
-        om = principal_omega(theta)
-        return SaddleData(alpha, "oscillatory", theta, om)
+        return SaddleData(alpha, "oscillatory", complex(math.acos(x), 0.0))
     if alpha > 0:
         theta = complex(0.0, math.acosh(x))
     else:
         theta = complex(math.pi, math.acosh(-x))
-    om = principal_omega(theta)
-    a = abs(alpha)
-    s = math.sqrt(2.0 * a * a - 1.0)
-    common = 1.0 / math.sqrt(2.0 * math.pi * (1.0 - a * a) * s)
-    return SaddleData(alpha, "decay", theta, om,
-                      btilde=btilde(a), b=b_pathintegral(a),
-                      prefactor_r=(a + s) * common,
-                      prefactor_l=(1.0 - a) * common)
+    return SaddleData(alpha, "decay", theta)
 
 
 def _require_decay(alpha: float) -> None:
@@ -368,20 +322,6 @@ def check_quadrature(walk: WalkCache, t_max: int, tol: float = 1e-9) -> Ledger:
     return ledger
 
 
-def quadrature_psi_tilde_l(n: int, t: int, tol: float = 1e-10) -> QuadratureResult:
-    """Numeric value of the reduced left integral (1/2pi) Int e^{-i(t om + n th)}."""
-    if tol < 1e-14:
-        raise ValueError("tolerance below attainable double precision")
-
-    def kern(theta):
-        om = np.arcsin(np.sin(theta) * _INV_SQRT2)
-        return np.exp(-1j * (t * om + n * theta))
-
-    val, est, nodes = _refine(kern, -math.pi, math.pi, tol * 0.25, max(64, 2 * t))
-    val /= 2.0 * math.pi
-    return QuadratureResult(val, est / (2.0 * math.pi) + abs(val.imag), nodes)
-
-
 # ---------------------------------------------------------------------------
 # contour shift
 # ---------------------------------------------------------------------------
@@ -476,48 +416,3 @@ def contour_shift_check(n: int, t: int, tol: float = 1e-8,
 
     return ContourReport(n, t, real_line, shifted, abs(real_line - shifted),
                          sym_diff, v_top, h, nodes, tol)
-
-
-# ---------------------------------------------------------------------------
-# high-precision finite-difference verification of the saddle conditions
-# ---------------------------------------------------------------------------
-
-
-def _omega_mp(theta, dps: int = 40):
-    with mpmath.workdps(dps):
-        return mpmath.asin(mpmath.sin(theta) / mpmath.sqrt(2))
-
-
-def saddle_residual_fd(alpha: float, step: float = 1e-5, dps: int = 40) -> float:
-    """|d/dtheta (omega - theta alpha)| at the saddle, by central differences.
-
-    Five-point central stencil evaluated in high precision, so the reported
-    residual is the truncation error of the stencil alone.
-    """
-    sd = saddle(alpha)
-    with mpmath.workdps(dps):
-        th = mpmath.mpc(sd.theta_alpha.real, sd.theta_alpha.imag)
-        h = mpmath.mpf(step)
-
-        def f(z):
-            return _omega_mp(z, dps) - z * alpha
-
-        deriv = (-f(th + 2 * h) + 8 * f(th + h) - 8 * f(th - h) + f(th - 2 * h)) / (12 * h)
-        return float(abs(deriv))
-
-
-def omega_second_derivative_fd(alpha: float, step: float = 1e-5,
-                               dps: int = 40) -> complex:
-    """Second derivative of omega at the saddle by a five-point stencil.
-
-    In the decay region this must equal -i (1 - alpha^2) sqrt(2 alpha^2 - 1).
-    """
-    sd = saddle(alpha)
-    with mpmath.workdps(dps):
-        th = mpmath.mpc(sd.theta_alpha.real, sd.theta_alpha.imag)
-        h = mpmath.mpf(step)
-        f = lambda z: _omega_mp(z, dps)
-        second = (-f(th + 2 * h) + 16 * f(th + h) - 30 * f(th)
-                  + 16 * f(th - h) - f(th - 2 * h)) / (12 * h * h)
-        return complex(second)
-

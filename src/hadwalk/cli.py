@@ -114,6 +114,14 @@ class VerifyConfig:
     seed: int = 0
     inject_fault: bool = False
 
+    def __post_init__(self):
+        for flag, size in (("--t-max", self.t_max), ("--order", self.order),
+                           ("--m-max", self.m_max), ("--quad-t-max", self.quad_t_max)):
+            if size < 0:
+                raise ValueError(f"verify needs {flag} >= 0, got {size}")
+        if not math.isfinite(self.tol):
+            raise ValueError(f"verify needs a finite --tol, got {self.tol}")
+
 
 # Each suite maps the config to its checks' sizes and the checks' ledgers to
 # the suite's report entry; it returns (entry, ledgers).
@@ -262,14 +270,6 @@ def _ledger_summary(ledgers: list) -> str:
 
 
 def cmd_verify(args) -> int:
-    for flag, size in (("--t-max", args.t_max), ("--order", args.order),
-                       ("--m-max", args.m_max), ("--quad-t-max", args.quad_t_max)):
-        if size < 0:
-            print(f"verify needs {flag} >= 0, got {size}", file=sys.stderr)
-            return 2
-    if not math.isfinite(args.tol):
-        print(f"verify needs a finite --tol, got {args.tol}", file=sys.stderr)
-        return 2
     cfg = VerifyConfig(t_max=args.t_max, order=args.order, m_max=args.m_max,
                        quad_t_max=args.quad_t_max, tol=args.tol, seed=args.seed,
                        inject_fault=args.inject_fault)
@@ -298,9 +298,11 @@ def cmd_asymptotics(args) -> int:
     if not ts or any(t <= 0 for t in ts):
         print("asymptotics needs positive --t values", file=sys.stderr)
         return 2
-    if not (args.alpha_step > 0 and args.alpha_stop >= args.alpha_start):
-        print("asymptotics needs --alpha-step > 0 and --alpha-stop >= --alpha-start",
-              file=sys.stderr)
+    grid = (args.alpha_start, args.alpha_stop, args.alpha_step)
+    if not (all(map(math.isfinite, grid)) and args.alpha_step > 0
+            and args.alpha_stop >= args.alpha_start):
+        print("asymptotics needs finite --alpha-start, --alpha-stop and --alpha-step, "
+              "--alpha-step > 0 and --alpha-stop >= --alpha-start", file=sys.stderr)
         return 2
     cache = walk.WalkCache("canonical")
     cache.state(max(ts))

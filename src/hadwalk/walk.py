@@ -27,7 +27,6 @@ this was pinned down empirically.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -46,7 +45,6 @@ __all__ = [
     "norm_squared_mantissas",
     "mantissa_to_float",
     "coin_matrix",
-    "coin_eigenvalues",
     "fourier_evolve",
     "AliasingError",
     "ORIENTATIONS",
@@ -202,17 +200,16 @@ def mantissa_to_float(mantissa: int, t: int) -> float:
     return val
 
 
-def coin_matrix(theta: float) -> np.ndarray:
-    """Momentum-space step matrix (the 1/sqrt(2) Hadamard factor included)."""
-    em = cmath.exp(-1j * theta)
-    ep = cmath.exp(1j * theta)
-    return np.array([[em, em], [ep, -ep]], dtype=complex) / _SQRT2
+def coin_matrix(theta) -> np.ndarray:
+    """Momentum-space step matrix (the 1/sqrt(2) Hadamard factor included).
 
-
-def coin_eigenvalues(theta: float) -> tuple:
-    """Eigenvalues exp(-i*omega) and -exp(i*omega) with sin(omega)=sin(theta)/sqrt2."""
-    om = math.asin(math.sin(theta) / _SQRT2)
-    return cmath.exp(-1j * om), -cmath.exp(1j * om)
+    ``theta`` may be an array of angles; the result then has shape
+    ``theta.shape + (2, 2)``.
+    """
+    em = np.exp(-1j * np.asarray(theta, dtype=float))
+    ep = np.conj(em)
+    rows = (np.stack([em, em], axis=-1), np.stack([ep, -ep], axis=-1))
+    return np.stack(rows, axis=-2) / _SQRT2
 
 
 def fourier_evolve(t: int, grid: int) -> tuple:
@@ -228,16 +225,8 @@ def fourier_evolve(t: int, grid: int) -> tuple:
     if grid % 2 or grid < max(4, 4 * t):
         raise AliasingError(f"grid {grid} too small for t={t}; need even >= {max(4, 4 * t)}")
     thetas = 2.0 * math.pi * np.arange(grid) / grid
-    em = np.exp(-1j * thetas)
-    mats = np.empty((grid, 2, 2), dtype=complex)
-    mats[:, 0, 0] = em
-    mats[:, 0, 1] = em
-    mats[:, 1, 0] = np.conj(em)
-    mats[:, 1, 1] = -np.conj(em)
-    mats /= _SQRT2
-
     acc = np.broadcast_to(np.eye(2, dtype=complex), (grid, 2, 2)).copy()
-    base = mats
+    base = coin_matrix(thetas)
     power = t
     while power:
         if power & 1:

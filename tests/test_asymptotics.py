@@ -6,16 +6,25 @@ import numpy as np
 import pytest
 
 from hadwalk.asymptotics import (ARCSINH1, BranchCutError, ContourReport,
-                                 PrincipalOmega, ValidityError,
-                                 b_pathintegral, btilde, contour_shift_check,
-                                 growth_check, omega,
-                                 omega_second_derivative_fd, psi_asymptotic,
-                                 quadrature_psi, quadrature_psi_tilde_l,
-                                 saddle, saddle_residual_fd)
+                                 ValidityError, b_pathintegral, btilde,
+                                 contour_shift_check, growth_check, omega,
+                                 psi_asymptotic, quadrature_psi, saddle)
 from hadwalk.walk import WalkCache
 
 SQRT2 = math.sqrt(2.0)
 INV_SQRT2 = 1.0 / SQRT2
+
+
+# Derivatives of omega from its definition sin(omega) = sin(theta)/sqrt2,
+# independent of the saddle formula they are checked against.
+def omega_prime(theta):
+    return cmath.cos(theta) / (SQRT2 * cmath.cos(omega(theta)))
+
+
+def omega_second(theta):
+    c = cmath.cos(omega(theta))
+    return (-cmath.sin(theta) / (SQRT2 * c)
+            + cmath.sin(theta) * cmath.cos(theta) ** 2 / (2 * SQRT2 * c ** 3))
 
 
 @pytest.fixture(scope="module")
@@ -86,10 +95,16 @@ class TestOmega:
         for p, a in zip(pts, arr):
             assert abs(a - omega(p)) < 1e-13
 
-    def test_context_object(self):
-        ctx = PrincipalOmega(cut_tolerance=1e-6)
-        assert ctx.on_cut(complex(math.pi / 2, 2.0))
-        assert not ctx.on_cut(complex(0.0, 2.0))
+    def test_cut_tolerance_is_1e12(self):
+        for theta in (complex(math.pi / 2 + 1e-13, 2.0),
+                      complex(math.pi / 2 - 1e-13, 2.0),
+                      complex(math.pi / 2, ARCSINH1 - 1e-13)):
+            with pytest.raises(BranchCutError):
+                omega(theta)
+        for theta in (complex(math.pi / 2 + 1e-11, 2.0),
+                      complex(math.pi / 2 - 1e-11, 2.0),
+                      complex(math.pi / 2, ARCSINH1 - 1e-11)):
+            omega(theta)
 
     def test_odd_at_complex_saddles(self):
         # the phase difference changes sign between the paired saddles
@@ -153,12 +168,13 @@ class TestSaddle:
 
     def test_stationarity_residual_both_regions(self):
         for alpha in list(np.arange(0.1, 0.66, 0.05)) + list(np.arange(0.75, 0.96, 0.02)):
-            assert saddle_residual_fd(float(alpha)) < 1e-12, alpha
+            a = float(alpha)
+            assert abs(omega_prime(saddle(a).theta_alpha) - a) < 1e-12, a
 
     def test_second_derivative_in_decay_region(self):
         for alpha in np.arange(0.75, 0.99, 0.02):
             a = float(alpha)
-            got = omega_second_derivative_fd(a)
+            got = omega_second(saddle(a).theta_alpha)
             want = -1j * (1 - a * a) * math.sqrt(2 * a * a - 1)
             assert abs(got - want) < 1e-10, a
 
@@ -260,17 +276,6 @@ class TestQuadrature:
             quadrature_psi(3, 2)
         with pytest.raises(ValueError, match="tolerance"):
             quadrature_psi(0, 2, tol=1e-15)
-
-    def test_reduced_left_integral_boundary(self):
-        for m in range(3):
-            got = quadrature_psi_tilde_l(2 * m + 1, 2 * m + 1).real
-            assert abs(got - (-(2.0 ** (-m - 1.5)))) < 1e-10
-
-    def test_reduced_left_integral_relation(self, walk400):
-        # psi_L(n,t) = (t-n)/t * psiTilde_L(n,t) away from the n=t boundary
-        for n, t in [(1, 5), (-3, 9), (2, 8), (0, 6)]:
-            tilde = quadrature_psi_tilde_l(n, t).real
-            assert abs((t - n) / t * tilde - walk400.amp_l_float(n, t)) < 1e-10
 
     def test_budget_error_reports_achieved_estimate(self):
         import numpy as np

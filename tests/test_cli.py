@@ -1,11 +1,14 @@
 import csv
 import json
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from hadwalk.cli import main
+import hadwalk
+from hadwalk.cli import VerifyConfig, main
 
 DATA = Path(__file__).parent / "data"
 
@@ -127,6 +130,10 @@ class TestVerify:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and flag in err[0]
 
+    def test_library_config_rejects_negative_size(self):
+        with pytest.raises(ValueError, match="--t-max"):
+            VerifyConfig(t_max=-1)
+
     def test_deterministic_report(self, tmp_path):
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"
@@ -174,12 +181,15 @@ class TestAsymptoticsCmd:
         assert code == 2
 
     @pytest.mark.parametrize("start, stop, step", [
-        ("0.75", "0.85", "0"), ("0.75", "0.85", "-0.05"), ("0.85", "0.75", "0.05")],
-        ids=["zero-step", "negative-step", "reversed-range"])
+        ("0.75", "0.85", "0"), ("0.75", "0.85", "-0.05"), ("0.85", "0.75", "0.05"),
+        ("0.75", "inf", "0.05"), ("-inf", "0.85", "0.05"), ("0.75", "0.85", "inf")],
+        ids=["zero-step", "negative-step", "reversed-range", "stop-inf", "start-minus-inf",
+             "step-inf"])
     def test_empty_alpha_grid_exits_2(self, tmp_path, capsys, start, stop, step):
         out = tmp_path / "x.csv"
-        code = main(["asymptotics", "--alpha-start", start, "--alpha-stop", stop,
-                     "--alpha-step", step, "--t", "40", "--out", str(out)])
+        # "=" keeps argparse from reading "-inf" as an option
+        code = main(["asymptotics", f"--alpha-start={start}", f"--alpha-stop={stop}",
+                     f"--alpha-step={step}", "--t", "40", "--out", str(out)])
         assert code == 2 and not out.exists()
         assert len(capsys.readouterr().err.splitlines()) == 1
 
@@ -191,3 +201,13 @@ class TestAsymptoticsCmd:
         main(args + ["--out", str(a)])
         main(args + ["--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestPackage:
+    def test_import_loads_no_mpmath(self):
+        # numpy is the only runtime dependency pyproject.toml declares
+        src = str(Path(hadwalk.__file__).parents[1])
+        code = "import sys, hadwalk, hadwalk.cli; print('mpmath' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], cwd=src, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "False"

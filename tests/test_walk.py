@@ -1,3 +1,4 @@
+import cmath
 import math
 from fractions import Fraction
 
@@ -5,11 +6,17 @@ import numpy as np
 import pytest
 
 from hadwalk.ring import Sqrt2Scalar
-from hadwalk.walk import (AliasingError, WalkCache, coin_eigenvalues,
-                          coin_matrix, evolve, fourier_evolve, initial_state,
+from hadwalk.walk import (AliasingError, WalkCache, coin_matrix, evolve,
+                          fourier_evolve, initial_state,
                           norm_squared_mantissas, probability, step)
 
 HALF_ROOT2 = Sqrt2Scalar(Fraction(1, 2), 1)   # value 2^(-1/2)
+
+
+def coin_eigenvalues(theta):
+    """exp(-i*omega) and -exp(i*omega) with sin(omega) = sin(theta)/sqrt2."""
+    om = math.asin(math.sin(theta) / math.sqrt(2.0))
+    return cmath.exp(-1j * om), -cmath.exp(1j * om)
 
 
 class TestSingleSteps:
@@ -109,8 +116,11 @@ class TestProbability:
 
 class TestCoinMatrix:
     def test_eigenvalues_match_phase(self):
-        for theta in np.linspace(-math.pi, math.pi, 41):
-            mat = coin_matrix(theta)
+        # the broadcast form, as fourier_evolve uses it
+        thetas = np.linspace(-math.pi, math.pi, 41)
+        mats = coin_matrix(thetas)
+        assert mats.shape == (41, 2, 2)
+        for theta, mat in zip(thetas, mats):
             got = sorted(np.linalg.eigvals(mat), key=lambda z: (z.real, z.imag))
             want = sorted(coin_eigenvalues(theta), key=lambda z: (z.real, z.imag))
             assert max(abs(g - w) for g, w in zip(got, want)) < 1e-12
