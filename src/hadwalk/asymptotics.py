@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ledger import Ledger
-from .walk import WalkCache
+from .walk import WalkCache, mantissa_to_float
 
 __all__ = [
     "ARCSINH1",
@@ -134,14 +134,14 @@ def _check_alpha(alpha: float, eps: float) -> None:
             f"alpha = {alpha} inside the excluded transition zone of width {eps}")
 
 
-def saddle(alpha: float, eps: float = 1e-3) -> SaddleData:
+def saddle(alpha: float) -> SaddleData:
     """Stationary point of omega(theta) - theta*alpha.
 
     For |alpha| < 1/sqrt2 the two stationary points are real (+-theta_alpha;
     the positive representative is returned).  Beyond, the returned saddle is
     the one with positive imaginary part, the one the shifted contour crosses.
     """
-    _check_alpha(alpha, eps)
+    _check_alpha(alpha, 1e-3)
     x = alpha / math.sqrt(1.0 - alpha * alpha)
     if abs(alpha) < _INV_SQRT2:
         return SaddleData(alpha, "oscillatory", complex(math.acos(x), 0.0))
@@ -277,14 +277,13 @@ class QuadratureResult:
         return self.value.real
 
 
-def quadrature_psi(n: int, t: int, tol: float = 1e-10,
-                   max_nodes: int = 1 << 22) -> tuple:
+def quadrature_psi(n: int, t: int, tol: float = 1e-10) -> tuple:
     """Momentum-integral amplitudes (psi_R, psi_L) as QuadratureResult pair.
 
     Numeric oracle for the exact simulator: the two periodic integrals over
     [-pi, pi], divided by 2 pi.  The result's imaginary part is pure noise and
     is folded into the error estimate.  If panel doubling cannot reach the
-    tolerance within ``max_nodes`` evaluations, QuadratureBudgetError carries
+    tolerance within ``_refine``'s node budget, QuadratureBudgetError carries
     the achieved estimate.
     """
     if abs(n) > t:
@@ -297,8 +296,7 @@ def quadrature_psi(n: int, t: int, tol: float = 1e-10,
     panels0 = max(64, 2 * t)
     out = []
     for kern in (kr, kl):
-        val, est, nodes = _refine(kern, -math.pi, math.pi, tol * 0.25, panels0,
-                                  max_nodes=max_nodes)
+        val, est, nodes = _refine(kern, -math.pi, math.pi, tol * 0.25, panels0)
         val /= 2.0 * math.pi
         est = est / (2.0 * math.pi) + abs(val.imag)
         out.append(QuadratureResult(val, est, nodes))
@@ -313,10 +311,11 @@ def check_quadrature(walk: WalkCache, t_max: int, tol: float = 1e-9) -> Ledger:
     """
     ledger = Ledger("momentum integrals == simulator", worst=0.0, tol=tol)
     for t in range(t_max + 1):
+        st = walk.state(t)
         for n in range(-t, t + 1, 2):
             qr, ql = quadrature_psi(n, t, tol=tol * 0.1)
-            dev = max(abs(qr.real - walk.amp_r_float(n, t)),
-                      abs(ql.real - walk.amp_l_float(n, t)))
+            dev = max(abs(qr.real - mantissa_to_float(st.mantissa_r(n), t)),
+                      abs(ql.real - mantissa_to_float(st.mantissa_l(n), t)))
             ledger.worst = max(ledger.worst, dev)
             ledger.record("momentum integral", (n, t, dev), dev <= tol)
     return ledger
@@ -367,8 +366,7 @@ class ContourReport:
         return self.difference <= self.tolerance
 
 
-def contour_shift_check(n: int, t: int, tol: float = 1e-8,
-                        eps: float = 1e-3) -> ContourReport:
+def contour_shift_check(n: int, t: int, tol: float = 1e-8) -> ContourReport:
     """Compare the real-line and shifted-contour routes for the right amplitude.
 
     The shifted path runs (-pi + iV) -> (-pi/2 + ih) -> theta_alpha ->
@@ -381,9 +379,9 @@ def contour_shift_check(n: int, t: int, tol: float = 1e-8,
     is bounded by exp(-(1-alpha) V t).
     """
     alpha = n / t
-    if not (_INV_SQRT2 + eps < alpha < 1.0 - eps):
+    if not (_INV_SQRT2 + 1e-3 < alpha < 1.0 - 1e-3):
         raise ValidityError(f"alpha = {alpha} outside the decay region")
-    sd = saddle(alpha, eps)
+    sd = saddle(alpha)
     v_s = sd.theta_alpha.imag
     h = 0.8 * ARCSINH1
     v_top = max(1.0, v_s + 0.5)

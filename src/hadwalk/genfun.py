@@ -116,35 +116,28 @@ def _i_boundary(m: int) -> Fraction:
 def definitional_series(spec: GenFunSpec, walk: WalkCache) -> RationalSeries:
     """Series whose coefficient t is the exact simulator amplitude."""
     order, m = spec.order, spec.m
-    coeffs = []
+    coeffs = [Fraction(0)] * m  # t < m: position 2m (or 2m+1) is outside the light cone
     if spec.family == "F":
-        for t in range(order + 1):
+        for t in range(m, order + 1):
             # amplitude mantissa * sqrt(2)^(-(2t+1)) == (mantissa/2^(t+1)) * sqrt2
-            coeffs.append(Fraction(walk.mantissa_r(2 * m + 1, 2 * t + 1), 2 ** (t + 1)))
+            mantissa = walk.state(2 * t + 1).mantissa_r(2 * m + 1)
+            coeffs.append(Fraction(mantissa, 2 ** (t + 1)))
         return RationalSeries(coeffs, order, Sqrt2Scalar(1, 1))
     if spec.family == "G":
-        for t in range(order + 1):
-            coeffs.append(Fraction(walk.mantissa_r(2 * m, 2 * t), 2**t))
+        for t in range(m, order + 1):
+            coeffs.append(Fraction(walk.state(2 * t).mantissa_r(2 * m), 2**t))
         return RationalSeries(coeffs, order)
     if spec.family == "H":
-        for t in range(order + 1):
-            if t < m:
-                coeffs.append(Fraction(0))
-            elif t == m:
-                coeffs.append(_h_boundary(m))
-            else:
-                frac = Fraction(2 * t + 1, 2 * (t - m))
-                coeffs.append(frac * walk.mantissa_l(2 * m + 1, 2 * t + 1)
-                              / 2 ** (t + 1))
+        coeffs.append(_h_boundary(m))
+        for t in range(m + 1, order + 1):
+            frac = Fraction(2 * t + 1, 2 * (t - m))
+            coeffs.append(frac * walk.state(2 * t + 1).mantissa_l(2 * m + 1)
+                          / 2 ** (t + 1))
         return RationalSeries(coeffs, order, Sqrt2Scalar(1, 1))
-    for t in range(order + 1):
-        if t < m:
-            coeffs.append(Fraction(0))
-        elif t == m:
-            coeffs.append(_i_boundary(m))
-        else:
-            frac = Fraction(t, t - m)
-            coeffs.append(frac * walk.mantissa_l(2 * m, 2 * t) / 2**t)
+    coeffs.append(_i_boundary(m))
+    for t in range(m + 1, order + 1):
+        frac = Fraction(t, t - m)
+        coeffs.append(frac * walk.state(2 * t).mantissa_l(2 * m) / 2**t)
     return RationalSeries(coeffs, order)
 
 
@@ -259,8 +252,9 @@ def equivalence_ledger(walk: WalkCache, m_max: int = 10, order: int = 40
     half = Fraction(1, 2)
     for m in range(m_max + 1):
         for t in range(m, order + 1):
+            odd, even = walk.state(2 * t + 1), walk.state(2 * t)
             # odd right amplitudes: two equivalent Jacobi extractions
-            amp = walk.amp_r(2 * m + 1, 2 * t + 1)
+            amp = odd.amp_r(2 * m + 1)
             ja = Sqrt2Scalar(jacobi_at(t - m, 2 * m, 0) * half ** (m + 1), 1)
             jb = Sqrt2Scalar(_sign(t - m) * jacobi_at(t - m, 0, 2 * m)
                              * half ** (m + 1), 1)
@@ -269,7 +263,7 @@ def equivalence_ledger(walk: WalkCache, m_max: int = 10, order: int = 40
             rep.record("psi_R odd reflected-parameter form", (m, t), amp == jb)
 
             # even right amplitudes
-            amp = walk.amp_r(2 * m, 2 * t)
+            amp = even.amp_r(2 * m)
             if m == 0:
                 je = Sqrt2Scalar(half * jacobi_at(t - 1, 1, 0))
             else:
@@ -277,25 +271,24 @@ def equivalence_ledger(walk: WalkCache, m_max: int = 10, order: int = 40
             rep.record("psi_R even == Jacobi form", (m, t), amp == je)
 
             # left amplitudes via the reduced single-J forms
-            amp = walk.amp_l(2 * m + 1, 2 * t + 1)
+            amp = odd.amp_l(2 * m + 1)
             jl = Sqrt2Scalar(_sign(t - m) * half ** (m + 2)
                              * jacobi_at(t - m - 1, 1, 2 * m + 1), 1)
             rep.record("psi_L odd == Jacobi form", (m, t), amp == jl)
 
             if m >= 1:
-                amp = walk.amp_l(2 * m, 2 * t)
+                amp = even.amp_l(2 * m)
                 jl = Sqrt2Scalar(_sign(t - m - 1) * half ** (m + 1)
                                  * jacobi_at(t - m - 1, 1, 2 * m))
                 rep.record("psi_L even == Jacobi form", (m, t), amp == jl)
 
             # tie the chain back to the closed-form amplitude routines
             rep.record("psi_R odd == closed amplitude", (m, t),
-                       walk.amp_r(2 * m + 1, 2 * t + 1)
-                       == psi_closed_r(2 * m + 1, 2 * t + 1))
+                       odd.amp_r(2 * m + 1) == psi_closed_r(2 * m + 1, 2 * t + 1))
             rep.record("psi_L even == closed amplitude", (m, t),
-                       walk.amp_l(2 * m, 2 * t) == psi_closed_l(2 * m, 2 * t))
+                       even.amp_l(2 * m) == psi_closed_l(2 * m, 2 * t))
 
-    rep.record("psi_R(0,0) == 0", (0, 0), walk.amp_r(0, 0).is_zero)
+    rep.record("psi_R(0,0) == 0", (0, 0), walk.state(0).amp_r(0).is_zero)
     return rep
 
 

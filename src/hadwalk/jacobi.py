@@ -136,14 +136,15 @@ def check_closed_forms(walk: WalkCache, t_max: int) -> Ledger:
     """
     ledger = Ledger("closed forms == simulator")
     for t in range(t_max + 1):
+        st = walk.state(t)
         for n in range(-t, t + 1, 2):
             ledger.record("closed form", (n, t),
-                          walk.amp_r(n, t) == psi_closed_r(n, t)
-                          and walk.amp_l(n, t) == psi_closed_l(n, t))
+                          st.amp_r(n) == psi_closed_r(n, t)
+                          and st.amp_l(n) == psi_closed_l(n, t))
         if t and t % 2 == 0:
             ledger.record("center closed form", (0, t),
-                          walk.amp_r(0, t) == psi_center_r(t)
-                          and walk.amp_l(0, t) == psi_center_l(t))
+                          st.amp_r(0) == psi_center_r(t)
+                          and st.amp_l(0) == psi_center_l(t))
     return ledger
 
 

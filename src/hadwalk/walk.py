@@ -154,7 +154,7 @@ def probability(state: WalkState, n: int) -> Fraction:
 
 
 class WalkCache:
-    """Lazily extended list of states for one orientation."""
+    """Lazily extended list of states for one orientation, and nothing more."""
 
     def __init__(self, orientation: str = "canonical"):
         if orientation not in ORIENTATIONS:
@@ -168,26 +168,6 @@ class WalkCache:
         while len(self._states) <= t:
             self._states.append(step(self._states[-1], self.orientation))
         return self._states[t]
-
-    def mantissa_r(self, n: int, t: int) -> int:
-        s = self.state(t)
-        return s.psi_r[n + t] if abs(n) <= t else 0
-
-    def mantissa_l(self, n: int, t: int) -> int:
-        s = self.state(t)
-        return s.psi_l[n + t] if abs(n) <= t else 0
-
-    def amp_r(self, n: int, t: int) -> Sqrt2Scalar:
-        return Sqrt2Scalar.from_mantissa(self.mantissa_r(n, t), t)
-
-    def amp_l(self, n: int, t: int) -> Sqrt2Scalar:
-        return Sqrt2Scalar.from_mantissa(self.mantissa_l(n, t), t)
-
-    def amp_r_float(self, n: int, t: int) -> float:
-        return mantissa_to_float(self.mantissa_r(n, t), t)
-
-    def amp_l_float(self, n: int, t: int) -> float:
-        return mantissa_to_float(self.mantissa_l(n, t), t)
 
 
 def mantissa_to_float(mantissa: int, t: int) -> float:

@@ -9,7 +9,7 @@ from hadwalk.asymptotics import (ARCSINH1, BranchCutError, ContourReport,
                                  ValidityError, b_pathintegral, btilde,
                                  contour_shift_check, growth_check, omega,
                                  psi_asymptotic, quadrature_psi, saddle)
-from hadwalk.walk import WalkCache
+from hadwalk.walk import WalkCache, mantissa_to_float
 
 SQRT2 = math.sqrt(2.0)
 INV_SQRT2 = 1.0 / SQRT2
@@ -25,6 +25,13 @@ def omega_second(theta):
     c = cmath.cos(omega(theta))
     return (-cmath.sin(theta) / (SQRT2 * c)
             + cmath.sin(theta) * cmath.cos(theta) ** 2 / (2 * SQRT2 * c ** 3))
+
+
+def exact(cache, n, t):
+    """Simulator amplitudes (psi_R, psi_L) at (n, t) as floats."""
+    st = cache.state(t)
+    return (mantissa_to_float(st.mantissa_r(n), t),
+            mantissa_to_float(st.mantissa_l(n), t))
 
 
 @pytest.fixture(scope="module")
@@ -212,26 +219,25 @@ class TestDecayBases:
 class TestPsiAsymptotic:
     def test_alpha08_within_ten_percent(self, walk400):
         asym_r, asym_l = psi_asymptotic(160, 200)
-        exact_r = walk400.amp_r_float(160, 200)
-        exact_l = walk400.amp_l_float(160, 200)
+        exact_r, exact_l = exact(walk400, 160, 200)
         assert abs(asym_r / exact_r - 1) <= 0.1
         assert abs(asym_l / exact_l - 1) <= 0.1
 
     def test_sign_matches_exact(self, walk400):
         asym_r, asym_l = psi_asymptotic(160, 200)
-        assert asym_r * walk400.amp_r_float(160, 200) > 0
-        assert asym_l * walk400.amp_l_float(160, 200) > 0
+        exact_r, exact_l = exact(walk400, 160, 200)
+        assert asym_r * exact_r > 0
+        assert asym_l * exact_l > 0
         assert asym_r < 0  # (-1)^(n+1) with n even
 
     def test_error_shrinks_like_one_over_t(self, walk400):
-        e200 = abs(psi_asymptotic(160, 200)[0] / walk400.amp_r_float(160, 200) - 1)
-        e400 = abs(psi_asymptotic(320, 400)[0] / walk400.amp_r_float(320, 400) - 1)
+        e200 = abs(psi_asymptotic(160, 200)[0] / exact(walk400, 160, 200)[0] - 1)
+        e400 = abs(psi_asymptotic(320, 400)[0] / exact(walk400, 320, 400)[0] - 1)
         assert 0.3 <= e400 / e200 <= 0.8
 
     def test_negative_position_via_symmetry(self, walk400):
         asym_r, asym_l = psi_asymptotic(-160, 200)
-        exact_r = walk400.amp_r_float(-160, 200)
-        exact_l = walk400.amp_l_float(-160, 200)
+        exact_r, exact_l = exact(walk400, -160, 200)
         assert abs(asym_r / exact_r - 1) <= 0.1
         assert abs(asym_l / exact_l - 1) <= 0.1
 
@@ -257,8 +263,9 @@ class TestQuadrature:
     def test_t2_matches_exact_mantissas(self, walk400):
         for n in (-2, 0, 2):
             qr, ql = quadrature_psi(n, 2)
-            assert abs(qr.real - walk400.amp_r_float(n, 2)) < 1e-10
-            assert abs(ql.real - walk400.amp_l_float(n, 2)) < 1e-10
+            exact_r, exact_l = exact(walk400, n, 2)
+            assert abs(qr.real - exact_r) < 1e-10
+            assert abs(ql.real - exact_l) < 1e-10
 
     def test_matches_exact_through_t20(self, walk400):
         for t in range(21):
@@ -266,8 +273,9 @@ class TestQuadrature:
                 if (n - t) % 2:
                     continue
                 qr, ql = quadrature_psi(n, t, tol=1e-10)
-                assert abs(qr.real - walk400.amp_r_float(n, t)) < 1e-9
-                assert abs(ql.real - walk400.amp_l_float(n, t)) < 1e-9
+                exact_r, exact_l = exact(walk400, n, t)
+                assert abs(qr.real - exact_r) < 1e-9
+                assert abs(ql.real - exact_l) < 1e-9
 
     def test_domain_errors(self):
         with pytest.raises(ValueError, match="parity"):
@@ -300,14 +308,14 @@ class TestContourShift:
 
     def test_matches_exact_amplitude(self, walk400):
         rep = contour_shift_check(14, 18, tol=1e-8)
-        assert abs(rep.shifted_value - walk400.amp_r_float(14, 18)) < 1e-8
+        assert abs(rep.shifted_value - exact(walk400, 14, 18)[0]) < 1e-8
 
     def test_sweep_across_decay_region(self, walk400):
         # includes saddles above the branch-point height arcsinh(1)
         for n in (74, 86, 94, 98):
             rep = contour_shift_check(n, 100, tol=1e-8)
             assert rep.passed, (n, rep.difference)
-            assert abs(rep.shifted_value - walk400.amp_r_float(n, 100)) < 1e-8
+            assert abs(rep.shifted_value - exact(walk400, n, 100)[0]) < 1e-8
 
     def test_waypoints_below_branch_points(self):
         rep = contour_shift_check(14, 18)

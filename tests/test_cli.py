@@ -193,6 +193,29 @@ class TestAsymptoticsCmd:
         assert code == 2 and not out.exists()
         assert len(capsys.readouterr().err.splitlines()) == 1
 
+    def test_grid_pinned(self, tmp_path):
+        # covers n outside the light cone (|alpha| > 1), negative n, excluded
+        # rows, and an unsorted --t list with a duplicate
+        out = tmp_path / "grid.csv"
+        code = main(["asymptotics", "--alpha-start=-1.1", "--alpha-stop", "1.1",
+                     "--alpha-step", "0.1", "--t", "40,10,120,40", "--out", str(out)])
+        assert code == 0
+        assert out.read_bytes() == (DATA / "asymptotics-grid.csv").read_bytes()
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+    def test_memory_follows_one_state(self, tmp_path):
+        # every state up to t=1500 would take ~280 MB; one state takes a few MB
+        src = str(Path(hadwalk.__file__).parents[1])
+        code = (
+            "import resource, sys\n"
+            "from hadwalk.cli import main\n"
+            "assert main(['asymptotics', '--alpha-start', '0.8', '--alpha-stop', '0.8',"
+            " '--alpha-step', '1', '--t', '1500', '--out', sys.argv[1]]) == 0\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+        out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "x.csv")],
+                             cwd=src, check=True, capture_output=True, text=True).stdout
+        assert int(out) < 100 * 1024
+
     def test_deterministic_table(self, tmp_path):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"

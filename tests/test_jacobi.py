@@ -100,8 +100,8 @@ class TestClosedForms:
             for n in range(-t, t + 1):
                 if (n - t) % 2:
                     continue
-                assert psi_closed_r(n, t) == walk60.amp_r(n, t), (n, t)
-                assert psi_closed_l(n, t) == walk60.amp_l(n, t), (n, t)
+                assert psi_closed_r(n, t) == walk60.state(t).amp_r(n), (n, t)
+                assert psi_closed_l(n, t) == walk60.state(t).amp_l(n), (n, t)
 
     def test_right_edge(self):
         for t in range(1, 30):
@@ -115,8 +115,8 @@ class TestClosedForms:
     def test_center_forms(self, walk60):
         assert psi_center_l(0) == Sqrt2Scalar(1)
         for t in range(2, 61, 2):
-            assert psi_center_r(t) == walk60.amp_r(0, t)
-            assert psi_center_l(t) == walk60.amp_l(0, t)
+            assert psi_center_r(t) == walk60.state(t).amp_r(0)
+            assert psi_center_l(t) == walk60.state(t).amp_l(0)
 
     def test_closed_form_branches_connected_by_symmetry(self):
         # the n >= 0 and n < 0 branches reproduce the reflection relations
@@ -135,8 +135,8 @@ class TestClosedForms:
         cache = WalkCache("canonical")
         cache.state(200)
         for t in range(2, 201, 2):
-            assert psi_center_r(t) == cache.amp_r(0, t), t
-            assert psi_center_l(t) == cache.amp_l(0, t), t
+            assert psi_center_r(t) == cache.state(t).amp_r(0), t
+            assert psi_center_l(t) == cache.state(t).amp_l(0), t
 
     def test_domain_errors(self):
         with pytest.raises(ValueError, match="parity"):

@@ -7,7 +7,7 @@ import pytest
 
 from hadwalk.ring import Sqrt2Scalar
 from hadwalk.walk import (AliasingError, WalkCache, coin_matrix, evolve,
-                          fourier_evolve, initial_state,
+                          fourier_evolve, initial_state, mantissa_to_float,
                           norm_squared_mantissas, probability, step)
 
 HALF_ROOT2 = Sqrt2Scalar(Fraction(1, 2), 1)   # value 2^(-1/2)
@@ -142,12 +142,12 @@ class TestFourierEvolve:
         assert abs(psi_l[0] - 1 / math.sqrt(2)) < 1e-12   # n=-1
 
     def test_matches_exact_at_t100(self):
-        cache = WalkCache("canonical")
+        st = WalkCache("canonical").state(100)
         psi_r, psi_l = fourier_evolve(100, 512)
         dev = 0.0
         for i, n in enumerate(range(-100, 101)):
-            dev = max(dev, abs(psi_r[i] - cache.amp_r_float(n, 100)),
-                      abs(psi_l[i] - cache.amp_l_float(n, 100)))
+            dev = max(dev, abs(psi_r[i] - mantissa_to_float(st.mantissa_r(n), 100)),
+                      abs(psi_l[i] - mantissa_to_float(st.mantissa_l(n), 100)))
         assert dev < 1e-10
 
     def test_grid_too_small(self):
