@@ -119,8 +119,8 @@ class VerifyConfig:
                            ("--m-max", self.m_max), ("--quad-t-max", self.quad_t_max)):
             if size < 0:
                 raise ValueError(f"verify needs {flag} >= 0, got {size}")
-        if not math.isfinite(self.tol):
-            raise ValueError(f"verify needs a finite --tol, got {self.tol}")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"verify needs a finite --tol > 0, got {self.tol}")
 
 
 # Each suite maps the config to its checks' sizes and the checks' ledgers to
@@ -302,6 +302,9 @@ def cmd_asymptotics(args) -> int:
             and args.alpha_stop >= args.alpha_start):
         print("asymptotics needs finite --alpha-start, --alpha-stop and --alpha-step, "
               "--alpha-step > 0 and --alpha-stop >= --alpha-start", file=sys.stderr)
+        return 2
+    if not (math.isfinite(args.eps) and args.eps >= 0):
+        print(f"asymptotics needs a finite --eps >= 0, got {args.eps}", file=sys.stderr)
         return 2
     count = int(round((args.alpha_stop - args.alpha_start) / args.alpha_step)) + 1
     rows = []

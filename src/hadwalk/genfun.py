@@ -311,13 +311,13 @@ def lagrange_invert(problem: LagrangeProblem) -> RationalSeries:
     phi, f, order = problem.phi, problem.f, problem.order
     if phi.order != order or f.order != order:
         raise ValueError("phi and f must carry the requested order")
-    if phi.coeffs[0] == 0 or phi.scale.is_zero:
+    if phi.coefficient(0).is_zero:
         raise ValueError("not a valid inversion problem")
     if not (phi.scale.is_rational and f.scale.is_rational):
         raise ValueError("inversion needs rational-graded series")
     fprime = f.differentiate()
     out = [Fraction(0)] * (order + 1)
-    out[0] = f.coeffs[0] * f.scale.q
+    out[0] = f.coefficient(0).to_fraction()
     power = RationalSeries.one(order)
     for n in range(1, order + 1):
         power = power * phi

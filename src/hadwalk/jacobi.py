@@ -189,8 +189,8 @@ def check_jacobi_identities(m_max: int = 20, uv_max: int = 6,
         for m in range(m_max + 1):
             for u in range(uv_max + 1):
                 for ell in range(m + 1):
-                    lhs = binomial(m, ell) * jacobi_at(m, u, -ell, x)
-                    rhs = (binomial(m + u, ell) * ((1 + x) / 2) ** ell
+                    lhs = math.comb(m, ell) * jacobi_at(m, u, -ell, x)
+                    rhs = (math.comb(m + u, ell) * ((1 + x) / 2) ** ell
                            * jacobi_at(m - ell, u, ell, x))
                     report.record("parameter-lowering", (m, u, ell, x), lhs == rhs)
         for n in range(m_max + 1):

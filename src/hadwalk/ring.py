@@ -4,16 +4,25 @@ Every amplitude of the walk and every generating-function coefficient lives in
 Q union sqrt(2)*Q, so a two-component scalar (q, k) representing q * sqrt(2)**k
 with k in {0, 1} is enough; no general computer algebra is required.
 
+A series is a tuple of integer numerators over one positive integer
+denominator, times one such scalar that carries the sqrt(2) grade.  Its
+arithmetic runs on Python ints alone: a product is an integer convolution
+over the product of the denominators, a sum cross-multiplies, and the
+reciprocal, square root and rational power run their recurrences on integers
+over a running denominator made of powers of the constant term's numerator.
+Each operation ends with one gcd pass, which keeps gcd(den, *nums) == 1.
+
 Series keep an explicit truncation order.  Binary operations on series of
 different orders raise instead of silently truncating, because silent
 truncation is the classic source of false "exact equivalence" results.
 
-All values are immutable after construction and safe to share across threads.
+All values are immutable after construction.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -179,26 +188,78 @@ class Sqrt2Scalar:
 _ONE = Sqrt2Scalar.one()
 
 
-class RationalSeries:
-    """Truncated formal power series: (global sqrt(2)-scalar) * sum coeffs[i] z^i.
+def _series(nums, den: int, order: int, scale: Sqrt2Scalar) -> "RationalSeries":
+    """Series with the given parts, already canonical: no check, no gcd."""
+    series = object.__new__(RationalSeries)
+    object.__setattr__(series, "nums", tuple(nums))
+    object.__setattr__(series, "den", den)
+    object.__setattr__(series, "order", order)
+    object.__setattr__(series, "scale", scale)
+    return series
 
-    Coefficients are plain Fractions; the optional global scalar carries the
-    sqrt(2) grading so each stored coefficient stays in Q.  The coefficient of
-    z^i as a ring element is ``coefficient(i) = scale * coeffs[i]``.
+
+def _canonical(nums, den: int, order: int, scale: Sqrt2Scalar) -> "RationalSeries":
+    """Series scale * sum nums[i]/den z^i for a nonzero den, in canonical form
+    by one gcd pass."""
+    if den < 0:
+        nums, den = [-a for a in nums], -den
+    g = math.gcd(den, *nums)
+    if g != 1:
+        nums, den = [a // g for a in nums], den // g
+    return _series(nums, den, order, scale)
+
+
+def _powers(base: int, top: int) -> list:
+    """[base**0, ..., base**top]."""
+    out = [1]
+    for _ in range(top):
+        out.append(out[-1] * base)
+    return out
+
+
+def _convolve(a: tuple, b: tuple, n: int) -> list:
+    """Coefficients 0..n of the product of two integer polynomials given to
+    order n; each one is a C-level sum over the nonzero range of the factor
+    of lower degree."""
+    deg_a = max((i for i, x in enumerate(a) if x), default=-1)
+    deg_b = max((i for i, x in enumerate(b) if x), default=-1)
+    if deg_b < deg_a:
+        a, b, deg_a = b, a, deg_b
+    a = a[: deg_a + 1]
+    rb = b[::-1]  # rb[n - j] == b[j]
+    return [sum(map(operator.mul, a[: k + 1], rb[n - k:])) for k in range(n + 1)]
+
+
+class RationalSeries:
+    """Truncated formal power series scale * sum (nums[i] / den) z^i.
+
+    ``nums`` is a tuple of ints, ``den`` one positive int and ``scale`` a
+    nonzero Sqrt2Scalar that carries the sqrt(2) grading, so the coefficient of
+    z^i as a ring element is ``coefficient(i) = scale * nums[i] / den``.  The
+    integer part is canonical: ``gcd(den, *nums) == 1``, so the zero series
+    has ``den == 1``.  The constructor takes ints and Fractions.
     """
 
-    __slots__ = ("coeffs", "order", "scale")
+    __slots__ = ("nums", "den", "order", "scale")
 
     def __init__(self, coeffs: Iterable[RationalLike], order: int,
                  scale: Sqrt2Scalar = _ONE):
-        coeffs = tuple(_as_fraction(c) for c in coeffs)
+        coeffs = tuple(coeffs)
+        for c in coeffs:
+            if not isinstance(c, (int, Fraction)):
+                raise TypeError(f"expected an exact rational, got {type(c).__name__}")
         if order < 0:
             raise ValueError("order must be nonnegative")
         if len(coeffs) != order + 1:
             raise ValueError(f"need {order + 1} coefficients, got {len(coeffs)}")
         if scale.is_zero:
             raise ValueError("scale must be nonzero; encode zero in coefficients")
-        object.__setattr__(self, "coeffs", coeffs)
+        # over the lcm of lowest-terms denominators the numerators share no
+        # factor with it, so this is already canonical
+        den = math.lcm(*(c.denominator for c in coeffs))
+        object.__setattr__(self, "nums",
+                           tuple(c.numerator * (den // c.denominator) for c in coeffs))
+        object.__setattr__(self, "den", den)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "scale", scale)
 
@@ -209,7 +270,7 @@ class RationalSeries:
 
     @classmethod
     def zero(cls, order: int) -> "RationalSeries":
-        return cls([Fraction(0)] * (order + 1), order)
+        return cls([0] * (order + 1), order)
 
     @classmethod
     def one(cls, order: int) -> "RationalSeries":
@@ -232,7 +293,7 @@ class RationalSeries:
     def coefficient(self, i: int) -> Sqrt2Scalar:
         if not 0 <= i <= self.order:
             raise IndexError(f"coefficient index {i} outside 0..{self.order}")
-        return self.scale * self.coeffs[i]
+        return self.scale * Fraction(self.nums[i], self.den)
 
     def coefficients(self) -> list:
         return [self.coefficient(i) for i in range(self.order + 1)]
@@ -242,7 +303,7 @@ class RationalSeries:
         return self.coefficient(0)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.nums)
 
     # -- helpers -------------------------------------------------------------
 
@@ -250,14 +311,6 @@ class RationalSeries:
         if self.order != other.order:
             raise ValueError(
                 f"mixed truncation orders {self.order} and {other.order}")
-
-    def _rescaled_to(self, scale: Sqrt2Scalar) -> tuple:
-        """Coefficients of self expressed against the given scale."""
-        ratio = self.scale / scale
-        if not ratio.is_rational:
-            raise ValueError("cannot combine series of mixed sqrt(2) grade")
-        r = ratio.to_fraction()
-        return tuple(c * r for c in self.coeffs)
 
     # -- ring operations -----------------------------------------------------
 
@@ -269,13 +322,19 @@ class RationalSeries:
             return other
         if other.is_zero():
             return self
-        mine = self.coeffs
-        theirs = other._rescaled_to(self.scale)
-        return RationalSeries([a + b for a, b in zip(mine, theirs)],
-                              self.order, self.scale)
+        ratio = other.scale / self.scale
+        if not ratio.is_rational:
+            raise ValueError("cannot combine series of mixed sqrt(2) grade")
+        # against self.scale, other is (other.nums * r.numerator) / den_b
+        r = ratio.q
+        den_a, den_b = self.den, other.den * r.denominator
+        g = math.gcd(den_a, den_b)
+        mul_a, mul_b = den_b // g, den_a // g * r.numerator
+        nums = [x * mul_a + y * mul_b for x, y in zip(self.nums, other.nums)]
+        return _canonical(nums, den_a // g * den_b, self.order, self.scale)
 
     def __neg__(self) -> "RationalSeries":
-        return RationalSeries([-c for c in self.coeffs], self.order, self.scale)
+        return _series([-a for a in self.nums], self.den, self.order, self.scale)
 
     def __sub__(self, other) -> "RationalSeries":
         if not isinstance(other, RationalSeries):
@@ -284,56 +343,61 @@ class RationalSeries:
 
     def __mul__(self, other) -> "RationalSeries":
         if isinstance(other, (int, Fraction)):
-            return RationalSeries([c * other for c in self.coeffs],
-                                  self.order, self.scale)
+            p = other.numerator
+            return _canonical([a * p for a in self.nums], self.den * other.denominator,
+                              self.order, self.scale)
         if isinstance(other, Sqrt2Scalar):
             if other.is_zero:
                 return RationalSeries.zero(self.order)
-            return RationalSeries(self.coeffs, self.order, self.scale * other)
+            return _series(self.nums, self.den, self.order, self.scale * other)
         if not isinstance(other, RationalSeries):
             return NotImplemented
         self._require_same_order(other)
         n = self.order
-        out = [Fraction(0)] * (n + 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j in range(n + 1 - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] += a * b
-        return RationalSeries(out, n, self.scale * other.scale)
+        return _canonical(_convolve(self.nums, other.nums, n), self.den * other.den,
+                          n, self.scale * other.scale)
 
     __rmul__ = __mul__
 
     def reciprocal(self) -> "RationalSeries":
-        """Multiplicative inverse; requires a nonzero constant term."""
-        c0 = self.coeffs[0]
-        if c0 == 0:
+        """Multiplicative inverse; requires a nonzero constant term.
+
+        With a = nums, 1/a = sum b_m z^m / a0^(m+1) where b_0 = 1 and
+        b_m = -sum_{i=1..m} a_i a0^(i-1) b_(m-i), all in integers.
+        """
+        a = self.nums
+        a0 = a[0]
+        if a0 == 0:
             raise ValueError("series not invertible")
         n = self.order
-        inv = [Fraction(0)] * (n + 1)
-        inv[0] = 1 / c0
+        pw = _powers(a0, n + 1)
+        c = [a[i] * pw[i - 1] for i in range(1, n + 1)]  # c[i-1] = a_i a0^(i-1)
+        b = [1]
         for m in range(1, n + 1):
-            acc = Fraction(0)
-            for i in range(1, m + 1):
-                if self.coeffs[i]:
-                    acc += self.coeffs[i] * inv[m - i]
-            inv[m] = -acc / c0
-        return RationalSeries(inv, n, self.scale.inverse())
+            b.append(-sum(map(operator.mul, c[:m], reversed(b))))
+        nums = [b[m] * pw[n - m] * self.den for m in range(n + 1)]
+        return _canonical(nums, pw[n + 1], n, self.scale.inverse())
 
     def __truediv__(self, other) -> "RationalSeries":
         if isinstance(other, (int, Fraction)):
-            return RationalSeries([c / other for c in self.coeffs],
-                                  self.order, self.scale)
+            if other == 0:
+                raise ZeroDivisionError("series divided by zero")
+            q = other.denominator
+            return _canonical([a * q for a in self.nums], self.den * other.numerator,
+                              self.order, self.scale)
         if isinstance(other, Sqrt2Scalar):
-            return RationalSeries(self.coeffs, self.order, self.scale / other)
+            return _series(self.nums, self.den, self.order, self.scale / other)
         if isinstance(other, RationalSeries):
             return self * other.reciprocal()
         return NotImplemented
 
     def sqrt(self) -> "RationalSeries":
-        """Series square root; the constant term must be a square in the ring."""
+        """Series square root; the constant term must be a square in the ring.
+
+        self = c0 * (1 + u) with u_m = a_m / a0 (a = nums), and the root is
+        root(c0) * sum r_m z^m with r_0 = 1 and r_m = 2 t_m / (4 a0)^m, where
+        t_m = a_m (4 a0)^(m-1) - sum_{i=1..m-1} t_i t_(m-i), all in integers.
+        """
         c0 = self.constant_term
         if c0.is_zero:
             raise ValueError("series has no square root in ring")
@@ -341,17 +405,14 @@ class RationalSeries:
             root0 = c0.sqrt()
         except ValueError:
             raise ValueError("series has no square root in ring") from None
+        a = self.nums
         n = self.order
-        # self = c0 * (1 + u), take sqrt(1+u) with rational recurrence
-        base = [c / self.coeffs[0] for c in self.coeffs]
-        r = [Fraction(0)] * (n + 1)
-        r[0] = Fraction(1)
+        pw = _powers(4 * a[0], n)
+        t = [0]
         for m in range(1, n + 1):
-            acc = Fraction(0)
-            for i in range(1, m):
-                acc += r[i] * r[m - i]
-            r[m] = (base[m] - acc) / 2
-        return RationalSeries(r, n, root0)
+            t.append(a[m] * pw[m - 1] - sum(map(operator.mul, t[1:m], t[m - 1:0:-1])))
+        nums = [pw[n]] + [2 * t[m] * pw[n - m] for m in range(1, n + 1)]
+        return _canonical(nums, pw[n], n, root0)
 
     def pow_int(self, n: int) -> "RationalSeries":
         """Integer power; negative exponents go through the reciprocal."""
@@ -368,54 +429,66 @@ class RationalSeries:
         return result
 
     def pow_rational(self, c: RationalLike) -> "RationalSeries":
-        """Binomial power (1 + u)**c for rational c; requires constant term 1."""
+        """Binomial power (1 + u)**c for rational c; requires constant term 1.
+
+        With c = p/q, u_j = a_j / a0 (a = nums) and h = (1 + u)**c, the
+        relation (1+u) h' = c u' h gives h_m = g_m / ((q a0)^m m!) with g_0 = 1
+        and g_m = sum_{j=1..m} (p j - q (m-j)) a_j (q a0)^(j-1)
+        (m-1)!/(m-j)! g_(m-j), all in integers.
+        """
         c = _as_fraction(c)
         if self.constant_term != _ONE:
             raise ValueError("rational powers need constant term exactly 1")
-        # normalize away the scale: value series = coeffs / coeffs[0]
-        s = [cc / self.coeffs[0] for cc in self.coeffs]
+        p, q = c.numerator, c.denominator
+        a = self.nums
         n = self.order
-        h = [Fraction(0)] * (n + 1)
-        h[0] = Fraction(1)
-        # from s*h' = c*s'*h:  m*h_m = sum_{j>=1} (c*j - (m - j)) s_j h_{m-j}
+        pw = _powers(q * a[0], n)
+        e = [0] + [a[j] * pw[j - 1] for j in range(1, n + 1)]
+        g = [1]
         for m in range(1, n + 1):
-            acc = Fraction(0)
+            acc = 0
+            falling = 1  # (m-1)!/(m-j)!
             for j in range(1, m + 1):
-                if s[j]:
-                    acc += (c * j - (m - j)) * s[j] * h[m - j]
-            h[m] = acc / m
-        return RationalSeries(h, n)
+                if e[j]:
+                    acc += (p * j - q * (m - j)) * e[j] * falling * g[m - j]
+                falling *= m - j
+            g.append(acc)
+        fact = math.factorial(n)  # over the common denominator (q a0)^n n!
+        nums = [g[m] * pw[n - m] * (fact // math.factorial(m)) for m in range(n + 1)]
+        return _canonical(nums, pw[n] * fact, n, _ONE)
 
     def differentiate(self) -> "RationalSeries":
         """Formal derivative, truncated at the same order (top coefficient 0)."""
         n = self.order
-        out = [self.coeffs[i + 1] * (i + 1) for i in range(n)] + [Fraction(0)]
-        return RationalSeries(out, n, self.scale)
+        nums = [self.nums[i + 1] * (i + 1) for i in range(n)] + [0]
+        return _canonical(nums, self.den, n, self.scale)
 
     def compose(self, inner: "RationalSeries") -> "RationalSeries":
         """Substitution self(inner(z)); inner must have zero constant term."""
         self._require_same_order(inner)
-        if inner.coeffs[0] != 0:
+        if inner.nums[0] != 0:
             raise ValueError("substitution needs zero constant term")
         if not inner.scale.is_rational:
             raise ValueError("substitution argument must be rational-graded")
         n = self.order
-        g = [c * inner.scale.q for c in inner.coeffs]
-        inner_q = RationalSeries(g, n)
-        out = RationalSeries.polynomial([self.coeffs[0]], n)
+        r = inner.scale.q
+        inner_q = _canonical([g * r.numerator for g in inner.nums],
+                             inner.den * r.denominator, n, _ONE)
+        # sum nums[k] inner^k, divided by den at the end
+        out = RationalSeries.polynomial([self.nums[0]], n)
         power = RationalSeries.one(n)
         for k in range(1, n + 1):
             power = power * inner_q
-            if self.coeffs[k]:
-                out = out + power * self.coeffs[k]
-        return RationalSeries(out.coeffs, n, self.scale)
+            if self.nums[k]:
+                out = out + power * self.nums[k]
+        return _canonical(out.nums, out.den * self.den, n, self.scale)
 
     def shift(self, m: int) -> "RationalSeries":
         """Multiply by z**m, truncating at the order."""
         if m < 0:
             raise ValueError("negative shift")
-        out = [Fraction(0)] * m + list(self.coeffs[: self.order + 1 - m])
-        return RationalSeries(out, self.order, self.scale)
+        nums = ((0,) * m + self.nums)[: self.order + 1]
+        return _canonical(nums, self.den, self.order, self.scale)
 
     # -- comparisons ---------------------------------------------------------
 
@@ -424,16 +497,22 @@ class RationalSeries:
             return NotImplemented
         if self.order != other.order:
             return False
-        return all(self.coefficient(i) == other.coefficient(i)
-                   for i in range(self.order + 1))
+        ratio = other.scale / self.scale
+        if not ratio.is_rational:
+            # nonzero coefficients carry their scale's sqrt(2) grade
+            return self.is_zero() and other.is_zero()
+        r = ratio.q
+        mul_a, mul_b = other.den * r.denominator, self.den * r.numerator
+        return all(x * mul_a == y * mul_b for x, y in zip(self.nums, other.nums))
 
     def __hash__(self):
         return hash(tuple(self.coefficients()))
 
     def __repr__(self) -> str:
-        head = ", ".join(str(c) for c in self.coeffs[: min(5, self.order + 1)])
+        head = ", ".join(str(a) for a in self.nums[: min(5, self.order + 1)])
         tail = ", ..." if self.order >= 5 else ""
-        return f"RationalSeries([{head}{tail}], order={self.order}, scale={self.scale!r})"
+        return (f"RationalSeries(nums=[{head}{tail}], den={self.den}, "
+                f"order={self.order}, scale={self.scale!r})")
 
 
 def random_rational_series(rng, order: int, max_num: int = 9,

@@ -120,8 +120,10 @@ class TestVerify:
 
     @pytest.mark.parametrize("flag, value", [
         ("--t-max", "-1"), ("--order", "-1"), ("--m-max", "-3"),
-        ("--quad-t-max", "-1"), ("--tol", "nan"), ("--tol", "inf"), ("--tol", "-inf")],
-        ids=["t-max", "order", "m-max", "quad-t-max", "tol-nan", "tol-inf", "tol-minus-inf"])
+        ("--quad-t-max", "-1"), ("--tol", "nan"), ("--tol", "inf"), ("--tol", "-inf"),
+        ("--tol", "0"), ("--tol", "-1")],
+        ids=["t-max", "order", "m-max", "quad-t-max", "tol-nan", "tol-inf", "tol-minus-inf",
+             "tol-zero", "tol-negative"])
     def test_bad_config_exits_2(self, tmp_path, capsys, flag, value):
         report = tmp_path / "report.json"
         code = main(["verify", "--t-max", "6", "--order", "4", "--m-max", "1",
@@ -192,6 +194,17 @@ class TestAsymptoticsCmd:
                      f"--alpha-step={step}", "--t", "40", "--out", str(out)])
         assert code == 2 and not out.exists()
         assert len(capsys.readouterr().err.splitlines()) == 1
+
+    @pytest.mark.parametrize("eps", ["nan", "-1", "inf"])
+    def test_bad_eps_exits_2(self, tmp_path, capsys, eps):
+        # a NaN or negative width switches the transition-zone guard off
+        out = tmp_path / "x.csv"
+        code = main(["asymptotics", "--alpha-start", "0.70", "--alpha-stop", "0.72",
+                     "--alpha-step", "0.001", "--t", "1000", f"--eps={eps}",
+                     "--out", str(out)])
+        assert code == 2 and not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "--eps" in err[0]
 
     def test_grid_pinned(self, tmp_path):
         # covers n outside the light cone (|alpha| > 1), negative n, excluded

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -177,3 +178,177 @@ class TestRationalSeries:
         assert s.coefficient(1) == Sqrt2Scalar(1, 1)
         with pytest.raises(IndexError):
             s.coefficient(5)
+
+
+# -- Fraction reference ---------------------------------------------------------
+# Copies of the coefficient loops of the Fraction-per-coefficient series, run on
+# plain lists of Fractions: an independent evaluation to pin the integer one.
+
+
+def reference_mul(a, b):
+    n = len(a) - 1
+    out = [Fraction(0)] * (n + 1)
+    for i, x in enumerate(a):
+        if x == 0:
+            continue
+        for j in range(n + 1 - i):
+            y = b[j]
+            if y:
+                out[i + j] += x * y
+    return out
+
+
+def reference_reciprocal(a):
+    n = len(a) - 1
+    inv = [Fraction(0)] * (n + 1)
+    inv[0] = 1 / a[0]
+    for m in range(1, n + 1):
+        acc = Fraction(0)
+        for i in range(1, m + 1):
+            if a[i]:
+                acc += a[i] * inv[m - i]
+        inv[m] = -acc / a[0]
+    return inv
+
+
+def reference_sqrt(a):
+    """Root of a / a[0]; the caller supplies the root of the constant term."""
+    n = len(a) - 1
+    base = [c / a[0] for c in a]
+    r = [Fraction(0)] * (n + 1)
+    r[0] = Fraction(1)
+    for m in range(1, n + 1):
+        acc = Fraction(0)
+        for i in range(1, m):
+            acc += r[i] * r[m - i]
+        r[m] = (base[m] - acc) / 2
+    return r
+
+
+def reference_pow_rational(a, c):
+    """(a / a[0]) ** c."""
+    n = len(a) - 1
+    s = [x / a[0] for x in a]
+    h = [Fraction(0)] * (n + 1)
+    h[0] = Fraction(1)
+    for m in range(1, n + 1):
+        acc = Fraction(0)
+        for j in range(1, m + 1):
+            if s[j]:
+                acc += (c * j - (m - j)) * s[j] * h[m - j]
+        h[m] = acc / m
+    return h
+
+
+def fractions_of(series):
+    return [Fraction(a, series.den) for a in series.nums]
+
+
+def scaled(scale, coeffs):
+    return [scale * c for c in coeffs]
+
+
+def assert_canonical(series):
+    assert all(type(a) is int for a in series.nums)
+    assert len(series.nums) == series.order + 1
+    assert type(series.den) is int and series.den > 0
+    assert math.gcd(series.den, *series.nums) == 1
+
+
+REFERENCE_ORDERS = [0, 1, 2, 40]
+# constant terms: zero, negative and non-unit where the operation allows them
+CONSTANTS = [0, 1, -1, Fraction(-3, 7), Fraction(9, 2)]
+
+
+def random_scale(rng, grade):
+    return Sqrt2Scalar(Fraction(rng.choice([-5, -2, -1, 1, 3, 4]), rng.randint(1, 6)),
+                       grade)
+
+
+def random_cases(seed, order, constants=CONSTANTS):
+    """(series, scale grade) pairs over every constant term and both grades."""
+    rng = random.Random(seed)
+    for constant in constants:
+        for grade in (0, 1):
+            raw = random_rational_series(rng, order, constant=constant)
+            yield RationalSeries(fractions_of(raw), order, random_scale(rng, grade))
+
+
+class TestIntegerRepresentation:
+    @pytest.mark.parametrize("order", REFERENCE_ORDERS)
+    def test_mul_matches_reference(self, order):
+        cases = list(random_cases(1000 + order, order))
+        for a in cases:
+            for b in cases[::3]:
+                product = a * b
+                assert_canonical(product)
+                want = reference_mul(fractions_of(a), fractions_of(b))
+                assert product.coefficients() == scaled(a.scale * b.scale, want)
+
+    @pytest.mark.parametrize("order", REFERENCE_ORDERS)
+    def test_reciprocal_matches_reference(self, order):
+        for s in random_cases(2000 + order, order, CONSTANTS[1:]):
+            inverse = s.reciprocal()
+            assert_canonical(inverse)
+            want = reference_reciprocal(fractions_of(s))
+            assert inverse.coefficients() == scaled(s.scale.inverse(), want)
+
+    @pytest.mark.parametrize("order", REFERENCE_ORDERS)
+    def test_sqrt_matches_reference(self, order):
+        rng = random.Random(3000 + order)
+        # ring squares as constant term, carried by raw coefficient and scale
+        for value in [1, 4, 2, Fraction(9, 2), Fraction(1, 8), Fraction(25, 49)]:
+            for grade in (0, 1):
+                scale = random_scale(rng, grade)
+                raw = random_rational_series(rng, order, constant=1)
+                coeffs = fractions_of(raw)
+                coeffs[0] = value / scale.q
+                s = RationalSeries(coeffs, order, scale)
+                if grade:
+                    with pytest.raises(ValueError, match="no square root"):
+                        s.sqrt()
+                    continue
+                root = s.sqrt()
+                assert_canonical(root)
+                want = reference_sqrt(coeffs)
+                assert root.coefficients() == scaled(Sqrt2Scalar(value).sqrt(), want)
+
+    @pytest.mark.parametrize("order", REFERENCE_ORDERS)
+    def test_pow_rational_matches_reference(self, order):
+        rng = random.Random(4000 + order)
+        for c in [Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4), 3, -1, 0]:
+            scale = random_scale(rng, 0)
+            coeffs = fractions_of(random_rational_series(rng, order))
+            coeffs[0] = 1 / scale.q
+            s = RationalSeries(coeffs, order, scale)
+            power = s.pow_rational(c)
+            assert_canonical(power)
+            assert power.coefficients() == scaled(Sqrt2Scalar(1),
+                                                  reference_pow_rational(coeffs, c))
+
+    @pytest.mark.parametrize("order", REFERENCE_ORDERS)
+    def test_every_operation_is_canonical(self, order):
+        cases = list(random_cases(5000 + order, order))
+        rng = random.Random(order)
+        rational = [s for s in cases if s.scale.is_rational]
+        for a, b in zip(cases, cases[1:] + cases[:1]):
+            same_grade = RationalSeries(fractions_of(b), order, a.scale * 3)
+            results = [a * b, -a, a * 0, a * -4, a * Fraction(-6, 35),
+                       a * Sqrt2Scalar(2, 1), a * Sqrt2Scalar(0), a / -6,
+                       a / Fraction(-10, 21), a / Sqrt2Scalar(Fraction(1, 3), 1),
+                       a.pow_int(3), a.differentiate(), a + same_grade,
+                       a - same_grade, a - a]
+            want_sum = [x + y for x, y in zip(a.coefficients(), same_grade.coefficients())]
+            assert (a + same_grade).coefficients() == want_sum
+            assert (a - a).is_zero() and (a - a).den == 1
+            for m in range(order + 2):
+                results.append(a.shift(m))
+                want = ([Sqrt2Scalar(0)] * m + a.coefficients())[: order + 1]
+                assert a.shift(m).coefficients() == want
+            if not b.is_zero() and b.nums[0]:
+                results += [b.reciprocal(), a / b, b.pow_int(-2)]
+            inner = rng.choice(rational)
+            inner = inner - RationalSeries.polynomial([inner.coefficient(0).q], order)
+            results.append(a.compose(inner))
+            for series in results:
+                assert_canonical(series)
