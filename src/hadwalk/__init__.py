@@ -5,7 +5,7 @@ from .walk import (WalkCache, WalkState, evolve, fourier_evolve, initial_state,
                    probability, step)
 from .jacobi import (check_jacobi_identities, check_reflections, jacobi_at,
                      psi_closed_l, psi_closed_r)
-from .genfun import (GenFunSpec, LagrangeProblem, SrivastavaSinghalSpec,
+from .genfun import (GenFunSpec, SrivastavaSinghalSpec,
                      closed_form_series, definitional_series, equivalence_ledger,
                      jacobi_generating, lagrange_invert, srivastava_singhal_series)
 from .asymptotics import (b_pathintegral, btilde, contour_shift_check,
@@ -21,8 +21,8 @@ __all__ = [
     "jacobi_at", "psi_closed_r", "psi_closed_l", "check_reflections",
     "check_jacobi_identities",
     "GenFunSpec", "closed_form_series", "definitional_series",
-    "jacobi_generating", "equivalence_ledger", "LagrangeProblem",
-    "lagrange_invert", "SrivastavaSinghalSpec", "srivastava_singhal_series",
+    "jacobi_generating", "equivalence_ledger", "lagrange_invert",
+    "SrivastavaSinghalSpec", "srivastava_singhal_series",
     "omega", "saddle", "btilde", "b_pathintegral", "psi_asymptotic",
     "quadrature_psi", "contour_shift_check", "growth_check",
     "__version__",

@@ -152,9 +152,15 @@ def _suite_symmetry(cfg: VerifyConfig, cache: walk.WalkCache) -> tuple:
     if cfg.inject_fault:
         t_bad = max(1, cfg.t_max // 2)
         bad = states[t_bad]
-        mant = list(bad.psi_r)
-        mant[t_bad] += 1  # flip one mantissa at position 0
-        states[t_bad] = walk.WalkState(t_bad, tuple(mant), bad.psi_l)
+        psi_r, psi_l = list(bad.psi_r), list(bad.psi_l)
+        # flip one mantissa on the parity lattice, where the relations read it:
+        # psi_R at position 0 for an even t_bad, psi_L at position 1 for an odd
+        # one (psi_R(1) is its own mirror image)
+        if t_bad % 2 == 0:
+            psi_r[t_bad] += 1
+        else:
+            psi_l[t_bad + 1] += 1
+        states[t_bad] = walk.WalkState(t_bad, tuple(psi_r), tuple(psi_l))
     ledger = jacobi.check_reflections(states)
     if not ledger.passed:
         _, (n, t) = ledger.failures[0]
@@ -294,8 +300,9 @@ def cmd_verify(args) -> int:
 
 def cmd_asymptotics(args) -> int:
     ts = sorted({int(x) for x in args.t.split(",") if x.strip()})
-    if not ts or any(t <= 0 for t in ts):
-        print("asymptotics needs positive --t values", file=sys.stderr)
+    if not ts or ts[0] <= 0 or ts[-1] > sys.float_info.max:
+        print("asymptotics needs positive --t values within the float range",
+              file=sys.stderr)
         return 2
     grid = (args.alpha_start, args.alpha_stop, args.alpha_step)
     if not (all(map(math.isfinite, grid)) and args.alpha_step > 0
@@ -306,37 +313,43 @@ def cmd_asymptotics(args) -> int:
     if not (math.isfinite(args.eps) and args.eps >= 0):
         print(f"asymptotics needs a finite --eps >= 0, got {args.eps}", file=sys.stderr)
         return 2
-    count = int(round((args.alpha_stop - args.alpha_start) / args.alpha_step)) + 1
-    rows = []
-    state = walk.initial_state()  # one state at a time, stepped through sorted ts
-    for t in ts:
-        state = walk.evolve(state, t - state.t)
-        for i in range(count):
-            alpha = args.alpha_start + i * args.alpha_step
-            n = int(round(alpha * t))
-            if (n - t) % 2:
-                n += 1 if alpha * t >= n else -1
-            row = {"alpha": _fmt(alpha), "t": t, "exact": "", "asymptotic": "",
-                   "rel_error": "", "btilde": "", "b": "", "n": n, "status": "ok"}
-            inside = abs(n) <= t  # |alpha| > 1 puts n outside the light cone
-            exact = walk.mantissa_to_float(state.mantissa_r(n), t) if inside else 0.0
-            row["exact"] = _fmt(exact)
-            try:
-                asym_r, _ = asymptotics.psi_asymptotic(n, t, eps=args.eps)
-                a_eff = abs(n) / t
-                row["asymptotic"] = _fmt(asym_r)
-                row["rel_error"] = _fmt(abs(asym_r / exact - 1.0)) if exact else "inf"
-                row["btilde"] = _fmt(asymptotics.btilde(a_eff))
-                row["b"] = _fmt(asymptotics.b_pathintegral(a_eff))
-            except asymptotics.ValidityError:
-                row["status"] = "excluded"
-            rows.append(row)
+    span = (args.alpha_stop - args.alpha_start) / args.alpha_step
+    # alpha is monotone in the row index, so its extremes are the first and last rows
+    last = (args.alpha_start + round(span) * args.alpha_step if math.isfinite(span)
+            else math.inf)
+    if not all(math.isfinite(a * ts[-1]) for a in (args.alpha_start, last)):
+        print("asymptotics needs an alpha grid whose row count and alpha * t are "
+              "finite floats", file=sys.stderr)
+        return 2
+    count = int(round(span)) + 1
     fields = ["alpha", "t", "exact", "asymptotic", "rel_error", "btilde", "b",
               "n", "status"]
     with open(args.out, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=fields, lineterminator="\n")
         writer.writeheader()
-        writer.writerows(rows)
+        state = walk.initial_state()  # one state at a time, stepped through sorted ts
+        for t in ts:
+            state = walk.evolve(state, t - state.t)
+            for i in range(count):
+                alpha = args.alpha_start + i * args.alpha_step
+                n = int(round(alpha * t))
+                if (n - t) % 2:
+                    n += 1 if alpha * t >= n else -1
+                row = {"alpha": _fmt(alpha), "t": t, "exact": "", "asymptotic": "",
+                       "rel_error": "", "btilde": "", "b": "", "n": n, "status": "ok"}
+                inside = abs(n) <= t  # |alpha| > 1 puts n outside the light cone
+                exact = walk.mantissa_to_float(state.mantissa_r(n), t) if inside else 0.0
+                row["exact"] = _fmt(exact)
+                try:
+                    asym_r, _ = asymptotics.psi_asymptotic(n, t, eps=args.eps)
+                    a_eff = abs(n) / t
+                    row["asymptotic"] = _fmt(asym_r)
+                    row["rel_error"] = _fmt(abs(asym_r / exact - 1.0)) if exact else "inf"
+                    row["btilde"] = _fmt(asymptotics.btilde(a_eff))
+                    row["b"] = _fmt(asymptotics.b_pathintegral(a_eff))
+                except asymptotics.ValidityError:
+                    row["status"] = "excluded"
+                writer.writerow(row)
     return 0
 
 

@@ -38,7 +38,6 @@ from .walk import WalkCache
 
 __all__ = [
     "GenFunSpec",
-    "LagrangeProblem",
     "SrivastavaSinghalSpec",
     "closed_form_series",
     "definitional_series",
@@ -100,7 +99,7 @@ def closed_form_series(spec: GenFunSpec) -> RationalSeries:
 
 
 def _h_boundary(m: int) -> Fraction:
-    """psiTilde_L(2m+1, 2m+1) over the sqrt(2) scale: -2^(-m-2) [J_0 + J_{-1}]."""
+    """psiTilde_L(2m+1, 2m+1) / sqrt(2): -2^(-m-2) [J_0 + J_{-1}]."""
     j = jacobi_at(0, 2 * m + 1, 0) + jacobi_at(-1, 2 * m + 1, 0)
     return -Fraction(1, 2 ** (m + 2)) * j
 
@@ -122,7 +121,7 @@ def definitional_series(spec: GenFunSpec, walk: WalkCache) -> RationalSeries:
             # amplitude mantissa * sqrt(2)^(-(2t+1)) == (mantissa/2^(t+1)) * sqrt2
             mantissa = walk.state(2 * t + 1).mantissa_r(2 * m + 1)
             coeffs.append(Fraction(mantissa, 2 ** (t + 1)))
-        return RationalSeries(coeffs, order, Sqrt2Scalar(1, 1))
+        return RationalSeries(coeffs, order, grade=1)
     if spec.family == "G":
         for t in range(m, order + 1):
             coeffs.append(Fraction(walk.state(2 * t).mantissa_r(2 * m), 2**t))
@@ -133,7 +132,7 @@ def definitional_series(spec: GenFunSpec, walk: WalkCache) -> RationalSeries:
             frac = Fraction(2 * t + 1, 2 * (t - m))
             coeffs.append(frac * walk.state(2 * t + 1).mantissa_l(2 * m + 1)
                           / 2 ** (t + 1))
-        return RationalSeries(coeffs, order, Sqrt2Scalar(1, 1))
+        return RationalSeries(coeffs, order, grade=1)
     coeffs.append(_i_boundary(m))
     for t in range(m + 1, order + 1):
         frac = Fraction(t, t - m)
@@ -292,28 +291,19 @@ def equivalence_ledger(walk: WalkCache, m_max: int = 10, order: int = 40
     return rep
 
 
-@dataclass(frozen=True)
-class LagrangeProblem:
-    """Coefficient extraction for w = z phi(w): series phi, image f, order."""
-
-    phi: RationalSeries
-    f: RationalSeries
-    order: int
-
-
-def lagrange_invert(problem: LagrangeProblem) -> RationalSeries:
+def lagrange_invert(phi: RationalSeries, f: RationalSeries) -> RationalSeries:
     """Series of f(w(z)) where w = z phi(w), via the coefficient formula
 
         [z^n] f(w) = (1/n) [lambda^(n-1)] f'(lambda) phi(lambda)^n,  n >= 1
 
-    with the constant term f(0).
+    with the constant term f(0), at the common order of phi and f.
     """
-    phi, f, order = problem.phi, problem.f, problem.order
-    if phi.order != order or f.order != order:
-        raise ValueError("phi and f must carry the requested order")
-    if phi.coefficient(0).is_zero:
+    order = phi.order
+    if f.order != order:
+        raise ValueError(f"phi and f have mixed truncation orders {order} and {f.order}")
+    if phi.nums[0] == 0:
         raise ValueError("not a valid inversion problem")
-    if not (phi.scale.is_rational and f.scale.is_rational):
+    if phi.grade or f.grade:
         raise ValueError("inversion needs rational-graded series")
     fprime = f.differentiate()
     out = [Fraction(0)] * (order + 1)
@@ -371,7 +361,7 @@ def srivastava_singhal_series(spec: SrivastavaSinghalSpec) -> RationalSeries:
     phihat = (_binomial_power(1 + a, -1, order)
               * _binomial_power(1 + b, +1, order) / (-2))
     ident = RationalSeries.z(order)
-    u = lagrange_invert(LagrangeProblem(phihat, ident, order))
+    u = lagrange_invert(phihat, ident)
 
     numer = (_binomial_power(gamma + 1, -1, order)
              * _binomial_power(beta + 1, +1, order))
@@ -396,12 +386,12 @@ def check_lagrange(order: int, implicit_order: int, seed: int = 0) -> Ledger:
     phi = RationalSeries([Fraction(1, math.factorial(k)) for k in range(order + 1)],
                          order)
     ident = RationalSeries.z(order)
-    tree = lagrange_invert(LagrangeProblem(phi, ident, order))
+    tree = lagrange_invert(phi, ident)
     for n in range(1, order + 1):
         want = Fraction(n ** (n - 1), math.factorial(n))
         ledger.record("tree function", n, tree.coefficient(n) == Sqrt2Scalar(want))
     square = RationalSeries.polynomial([0, 0, 1], order)
-    tree_sq = lagrange_invert(LagrangeProblem(phi, square, order))
+    tree_sq = lagrange_invert(phi, square)
     for n in range(2, order + 1):
         want = 2 * Fraction(n) ** (n - 3) / math.factorial(n - 2)
         ledger.record("tree function squared", n,
@@ -409,7 +399,7 @@ def check_lagrange(order: int, implicit_order: int, seed: int = 0) -> Ledger:
     rng = random.Random(seed)
     for trial in range(5):
         phi_rand = random_rational_series(rng, order, constant=1)
-        w = lagrange_invert(LagrangeProblem(phi_rand, ident, order))
+        w = lagrange_invert(phi_rand, ident)
         ledger.record("w == z phi(w)", trial, phi_rand.compose(w).shift(1) == w)
     implicit = srivastava_singhal_series(
         SrivastavaSinghalSpec(0, 0, 0, 0, implicit_order))

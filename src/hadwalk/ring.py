@@ -5,12 +5,14 @@ Q union sqrt(2)*Q, so a two-component scalar (q, k) representing q * sqrt(2)**k
 with k in {0, 1} is enough; no general computer algebra is required.
 
 A series is a tuple of integer numerators over one positive integer
-denominator, times one such scalar that carries the sqrt(2) grade.  Its
-arithmetic runs on Python ints alone: a product is an integer convolution
-over the product of the denominators, a sum cross-multiplies, and the
+denominator, and a grade bit in {0, 1}: the power of sqrt(2) that every
+coefficient carries.  Its arithmetic runs on Python ints alone: a product is
+an integer convolution over the product of the denominators (a grade of 2 is
+absorbed by doubling the numerators), a sum cross-multiplies, and the
 reciprocal, square root and rational power run their recurrences on integers
 over a running denominator made of powers of the constant term's numerator.
-Each operation ends with one gcd pass, which keeps gcd(den, *nums) == 1.
+Each operation ends with one gcd pass, which keeps gcd(den, *nums) == 1, so
+equal series have equal parts.
 
 Series keep an explicit truncation order.  Binary operations on series of
 different orders raise instead of silently truncating, because silent
@@ -52,10 +54,14 @@ class Sqrt2Scalar:
         q = _as_fraction(q)
         if q == 0:
             k = 0
-        else:
+        elif k not in (0, 1):
+            # absorb (sqrt 2)^(k - r) = 2^e into the rational part by a shift
             r = k % 2
-            # absorb (sqrt 2)^2 = 2 into the rational part
-            q = q * Fraction(2) ** ((k - r) // 2)
+            e = (k - r) // 2
+            if e > 0:
+                q = Fraction(q.numerator << e, q.denominator)
+            else:
+                q = Fraction(q.numerator, q.denominator << -e)
             k = r
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "k", k)
@@ -136,13 +142,6 @@ class Sqrt2Scalar:
             return Sqrt2Scalar(self.q / other, self.k)
         return NotImplemented
 
-    def __pow__(self, n: int) -> "Sqrt2Scalar":
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            return self.inverse() ** (-n)
-        return Sqrt2Scalar(self.q**n, self.k * n)
-
     def sqrt(self) -> "Sqrt2Scalar":
         """Exact square root when one exists in the ring, else ValueError.
 
@@ -185,28 +184,27 @@ class Sqrt2Scalar:
         return f"Sqrt2Scalar({self.q}*sqrt2)"
 
 
-_ONE = Sqrt2Scalar.one()
-
-
-def _series(nums, den: int, order: int, scale: Sqrt2Scalar) -> "RationalSeries":
-    """Series with the given parts, already canonical: no check, no gcd."""
-    series = object.__new__(RationalSeries)
-    object.__setattr__(series, "nums", tuple(nums))
-    object.__setattr__(series, "den", den)
-    object.__setattr__(series, "order", order)
-    object.__setattr__(series, "scale", scale)
-    return series
-
-
-def _canonical(nums, den: int, order: int, scale: Sqrt2Scalar) -> "RationalSeries":
-    """Series scale * sum nums[i]/den z^i for a nonzero den, in canonical form
-    by one gcd pass."""
+def _canonical(nums, den: int, order: int, grade: int) -> "RationalSeries":
+    """Series sqrt(2)**grade * sum nums[i]/den z^i for a nonzero den and a
+    grade in {0, 1, 2}, in canonical form: a grade of 2 doubles the
+    numerators, then one gcd pass."""
+    if grade == 2:
+        nums, grade = [2 * a for a in nums], 0
     if den < 0:
         nums, den = [-a for a in nums], -den
     g = math.gcd(den, *nums)
     if g != 1:
         nums, den = [a // g for a in nums], den // g
-    return _series(nums, den, order, scale)
+    series = object.__new__(RationalSeries)
+    series._set(nums, den, order, grade)
+    return series
+
+
+def _scaled(series: "RationalSeries", value) -> "RationalSeries":
+    """series * value for an int, Fraction or Sqrt2Scalar value."""
+    q, k = (value.q, value.k) if isinstance(value, Sqrt2Scalar) else (value, 0)
+    return _canonical([a * q.numerator for a in series.nums],
+                      series.den * q.denominator, series.order, series.grade + k)
 
 
 def _powers(base: int, top: int) -> list:
@@ -231,19 +229,20 @@ def _convolve(a: tuple, b: tuple, n: int) -> list:
 
 
 class RationalSeries:
-    """Truncated formal power series scale * sum (nums[i] / den) z^i.
+    """Truncated formal power series sqrt(2)**grade * sum (nums[i] / den) z^i.
 
-    ``nums`` is a tuple of ints, ``den`` one positive int and ``scale`` a
-    nonzero Sqrt2Scalar that carries the sqrt(2) grading, so the coefficient of
-    z^i as a ring element is ``coefficient(i) = scale * nums[i] / den``.  The
-    integer part is canonical: ``gcd(den, *nums) == 1``, so the zero series
-    has ``den == 1``.  The constructor takes ints and Fractions.
+    ``nums`` is a tuple of ints, ``den`` one positive int and ``grade`` 0 or
+    1, so the coefficient of z^i as a ring element is
+    ``coefficient(i) = Sqrt2Scalar(Fraction(nums[i], den), grade)``.  The form
+    is canonical: ``gcd(den, *nums) == 1`` and the zero series has
+    ``den == 1`` and grade 0, so two series are equal exactly when their
+    ``(order, grade, den, nums)`` are.  The constructor takes ints and
+    Fractions.
     """
 
-    __slots__ = ("nums", "den", "order", "scale")
+    __slots__ = ("nums", "den", "order", "grade")
 
-    def __init__(self, coeffs: Iterable[RationalLike], order: int,
-                 scale: Sqrt2Scalar = _ONE):
+    def __init__(self, coeffs: Iterable[RationalLike], order: int, grade: int = 0):
         coeffs = tuple(coeffs)
         for c in coeffs:
             if not isinstance(c, (int, Fraction)):
@@ -252,25 +251,23 @@ class RationalSeries:
             raise ValueError("order must be nonnegative")
         if len(coeffs) != order + 1:
             raise ValueError(f"need {order + 1} coefficients, got {len(coeffs)}")
-        if scale.is_zero:
-            raise ValueError("scale must be nonzero; encode zero in coefficients")
+        if grade not in (0, 1):
+            raise ValueError(f"grade must be 0 or 1, got {grade}")
         # over the lcm of lowest-terms denominators the numerators share no
         # factor with it, so this is already canonical
         den = math.lcm(*(c.denominator for c in coeffs))
-        object.__setattr__(self, "nums",
-                           tuple(c.numerator * (den // c.denominator) for c in coeffs))
+        self._set([c.numerator * (den // c.denominator) for c in coeffs], den, order, grade)
+
+    def _set(self, nums, den: int, order: int, grade: int) -> None:
+        object.__setattr__(self, "nums", tuple(nums))
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "grade", grade if any(nums) else 0)
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalSeries is immutable")
 
     # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def zero(cls, order: int) -> "RationalSeries":
-        return cls([0] * (order + 1), order)
 
     @classmethod
     def one(cls, order: int) -> "RationalSeries":
@@ -282,18 +279,18 @@ class RationalSeries:
 
     @classmethod
     def polynomial(cls, low_coeffs: Sequence[RationalLike], order: int,
-                   scale: Sqrt2Scalar = _ONE) -> "RationalSeries":
+                   grade: int = 0) -> "RationalSeries":
         if len(low_coeffs) > order + 1:
             raise ValueError("polynomial degree exceeds series order")
         coeffs = list(low_coeffs) + [0] * (order + 1 - len(low_coeffs))
-        return cls(coeffs, order, scale)
+        return cls(coeffs, order, grade)
 
     # -- accessors ----------------------------------------------------------
 
     def coefficient(self, i: int) -> Sqrt2Scalar:
         if not 0 <= i <= self.order:
             raise IndexError(f"coefficient index {i} outside 0..{self.order}")
-        return self.scale * Fraction(self.nums[i], self.den)
+        return Sqrt2Scalar(Fraction(self.nums[i], self.den), self.grade)
 
     def coefficients(self) -> list:
         return [self.coefficient(i) for i in range(self.order + 1)]
@@ -318,23 +315,21 @@ class RationalSeries:
         if not isinstance(other, RationalSeries):
             return NotImplemented
         self._require_same_order(other)
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        ratio = other.scale / self.scale
-        if not ratio.is_rational:
+        if self.grade != other.grade:
+            # the zero series has grade 0 and adds to either grade
+            if self.is_zero():
+                return other
+            if other.is_zero():
+                return self
             raise ValueError("cannot combine series of mixed sqrt(2) grade")
-        # against self.scale, other is (other.nums * r.numerator) / den_b
-        r = ratio.q
-        den_a, den_b = self.den, other.den * r.denominator
+        den_a, den_b = self.den, other.den
         g = math.gcd(den_a, den_b)
-        mul_a, mul_b = den_b // g, den_a // g * r.numerator
+        mul_a, mul_b = den_b // g, den_a // g
         nums = [x * mul_a + y * mul_b for x, y in zip(self.nums, other.nums)]
-        return _canonical(nums, den_a // g * den_b, self.order, self.scale)
+        return _canonical(nums, den_a // g * den_b, self.order, self.grade)
 
     def __neg__(self) -> "RationalSeries":
-        return _series([-a for a in self.nums], self.den, self.order, self.scale)
+        return _canonical([-a for a in self.nums], self.den, self.order, self.grade)
 
     def __sub__(self, other) -> "RationalSeries":
         if not isinstance(other, RationalSeries):
@@ -342,20 +337,14 @@ class RationalSeries:
         return self + (-other)
 
     def __mul__(self, other) -> "RationalSeries":
-        if isinstance(other, (int, Fraction)):
-            p = other.numerator
-            return _canonical([a * p for a in self.nums], self.den * other.denominator,
-                              self.order, self.scale)
-        if isinstance(other, Sqrt2Scalar):
-            if other.is_zero:
-                return RationalSeries.zero(self.order)
-            return _series(self.nums, self.den, self.order, self.scale * other)
+        if isinstance(other, (int, Fraction, Sqrt2Scalar)):
+            return _scaled(self, other)
         if not isinstance(other, RationalSeries):
             return NotImplemented
         self._require_same_order(other)
         n = self.order
         return _canonical(_convolve(self.nums, other.nums, n), self.den * other.den,
-                          n, self.scale * other.scale)
+                          n, self.grade + other.grade)
 
     __rmul__ = __mul__
 
@@ -363,7 +352,9 @@ class RationalSeries:
         """Multiplicative inverse; requires a nonzero constant term.
 
         With a = nums, 1/a = sum b_m z^m / a0^(m+1) where b_0 = 1 and
-        b_m = -sum_{i=1..m} a_i a0^(i-1) b_(m-i), all in integers.
+        b_m = -sum_{i=1..m} a_i a0^(i-1) b_(m-i), all in integers.  A grade
+        of 1 stays 1 and puts a factor 2 in the denominator, because
+        1/(x sqrt2) = sqrt2 / (2x).
         """
         a = self.nums
         a0 = a[0]
@@ -376,17 +367,13 @@ class RationalSeries:
         for m in range(1, n + 1):
             b.append(-sum(map(operator.mul, c[:m], reversed(b))))
         nums = [b[m] * pw[n - m] * self.den for m in range(n + 1)]
-        return _canonical(nums, pw[n + 1], n, self.scale.inverse())
+        return _canonical(nums, pw[n + 1] * (1 + self.grade), n, self.grade)
 
     def __truediv__(self, other) -> "RationalSeries":
         if isinstance(other, (int, Fraction)):
-            if other == 0:
-                raise ZeroDivisionError("series divided by zero")
-            q = other.denominator
-            return _canonical([a * q for a in self.nums], self.den * other.numerator,
-                              self.order, self.scale)
+            other = Sqrt2Scalar(other)
         if isinstance(other, Sqrt2Scalar):
-            return _series(self.nums, self.den, self.order, self.scale / other)
+            return _scaled(self, other.inverse())
         if isinstance(other, RationalSeries):
             return self * other.reciprocal()
         return NotImplemented
@@ -411,8 +398,9 @@ class RationalSeries:
         t = [0]
         for m in range(1, n + 1):
             t.append(a[m] * pw[m - 1] - sum(map(operator.mul, t[1:m], t[m - 1:0:-1])))
-        nums = [pw[n]] + [2 * t[m] * pw[n - m] for m in range(1, n + 1)]
-        return _canonical(nums, pw[n], n, root0)
+        p, q = root0.q.numerator, root0.q.denominator
+        nums = [pw[n] * p] + [2 * t[m] * pw[n - m] * p for m in range(1, n + 1)]
+        return _canonical(nums, pw[n] * q, n, root0.k)
 
     def pow_int(self, n: int) -> "RationalSeries":
         """Integer power; negative exponents go through the reciprocal."""
@@ -437,7 +425,7 @@ class RationalSeries:
         (m-1)!/(m-j)! g_(m-j), all in integers.
         """
         c = _as_fraction(c)
-        if self.constant_term != _ONE:
+        if self.grade or self.nums[0] != self.den:
             raise ValueError("rational powers need constant term exactly 1")
         p, q = c.numerator, c.denominator
         a = self.nums
@@ -455,64 +443,54 @@ class RationalSeries:
             g.append(acc)
         fact = math.factorial(n)  # over the common denominator (q a0)^n n!
         nums = [g[m] * pw[n - m] * (fact // math.factorial(m)) for m in range(n + 1)]
-        return _canonical(nums, pw[n] * fact, n, _ONE)
+        return _canonical(nums, pw[n] * fact, n, 0)
 
     def differentiate(self) -> "RationalSeries":
         """Formal derivative, truncated at the same order (top coefficient 0)."""
         n = self.order
         nums = [self.nums[i + 1] * (i + 1) for i in range(n)] + [0]
-        return _canonical(nums, self.den, n, self.scale)
+        return _canonical(nums, self.den, n, self.grade)
 
     def compose(self, inner: "RationalSeries") -> "RationalSeries":
         """Substitution self(inner(z)); inner must have zero constant term."""
         self._require_same_order(inner)
         if inner.nums[0] != 0:
             raise ValueError("substitution needs zero constant term")
-        if not inner.scale.is_rational:
+        if inner.grade:
             raise ValueError("substitution argument must be rational-graded")
         n = self.order
-        r = inner.scale.q
-        inner_q = _canonical([g * r.numerator for g in inner.nums],
-                             inner.den * r.denominator, n, _ONE)
         # sum nums[k] inner^k, divided by den at the end
         out = RationalSeries.polynomial([self.nums[0]], n)
         power = RationalSeries.one(n)
         for k in range(1, n + 1):
-            power = power * inner_q
+            power = power * inner
             if self.nums[k]:
                 out = out + power * self.nums[k]
-        return _canonical(out.nums, out.den * self.den, n, self.scale)
+        return _canonical(out.nums, out.den * self.den, n, self.grade)
 
     def shift(self, m: int) -> "RationalSeries":
         """Multiply by z**m, truncating at the order."""
         if m < 0:
             raise ValueError("negative shift")
         nums = ((0,) * m + self.nums)[: self.order + 1]
-        return _canonical(nums, self.den, self.order, self.scale)
+        return _canonical(nums, self.den, self.order, self.grade)
 
     # -- comparisons ---------------------------------------------------------
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalSeries):
             return NotImplemented
-        if self.order != other.order:
-            return False
-        ratio = other.scale / self.scale
-        if not ratio.is_rational:
-            # nonzero coefficients carry their scale's sqrt(2) grade
-            return self.is_zero() and other.is_zero()
-        r = ratio.q
-        mul_a, mul_b = other.den * r.denominator, self.den * r.numerator
-        return all(x * mul_a == y * mul_b for x, y in zip(self.nums, other.nums))
+        return ((self.order, self.grade, self.den, self.nums)
+                == (other.order, other.grade, other.den, other.nums))
 
     def __hash__(self):
-        return hash(tuple(self.coefficients()))
+        return hash((self.order, self.grade, self.den, self.nums))
 
     def __repr__(self) -> str:
         head = ", ".join(str(a) for a in self.nums[: min(5, self.order + 1)])
         tail = ", ..." if self.order >= 5 else ""
         return (f"RationalSeries(nums=[{head}{tail}], den={self.den}, "
-                f"order={self.order}, scale={self.scale!r})")
+                f"order={self.order}, grade={self.grade})")
 
 
 def random_rational_series(rng, order: int, max_num: int = 9,

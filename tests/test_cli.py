@@ -1,13 +1,20 @@
+import contextlib
 import csv
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import hadwalk
+from hadwalk import cli, walk
 from hadwalk.cli import VerifyConfig, main
 
 DATA = Path(__file__).parent / "data"
@@ -107,6 +114,16 @@ class TestVerify:
         assert failed == ["symmetry"]
         assert data["suites"]["symmetry"]["witness"] == {"n": -2, "t": 6}
 
+    @pytest.mark.parametrize("t_max", range(1, 13))
+    def test_fault_injection_fails_at_every_t_max(self, tmp_path, t_max):
+        # at an odd t_max // 2 position 0 is off the parity lattice
+        report = tmp_path / "report.json"
+        code = main(["verify", "--t-max", str(t_max), "--order", "0", "--quad-t-max", "0",
+                     "--inject-fault", "--report", str(report)])
+        assert code == 1
+        data = json.loads(report.read_text())
+        assert [name for name, s in data["suites"].items() if not s["passed"]] == ["symmetry"]
+
     def test_degenerate_run_flagged_vacuous(self, tmp_path):
         code, data = run_pinned_verify(
             tmp_path, "verify-vacuous.json",
@@ -184,9 +201,10 @@ class TestAsymptoticsCmd:
 
     @pytest.mark.parametrize("start, stop, step", [
         ("0.75", "0.85", "0"), ("0.75", "0.85", "-0.05"), ("0.85", "0.75", "0.05"),
-        ("0.75", "inf", "0.05"), ("-inf", "0.85", "0.05"), ("0.75", "0.85", "inf")],
+        ("0.75", "inf", "0.05"), ("-inf", "0.85", "0.05"), ("0.75", "0.85", "inf"),
+        ("1e308", "1e308", "1"), ("-1e308", "1e308", "1e308")],
         ids=["zero-step", "negative-step", "reversed-range", "stop-inf", "start-minus-inf",
-             "step-inf"])
+             "step-inf", "alpha-times-t-overflows", "row-count-overflows"])
     def test_empty_alpha_grid_exits_2(self, tmp_path, capsys, start, stop, step):
         out = tmp_path / "x.csv"
         # "=" keeps argparse from reading "-inf" as an option
@@ -229,6 +247,28 @@ class TestAsymptoticsCmd:
                              cwd=src, check=True, capture_output=True, text=True).stdout
         assert int(out) < 100 * 1024
 
+    def test_rows_written_as_made(self, monkeypatch):
+        # the rows of each time are in the file before the next state is stepped to
+        class Sink(io.StringIO):
+            def close(self):
+                pass
+
+        sink = Sink()
+        monkeypatch.setattr(cli, "open", lambda *args, **kwargs: sink, raising=False)
+        lines_at_step = []
+        evolve = walk.evolve
+
+        def spy(*args):
+            lines_at_step.append(sink.getvalue().count("\n"))
+            return evolve(*args)
+
+        monkeypatch.setattr(walk, "evolve", spy)
+        code = main(["asymptotics", "--alpha-start", "0.75", "--alpha-stop", "0.85",
+                     "--alpha-step", "0.05", "--t", "60,120", "--out", "unused.csv"])
+        assert code == 0
+        assert lines_at_step == [1, 4]  # the header, then it and the three t=60 rows
+        assert sink.getvalue().count("\n") == 7
+
     def test_deterministic_table(self, tmp_path):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
@@ -247,3 +287,74 @@ class TestPackage:
         out = subprocess.run([sys.executable, "-c", code], cwd=src, check=True,
                              capture_output=True, text=True).stdout
         assert out.strip() == "False"
+
+
+# Every token below is one argparse accepts, so each vector reaches the command.
+# Per subcommand: flag -> (valid values, special values); None omits the flag.
+SPECIAL = ["-1", "0", "nan", "inf", "-inf", "1e308", "-1e308"]
+BAD_PATHS = ["{missing}", "{dir}"]
+COMMANDS = {
+    "simulate": {
+        "--t": ([0, 1, 7, 50], [-1, -3]),
+        "--orientation": (["canonical", "as-printed"], []),
+        "--out": (["{ok}"], BAD_PATHS),
+        "--plot": ([None, "{ok}"], BAD_PATHS),
+    },
+    "verify": {
+        "--t-max": (range(7), [-1, -2]),
+        "--order": (range(7), [-1]),
+        "--m-max": (range(7), [-3]),
+        "--quad-t-max": (range(3), [-1]),
+        "--tol": (["1e-9", "1e308"], ["nan", "inf", "-inf", "0", "-1", "-1e308"]),
+        "--seed": (range(3), []),
+        "--inject-fault": ([None, ""], []),
+        "--report": (["{ok}", "-"], BAD_PATHS),
+    },
+    # at most 22 alphas over at most two times up to 200: a special step or
+    # bound leaves the grid empty, overflowing, one row long or at most 22 long
+    "asymptotics": {
+        "--alpha-start": (["-0.9", "0.72"], SPECIAL),
+        "--alpha-stop": (["0.9", "1.1"], SPECIAL),
+        "--alpha-step": (["0.1"], SPECIAL),
+        "--t": (["40", "200,50", "1,,2"], [",", "abc", "0", "-5", "1" + "0" * 400]),
+        "--eps": (["1e-3", "0"], SPECIAL),
+        "--out": (["{ok}"], BAD_PATHS),
+    },
+}
+
+
+@st.composite
+def argvs(draw):
+    """A valid argument vector with at most one flag given a special value."""
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    flags = COMMANDS[command]
+    values = {name: draw(st.sampled_from(list(valid))) for name, (valid, _) in flags.items()}
+    spoiled = draw(st.sampled_from([None] + [name for name in flags if flags[name][1]]))
+    if spoiled:
+        values[spoiled] = draw(st.sampled_from(flags[spoiled][1]))
+    argv = [command]
+    for name, value in values.items():
+        if value == "":
+            argv.append(name)
+        elif value is not None:
+            argv.append(f"{name}={value}")  # "=" keeps argparse from reading "-inf" as a flag
+    return argv
+
+
+class TestExitCodes:
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(argvs())
+    @example(["asymptotics", "--alpha-start=1e308", "--alpha-stop=1e308",
+              "--alpha-step=1", "--t", "10", "--out", "{ok}"])
+    @example(["asymptotics", "--alpha-start=-1e308", "--alpha-stop=1e308",
+              "--alpha-step=1e308", "--t", "10", "--out", "{ok}"])
+    def test_exit_code_contract(self, argv):
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = {"ok": os.path.join(tmp, "out"), "dir": tmp,
+                     "missing": os.path.join(tmp, "missing", "out")}
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main([token.format(**paths) for token in argv])
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert len(err.getvalue().splitlines()) == 1

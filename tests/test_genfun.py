@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hadwalk.genfun import (GenFunSpec, LagrangeProblem, SrivastavaSinghalSpec,
+from hadwalk.genfun import (GenFunSpec, SrivastavaSinghalSpec,
                             check_intermediate_relations, closed_form_series,
                             definitional_series, equivalence_ledger,
                             jacobi_generating, lagrange_invert,
@@ -127,7 +127,7 @@ class TestLagrange:
         order = 20
         phi = RationalSeries([Fraction(1, math.factorial(k)) for k in range(order + 1)],
                              order)
-        w = lagrange_invert(LagrangeProblem(phi, RationalSeries.z(order), order))
+        w = lagrange_invert(phi, RationalSeries.z(order))
         for n in range(1, order + 1):
             assert w.coefficient(n) == Sqrt2Scalar(Fraction(n ** (n - 1), math.factorial(n)))
 
@@ -136,7 +136,7 @@ class TestLagrange:
         phi = RationalSeries([Fraction(1, math.factorial(k)) for k in range(order + 1)],
                              order)
         f = RationalSeries.polynomial([0, 0, 1], order)
-        w2 = lagrange_invert(LagrangeProblem(phi, f, order))
+        w2 = lagrange_invert(phi, f)
         assert w2.coefficient(0).is_zero and w2.coefficient(1).is_zero
         for n in range(2, order + 1):
             want = 2 * Fraction(n) ** (n - 3) / math.factorial(n - 2)
@@ -144,8 +144,7 @@ class TestLagrange:
 
     def test_constant_phi_gives_identity(self):
         order = 6
-        w = lagrange_invert(LagrangeProblem(RationalSeries.one(order),
-                                            RationalSeries.z(order), order))
+        w = lagrange_invert(RationalSeries.one(order), RationalSeries.z(order))
         assert w == RationalSeries.z(order)
 
     def test_defining_equation_randomized(self):
@@ -154,14 +153,24 @@ class TestLagrange:
         ident = RationalSeries.z(order)
         for _ in range(25):
             phi = random_rational_series(rng, order, constant=1)
-            w = lagrange_invert(LagrangeProblem(phi, ident, order))
+            w = lagrange_invert(phi, ident)
             assert phi.compose(w).shift(1) == w
 
     def test_rejects_vanishing_phi0(self):
         order = 4
         with pytest.raises(ValueError, match="not a valid inversion"):
-            lagrange_invert(LagrangeProblem(RationalSeries.z(order),
-                                            RationalSeries.z(order), order))
+            lagrange_invert(RationalSeries.z(order), RationalSeries.z(order))
+
+    def test_rejects_mixed_orders(self):
+        with pytest.raises(ValueError, match="mixed truncation orders 4 and 5"):
+            lagrange_invert(RationalSeries.one(4), RationalSeries.z(5))
+
+    def test_rejects_irrational_grade(self):
+        one, ident = RationalSeries.one(4), RationalSeries.z(4)
+        root2 = Sqrt2Scalar(1, 1)
+        for phi, f in [(one * root2, ident), (one, ident * root2)]:
+            with pytest.raises(ValueError, match="rational-graded"):
+                lagrange_invert(phi, f)
 
 
 class TestSrivastavaSinghal:
@@ -188,7 +197,7 @@ class TestSrivastavaSinghal:
         spec = SrivastavaSinghalSpec(0, 0, 0, 0, 6)
         phihat = (RationalSeries.polynomial([1, -1], 6).pow_rational(1)
                   * RationalSeries.polynomial([1, 1], 6).pow_rational(1) / (-2))
-        u = lagrange_invert(LagrangeProblem(phihat, RationalSeries.z(6), 6))
+        u = lagrange_invert(phihat, RationalSeries.z(6))
         assert u.coefficient(1) == Sqrt2Scalar(Fraction(-1, 2))
         assert u.coefficient(2).is_zero
         assert u.coefficient(3) == Sqrt2Scalar(Fraction(1, 8))

@@ -19,6 +19,14 @@ class TestSqrt2Scalar:
         assert Sqrt2Scalar(1, -1) == Sqrt2Scalar(Fraction(1, 2), 1)
         assert Sqrt2Scalar(0, 1).k == 0
 
+    @given(fractions_st, st.integers(-9, 9))
+    def test_normalization_matches_power_of_two(self, q, k):
+        s = Sqrt2Scalar(q, k)
+        if q == 0:
+            assert (s.q, s.k) == (0, 0)
+        else:
+            assert (s.q, s.k) == (q * Fraction(2) ** ((k - k % 2) // 2), k % 2)
+
     def test_sqrt2_squared_is_two(self):
         root2 = Sqrt2Scalar(1, 1)
         sq = root2 * root2
@@ -96,6 +104,11 @@ class TestRationalSeries:
         with pytest.raises(ValueError, match="not invertible"):
             poly([0, 1], 3).reciprocal()
 
+    @pytest.mark.parametrize("grade", [2, -1])
+    def test_grade_outside_0_1_rejected(self, grade):
+        with pytest.raises(ValueError, match="grade must be 0 or 1"):
+            RationalSeries([1], 0, grade)
+
     def test_mixed_orders_rejected(self):
         with pytest.raises(ValueError, match="orders"):
             poly([1], 3) * poly([1], 4)
@@ -104,13 +117,13 @@ class TestRationalSeries:
 
     def test_mixed_grade_addition_rejected(self):
         a = poly([1, 1], 3)
-        b = RationalSeries.polynomial([1], 3, Sqrt2Scalar(1, 1))
+        b = RationalSeries.polynomial([1], 3, grade=1)
         with pytest.raises(ValueError, match="grade"):
             a + b
 
     def test_scaled_addition_merges_parity(self):
-        a = RationalSeries.polynomial([1], 3, Sqrt2Scalar(1, 1))      # sqrt2
-        b = RationalSeries.polynomial([1], 3, Sqrt2Scalar(3, 1))      # 3 sqrt2
+        a = RationalSeries.polynomial([1], 3, grade=1)      # sqrt2
+        b = RationalSeries.polynomial([3], 3, grade=1)      # 3 sqrt2
         assert (a + b).coefficient(0) == Sqrt2Scalar(4, 1)
 
     @given(st.integers(0, 6), st.integers(0, 2**31 - 1))
@@ -137,8 +150,9 @@ class TestRationalSeries:
         assert s.pow_rational(3) == s.pow_int(3)
 
     def test_pow_rational_with_nontrivial_scale(self):
-        # unit constant term carried jointly by scale and raw coefficient
-        s = RationalSeries.polynomial([2, 3], 6, Sqrt2Scalar(Fraction(1, 2)))
+        # unit constant term carried jointly by numerator and denominator
+        s = RationalSeries.polynomial([1, Fraction(3, 2)], 6)
+        assert s.nums[0] == s.den == 2
         assert s.constant_term == Sqrt2Scalar(1)
         half = s.pow_rational(Fraction(1, 2))
         assert half * half == s
@@ -174,7 +188,8 @@ class TestRationalSeries:
         assert s.differentiate() == poly([3, 4, 21, 0], 3)
 
     def test_coefficient_accessor_carries_scale(self):
-        s = RationalSeries.polynomial([1, 2], 4, Sqrt2Scalar(Fraction(1, 2), 1))
+        s = RationalSeries.polynomial([Fraction(1, 2), 1], 4, grade=1)
+        assert s.coefficient(0) == Sqrt2Scalar(Fraction(1, 2), 1)
         assert s.coefficient(1) == Sqrt2Scalar(1, 1)
         with pytest.raises(IndexError):
             s.coefficient(5)
@@ -244,8 +259,8 @@ def fractions_of(series):
     return [Fraction(a, series.den) for a in series.nums]
 
 
-def scaled(scale, coeffs):
-    return [scale * c for c in coeffs]
+def scaled(scalar, coeffs):
+    return [scalar * c for c in coeffs]
 
 
 def assert_canonical(series):
@@ -253,6 +268,8 @@ def assert_canonical(series):
     assert len(series.nums) == series.order + 1
     assert type(series.den) is int and series.den > 0
     assert math.gcd(series.den, *series.nums) == 1
+    assert series.grade in (0, 1)
+    assert series.grade == 0 or any(series.nums)
 
 
 REFERENCE_ORDERS = [0, 1, 2, 40]
@@ -260,18 +277,18 @@ REFERENCE_ORDERS = [0, 1, 2, 40]
 CONSTANTS = [0, 1, -1, Fraction(-3, 7), Fraction(9, 2)]
 
 
-def random_scale(rng, grade):
-    return Sqrt2Scalar(Fraction(rng.choice([-5, -2, -1, 1, 3, 4]), rng.randint(1, 6)),
-                       grade)
+def random_factor(rng):
+    return Fraction(rng.choice([-5, -2, -1, 1, 3, 4]), rng.randint(1, 6))
 
 
 def random_cases(seed, order, constants=CONSTANTS):
-    """(series, scale grade) pairs over every constant term and both grades."""
+    """Series over every constant term, times a random rational, in both grades."""
     rng = random.Random(seed)
     for constant in constants:
         for grade in (0, 1):
             raw = random_rational_series(rng, order, constant=constant)
-            yield RationalSeries(fractions_of(raw), order, random_scale(rng, grade))
+            factor = random_factor(rng)
+            yield RationalSeries([factor * c for c in fractions_of(raw)], order, grade)
 
 
 class TestIntegerRepresentation:
@@ -283,7 +300,8 @@ class TestIntegerRepresentation:
                 product = a * b
                 assert_canonical(product)
                 want = reference_mul(fractions_of(a), fractions_of(b))
-                assert product.coefficients() == scaled(a.scale * b.scale, want)
+                assert product.coefficients() == scaled(Sqrt2Scalar(1, a.grade + b.grade),
+                                                        want)
 
     @pytest.mark.parametrize("order", REFERENCE_ORDERS)
     def test_reciprocal_matches_reference(self, order):
@@ -291,19 +309,20 @@ class TestIntegerRepresentation:
             inverse = s.reciprocal()
             assert_canonical(inverse)
             want = reference_reciprocal(fractions_of(s))
-            assert inverse.coefficients() == scaled(s.scale.inverse(), want)
+            # the inverse of sqrt(2)**grade * x is sqrt(2)**(-grade) / x
+            assert inverse.coefficients() == scaled(Sqrt2Scalar(1, -s.grade), want)
 
     @pytest.mark.parametrize("order", REFERENCE_ORDERS)
     def test_sqrt_matches_reference(self, order):
         rng = random.Random(3000 + order)
-        # ring squares as constant term, carried by raw coefficient and scale
+        # ring squares as constant term, times sqrt(2) in grade 1
         for value in [1, 4, 2, Fraction(9, 2), Fraction(1, 8), Fraction(25, 49)]:
             for grade in (0, 1):
-                scale = random_scale(rng, grade)
+                factor = random_factor(rng)
                 raw = random_rational_series(rng, order, constant=1)
                 coeffs = fractions_of(raw)
-                coeffs[0] = value / scale.q
-                s = RationalSeries(coeffs, order, scale)
+                coeffs[0] = value / factor
+                s = RationalSeries([factor * c for c in coeffs], order, grade)
                 if grade:
                     with pytest.raises(ValueError, match="no square root"):
                         s.sqrt()
@@ -317,10 +336,10 @@ class TestIntegerRepresentation:
     def test_pow_rational_matches_reference(self, order):
         rng = random.Random(4000 + order)
         for c in [Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4), 3, -1, 0]:
-            scale = random_scale(rng, 0)
+            factor = random_factor(rng)
             coeffs = fractions_of(random_rational_series(rng, order))
-            coeffs[0] = 1 / scale.q
-            s = RationalSeries(coeffs, order, scale)
+            coeffs[0] = 1 / factor
+            s = RationalSeries([factor * c for c in coeffs], order)
             power = s.pow_rational(c)
             assert_canonical(power)
             assert power.coefficients() == scaled(Sqrt2Scalar(1),
@@ -330,9 +349,9 @@ class TestIntegerRepresentation:
     def test_every_operation_is_canonical(self, order):
         cases = list(random_cases(5000 + order, order))
         rng = random.Random(order)
-        rational = [s for s in cases if s.scale.is_rational]
+        rational = [s for s in cases if s.grade == 0]
         for a, b in zip(cases, cases[1:] + cases[:1]):
-            same_grade = RationalSeries(fractions_of(b), order, a.scale * 3)
+            same_grade = RationalSeries([3 * c for c in fractions_of(b)], order, a.grade)
             results = [a * b, -a, a * 0, a * -4, a * Fraction(-6, 35),
                        a * Sqrt2Scalar(2, 1), a * Sqrt2Scalar(0), a / -6,
                        a / Fraction(-10, 21), a / Sqrt2Scalar(Fraction(1, 3), 1),
@@ -352,3 +371,15 @@ class TestIntegerRepresentation:
             results.append(a.compose(inner))
             for series in results:
                 assert_canonical(series)
+
+    @pytest.mark.parametrize("order", REFERENCE_ORDERS)
+    def test_equality_matches_coefficients(self, order):
+        cases = list(random_cases(6000 + order, order))
+        cases += [a * 0 for a in cases[:2]] + [-a for a in cases[:4]]
+        cases += [RationalSeries([0] * (order + 1), order, grade=1)]
+        for a in cases:
+            for b in cases:
+                equal = a.coefficients() == b.coefficients()
+                assert (a == b) == equal
+                if equal:
+                    assert hash(a) == hash(b)
