@@ -152,9 +152,10 @@ def saddle(alpha: float) -> SaddleData:
     return SaddleData(alpha, "decay", theta)
 
 
-def _require_decay(alpha: float) -> None:
-    if not _INV_SQRT2 < alpha < 1.0:
-        raise ValidityError(f"alpha = {alpha} outside (1/sqrt2, 1)")
+def _require_decay(alpha: float, eps: float = 0.0) -> None:
+    """Raise ValidityError unless 1/sqrt2 + eps < alpha < 1 - eps."""
+    if not (alpha - _INV_SQRT2 > eps and alpha < 1.0 - eps):
+        raise ValidityError(f"alpha = {alpha} outside (1/sqrt2 + {eps:g}, 1 - {eps:g})")
 
 
 def btilde(alpha: float) -> float:
@@ -196,15 +197,11 @@ def psi_asymptotic(n: int, t: int, eps: float = 1e-3) -> tuple:
     if (n - t) % 2:
         raise ValidityError(f"parity violation: n={n}, t={t}")
     if n >= 0:
-        _check_alpha(n / t, eps)
-        if n / t <= _INV_SQRT2:
-            raise ValidityError("alpha in the oscillatory region")
+        _require_decay(n / t, eps)
         return _asym_pair(n, t)
     p = -n
-    _check_alpha(p / t, eps)
-    _check_alpha((p + 2) / t, eps)
-    if p / t <= _INV_SQRT2:
-        raise ValidityError("alpha in the oscillatory region")
+    _require_decay(p / t, eps)
+    _require_decay((p + 2) / t, eps)
     psi_r_pos, _ = _asym_pair(p + 2, t)
     _, psi_l_pos = _asym_pair(p, t)
     psi_r = (-1.0) ** (p + 1) * psi_r_pos
@@ -379,8 +376,7 @@ def contour_shift_check(n: int, t: int, tol: float = 1e-8) -> ContourReport:
     is bounded by exp(-(1-alpha) V t).
     """
     alpha = n / t
-    if not (_INV_SQRT2 + 1e-3 < alpha < 1.0 - 1e-3):
-        raise ValidityError(f"alpha = {alpha} outside the decay region")
+    _require_decay(alpha, 1e-3)
     sd = saddle(alpha)
     v_s = sd.theta_alpha.imag
     h = 0.8 * ARCSINH1

@@ -84,15 +84,18 @@ class Sqrt2Scalar:
         """Value mantissa * sqrt(2)**(-halftime), the walk's amplitude encoding."""
         return cls(Fraction(mantissa), -halftime)
 
+    def to_mantissa(self, halftime: int) -> int:
+        """The integer m with self == m * sqrt(2)**(-halftime); inverse of from_mantissa."""
+        scaled = Sqrt2Scalar(self.q, self.k + halftime)
+        if scaled.k or scaled.q.denominator != 1:
+            raise ValueError(f"{self!r} is not an integer times sqrt(2)**(-{halftime})")
+        return scaled.q.numerator
+
     # -- predicates ---------------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
         return self.q == 0
-
-    @property
-    def is_rational(self) -> bool:
-        return self.k == 0
 
     def to_fraction(self) -> Fraction:
         if self.k != 0:
@@ -173,10 +176,6 @@ class Sqrt2Scalar:
 
     def __hash__(self):
         return hash((self.q, self.k))
-
-    def __float__(self) -> float:
-        val = float(self.q)
-        return val * math.sqrt(2.0) if self.k else val
 
     def __repr__(self) -> str:
         if self.k == 0:

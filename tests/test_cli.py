@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hadwalk
-from hadwalk import cli, walk
+from hadwalk import cli, jacobi, walk
 from hadwalk.cli import VerifyConfig, main
 
 DATA = Path(__file__).parent / "data"
@@ -138,9 +138,9 @@ class TestVerify:
     @pytest.mark.parametrize("flag, value", [
         ("--t-max", "-1"), ("--order", "-1"), ("--m-max", "-3"),
         ("--quad-t-max", "-1"), ("--tol", "nan"), ("--tol", "inf"), ("--tol", "-inf"),
-        ("--tol", "0"), ("--tol", "-1")],
+        ("--tol", "0"), ("--tol", "-1"), ("--m-max", "4"), ("--m-max", "9")],
         ids=["t-max", "order", "m-max", "quad-t-max", "tol-nan", "tol-inf", "tol-minus-inf",
-             "tol-zero", "tol-negative"])
+             "tol-zero", "tol-negative", "order-at-m-max", "order-below-m-max"])
     def test_bad_config_exits_2(self, tmp_path, capsys, flag, value):
         report = tmp_path / "report.json"
         code = main(["verify", "--t-max", "6", "--order", "4", "--m-max", "1",
@@ -152,6 +152,11 @@ class TestVerify:
     def test_library_config_rejects_negative_size(self):
         with pytest.raises(ValueError, match="--t-max"):
             VerifyConfig(t_max=-1)
+
+    def test_library_config_rejects_order_below_m_max(self):
+        # the bridge relations need order >= m_max + 1
+        with pytest.raises(ValueError, match="--order .* --m-max"):
+            VerifyConfig(order=4)
 
     def test_deterministic_report(self, tmp_path):
         a = tmp_path / "a.json"
@@ -226,16 +231,37 @@ class TestAsymptoticsCmd:
 
     def test_grid_pinned(self, tmp_path):
         # covers n outside the light cone (|alpha| > 1), negative n, excluded
-        # rows, and an unsorted --t list with a duplicate
-        out = tmp_path / "grid.csv"
-        code = main(["asymptotics", "--alpha-start=-1.1", "--alpha-stop", "1.1",
-                     "--alpha-step", "0.1", "--t", "40,10,120,40", "--out", str(out)])
+        # rows, and an unsorted --t list with a duplicate; the odd times pin the
+        # rounding of amplitudes with an odd power of sqrt(2)
+        for times, pinned in (("40,10,120,40", "asymptotics-grid.csv"),
+                              ("41,9,121", "asymptotics-grid-odd.csv")):
+            out = tmp_path / pinned
+            code = main(["asymptotics", "--alpha-start=-1.1", "--alpha-stop", "1.1",
+                         "--alpha-step", "0.1", "--t", times, "--out", str(out)])
+            assert code == 0
+            assert out.read_bytes() == (DATA / pinned).read_bytes()
+
+    def test_exact_column_matches_simulator(self, tmp_path):
+        # the simulator stays the ground truth for the closed form the command
+        # reads: on the benchmark grid both agree exactly at every row
+        out = tmp_path / "decay.csv"
+        code = main(["asymptotics", "--alpha-start", "0.72", "--alpha-stop", "0.98",
+                     "--alpha-step", "0.02", "--t", "500,1000,2000", "--out", str(out)])
         assert code == 0
-        assert out.read_bytes() == (DATA / "asymptotics-grid.csv").read_bytes()
+        rows = read_csv(out)
+        assert len(rows) == 42
+        state = walk.initial_state()
+        for t in (500, 1000, 2000):
+            state = walk.evolve(state, t - state.t)
+            for row in (r for r in rows if int(r["t"]) == t):
+                n = int(row["n"])
+                assert jacobi.psi_closed_r(n, t) == state.amp_r(n)
+                assert float(row["exact"]) == walk.mantissa_to_float(state.mantissa_r(n), t)
 
     @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
     def test_memory_follows_one_state(self, tmp_path):
-        # every state up to t=1500 would take ~280 MB; one state takes a few MB
+        # every state up to t=1500 would take ~280 MB; the closed form takes
+        # one row at a time and holds no state
         src = str(Path(hadwalk.__file__).parents[1])
         code = (
             "import resource, sys\n"
@@ -248,25 +274,26 @@ class TestAsymptoticsCmd:
         assert int(out) < 100 * 1024
 
     def test_rows_written_as_made(self, monkeypatch):
-        # the rows of each time are in the file before the next state is stepped to
+        # each row is in the file before the next row's exact value is computed
         class Sink(io.StringIO):
             def close(self):
                 pass
 
         sink = Sink()
         monkeypatch.setattr(cli, "open", lambda *args, **kwargs: sink, raising=False)
-        lines_at_step = []
-        evolve = walk.evolve
+        lines_at_call = []
+        psi_closed_r = jacobi.psi_closed_r
 
-        def spy(*args):
-            lines_at_step.append(sink.getvalue().count("\n"))
-            return evolve(*args)
+        def spy(n, t):
+            lines_at_call.append((t, sink.getvalue().count("\n")))
+            return psi_closed_r(n, t)
 
-        monkeypatch.setattr(walk, "evolve", spy)
+        monkeypatch.setattr(jacobi, "psi_closed_r", spy)
         code = main(["asymptotics", "--alpha-start", "0.75", "--alpha-stop", "0.85",
                      "--alpha-step", "0.05", "--t", "60,120", "--out", "unused.csv"])
         assert code == 0
-        assert lines_at_step == [1, 4]  # the header, then it and the three t=60 rows
+        # the header, then one more line per row; the t=60 rows precede t=120's
+        assert lines_at_call == [(60, 1), (60, 2), (60, 3), (120, 4), (120, 5), (120, 6)]
         assert sink.getvalue().count("\n") == 7
 
     def test_deterministic_table(self, tmp_path):

@@ -45,6 +45,17 @@ class TestSqrt2Scalar:
         if not a.is_zero:
             assert a * a.inverse() == Sqrt2Scalar.one()
 
+    @given(st.integers(-10**30, 10**30), st.integers(0, 60))
+    def test_mantissa_roundtrip(self, mantissa, halftime):
+        assert Sqrt2Scalar.from_mantissa(mantissa, halftime).to_mantissa(halftime) == mantissa
+
+    @pytest.mark.parametrize("value, halftime", [
+        (Sqrt2Scalar(1), 1), (Sqrt2Scalar(1, 1), 0), (Sqrt2Scalar(Fraction(1, 3)), 2),
+        (Sqrt2Scalar(Fraction(1, 4)), 2)])
+    def test_mantissa_rejects_other_values(self, value, halftime):
+        with pytest.raises(ValueError):
+            value.to_mantissa(halftime)
+
     def test_mixed_grade_addition_rejected(self):
         with pytest.raises(ValueError, match="mixed"):
             Sqrt2Scalar(1, 0) + Sqrt2Scalar(1, 1)
