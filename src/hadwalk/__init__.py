@@ -1,12 +1,10 @@
 """Exact-arithmetic and asymptotic-analysis laboratory for the Hadamard walk."""
 
 from .ring import RationalSeries, Sqrt2Scalar
-from .walk import (WalkCache, WalkState, evolve, fourier_evolve, initial_state,
-                   probability, step)
+from .walk import WalkCache, WalkState, evolve, initial_state, probability, step
 from .jacobi import (check_jacobi_identities, check_reflections, jacobi_at,
                      psi_closed_l, psi_closed_r)
-from .genfun import (GenFunSpec, SrivastavaSinghalSpec,
-                     closed_form_series, definitional_series, equivalence_ledger,
+from .genfun import (closed_form_series, definitional_series, equivalence_ledger,
                      jacobi_generating, lagrange_invert, srivastava_singhal_series)
 from .asymptotics import (b_pathintegral, btilde, contour_shift_check,
                           growth_check, omega, psi_asymptotic, quadrature_psi,
@@ -17,12 +15,11 @@ __version__ = "0.1.0"
 __all__ = [
     "Sqrt2Scalar", "RationalSeries",
     "WalkState", "WalkCache", "initial_state", "step", "evolve", "probability",
-    "fourier_evolve",
     "jacobi_at", "psi_closed_r", "psi_closed_l", "check_reflections",
     "check_jacobi_identities",
-    "GenFunSpec", "closed_form_series", "definitional_series",
+    "closed_form_series", "definitional_series",
     "jacobi_generating", "equivalence_ledger", "lagrange_invert",
-    "SrivastavaSinghalSpec", "srivastava_singhal_series",
+    "srivastava_singhal_series",
     "omega", "saddle", "btilde", "b_pathintegral", "psi_asymptotic",
     "quadrature_psi", "contour_shift_check", "growth_check",
     "__version__",

@@ -16,6 +16,7 @@ import csv
 import json
 import math
 import sys
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -36,7 +37,9 @@ def _exact_str(mantissa: int, t: int) -> str:
 
 
 def cmd_simulate(args) -> int:
-    state = walk.evolve(walk.initial_state(), args.t, args.orientation)
+    state = walk.evolve(walk.initial_state(), args.t)
+    if args.orientation == "as-printed":
+        state = walk.as_printed(state)
     rows = []
     for n in range(-state.t, state.t + 1):
         if (n - state.t) % 2:
@@ -255,12 +258,15 @@ _SUITES = {
 def run_verify(cfg: VerifyConfig) -> tuple:
     """Run the suites one after another in name order.
 
-    Returns the JSON report and, per suite, the ledgers behind its entry.
+    Returns the JSON report, per suite the ledgers behind its entry, and per
+    suite its wall seconds.
     """
-    cache = walk.WalkCache("canonical")
-    entries, ledgers = {}, {}
+    cache = walk.WalkCache()
+    entries, ledgers, seconds = {}, {}, {}
     for name in sorted(_SUITES):
+        start = time.perf_counter()
         entries[name], ledgers[name] = _SUITES[name](cfg, cache)
+        seconds[name] = time.perf_counter() - start
     report = {
         "config": {"t_max": cfg.t_max, "order": cfg.order, "m_max": cfg.m_max,
                    "quad_t_max": cfg.quad_t_max, "tol": cfg.tol, "seed": cfg.seed,
@@ -268,7 +274,7 @@ def run_verify(cfg: VerifyConfig) -> tuple:
         "suites": entries,
         "all_passed": all(e["passed"] for e in entries.values()),
     }
-    return report, ledgers
+    return report, ledgers, seconds
 
 
 def _ledger_summary(ledgers: list) -> str:
@@ -282,18 +288,22 @@ def cmd_verify(args) -> int:
     cfg = VerifyConfig(t_max=args.t_max, order=args.order, m_max=args.m_max,
                        quad_t_max=args.quad_t_max, tol=args.tol, seed=args.seed,
                        inject_fault=args.inject_fault)
-    report, ledgers = run_verify(cfg)
+    report, ledgers, seconds = run_verify(cfg)
     payload = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if args.report == "-":
         sys.stdout.write(payload)
+        summary = sys.stderr  # stdout holds only the JSON
     else:
         with open(args.report, "w") as fh:
             fh.write(payload)
+        summary = sys.stdout
     for name, entry in report["suites"].items():
         status = "PASS" if entry["passed"] else "FAIL"
         vac = " (vacuous)" if entry.get("vacuous") else ""
         print(f"{status:4s} {name}{vac}: {entry['detail']}; "
-              f"{_ledger_summary(ledgers[name])}")
+              f"{_ledger_summary(ledgers[name])}", file=summary)
+    for name, wall in seconds.items():
+        print(f"time {name}: {wall:.3f} s", file=sys.stderr)
     return 0 if report["all_passed"] else 1
 
 

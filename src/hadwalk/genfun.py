@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal
 
@@ -37,8 +36,6 @@ from .ring import RationalSeries, Sqrt2Scalar, random_rational_series
 from .walk import WalkCache
 
 __all__ = [
-    "GenFunSpec",
-    "SrivastavaSinghalSpec",
     "closed_form_series",
     "definitional_series",
     "check_intermediate_relations",
@@ -53,41 +50,35 @@ __all__ = [
 Family = Literal["F", "G", "H", "I"]
 
 
-@dataclass(frozen=True)
-class GenFunSpec:
-    family: Family
-    m: int
-    order: int
-
-    def __post_init__(self):
-        if self.family not in ("F", "G", "H", "I"):
-            raise ValueError(f"unknown family {self.family!r}")
-        if self.m < 0:
-            raise ValueError("m must be nonnegative")
-        if self.order < self.m:
-            raise ValueError("order must be at least m")
+def _check_series(family: Family, m: int, order: int) -> None:
+    if family not in ("F", "G", "H", "I"):
+        raise ValueError(f"unknown family {family!r}")
+    if m < 0:
+        raise ValueError("m must be nonnegative")
+    if order < m:
+        raise ValueError("order must be at least m")
 
 
 def _sqrt_one_plus_z2(order: int) -> RationalSeries:
     return RationalSeries.polynomial([1, 0, 1], order).sqrt()
 
 
-def closed_form_series(spec: GenFunSpec) -> RationalSeries:
-    """Exact truncated series of the closed form for the requested family."""
-    order, m = spec.order, spec.m
+def closed_form_series(family: Family, m: int, order: int) -> RationalSeries:
+    """Exact truncated series of the closed form of ``family``'s m-th series."""
+    _check_series(family, m, order)
     root = _sqrt_one_plus_z2(order)
     big_d = RationalSeries.polynomial([1, -1], order) + root
     one_plus_z = RationalSeries.polynomial([1, 1], order)
 
-    if spec.family == "F":
+    if family == "F":
         body = (root * big_d.pow_int(2 * m)).reciprocal().shift(m)
         return body * Sqrt2Scalar(Fraction(2) ** (m - 1), 1)
-    if spec.family == "G":
+    if family == "G":
         if m == 0:
             return (root * big_d).reciprocal().shift(1)
         body = (root * big_d.pow_int(2 * m - 1)).reciprocal().shift(m)
         return body * Sqrt2Scalar(-(Fraction(2) ** (m - 1)))
-    if spec.family == "H":
+    if family == "H":
         body = one_plus_z * (root * big_d.pow_int(2 * m + 1)).reciprocal()
         return body.shift(m) * Sqrt2Scalar(-(Fraction(2) ** (m - 1)), 1)
     # family I
@@ -112,21 +103,22 @@ def _i_boundary(m: int) -> Fraction:
     return Fraction(1, 2 ** (m + 1)) * j
 
 
-def definitional_series(spec: GenFunSpec, walk: WalkCache) -> RationalSeries:
+def definitional_series(family: Family, m: int, order: int,
+                        walk: WalkCache) -> RationalSeries:
     """Series whose coefficient t is the exact simulator amplitude."""
-    order, m = spec.order, spec.m
+    _check_series(family, m, order)
     coeffs = [Fraction(0)] * m  # t < m: position 2m (or 2m+1) is outside the light cone
-    if spec.family == "F":
+    if family == "F":
         for t in range(m, order + 1):
             # amplitude mantissa * sqrt(2)^(-(2t+1)) == (mantissa/2^(t+1)) * sqrt2
             mantissa = walk.state(2 * t + 1).mantissa_r(2 * m + 1)
             coeffs.append(Fraction(mantissa, 2 ** (t + 1)))
         return RationalSeries(coeffs, order, grade=1)
-    if spec.family == "G":
+    if family == "G":
         for t in range(m, order + 1):
             coeffs.append(Fraction(walk.state(2 * t).mantissa_r(2 * m), 2**t))
         return RationalSeries(coeffs, order)
-    if spec.family == "H":
+    if family == "H":
         coeffs.append(_h_boundary(m))
         for t in range(m + 1, order + 1):
             frac = Fraction(2 * t + 1, 2 * (t - m))
@@ -162,11 +154,11 @@ def check_intermediate_relations(walk: WalkCache, m_max: int, order: int) -> Led
     one_plus_z = RationalSeries.polynomial([1, 1], order)
     two_minus_z = RationalSeries.polynomial([2, -1], order)
     for m in range(m_max + 1):
-        f_m = definitional_series(GenFunSpec("F", m, order), walk)
-        f_m1 = definitional_series(GenFunSpec("F", m + 1, order), walk)
-        f_mm1 = definitional_series(GenFunSpec("F", abs(m - 1), order), walk)
-        h_m = definitional_series(GenFunSpec("H", m, order), walk)
-        i_m = definitional_series(GenFunSpec("I", m, order), walk)
+        f_m = definitional_series("F", m, order, walk)
+        f_m1 = definitional_series("F", m + 1, order, walk)
+        f_mm1 = definitional_series("F", abs(m - 1), order, walk)
+        h_m = definitional_series("H", m, order, walk)
+        i_m = definitional_series("I", m, order, walk)
 
         rhs_h = one_plus_z * one_minus_z.reciprocal() * (f_m1 - f_m) / 2
         ledger.record("H bridge", (m, _first_mismatch(rhs_h, h_m)), rhs_h == h_m)
@@ -219,10 +211,9 @@ def equivalence_ledger(walk: WalkCache, m_max: int = 10, order: int = 40
     one_plus_z = RationalSeries.polynomial([1, 1], order)
     for m in range(m_max + 1):
         for fam in "FGHI":
-            spec = GenFunSpec(fam, m, order)
-            closed = closed_form_series(spec)
+            closed = closed_form_series(fam, m, order)
             rep.record(f"{fam}: definitional == closed", (fam, m),
-                       definitional_series(spec, walk) == closed)
+                       definitional_series(fam, m, order, walk) == closed)
             # reassemble the closed form from the Jacobi generating function
             if fam == "F":
                 alt = (jacobi_generating(0, 2 * m, 0, order).shift(m)
@@ -316,14 +307,20 @@ def lagrange_invert(phi: RationalSeries, f: RationalSeries) -> RationalSeries:
     return RationalSeries(out, order)
 
 
-@dataclass(frozen=True)
-class SrivastavaSinghalSpec:
-    """Parameters of the implicit generating function
+def _binomial_power(c: Fraction, sign: int, order: int) -> RationalSeries:
+    """(1 + sign*u)^c as a series in u, rational exponent allowed."""
+    base = RationalSeries.polynomial([1, sign], order)
+    return base.pow_rational(c)
+
+
+def srivastava_singhal_series(a, b, gamma, beta, order: int) -> RationalSeries:
+    """Implicit generating function for exact rationals a, b, gamma and beta:
 
         sum_j J_j^{(gamma + a j, beta + b j)}(0) z^j
           = (1+v)^(gamma+1) (1+u)^(beta+1) / (1 - a v - b u - (1+a+b) u v)
 
-    with v = -u and u(z) solving -u = (z/2) (1-u)^(1+a) (1+u)^(1+b).
+    with v = -u and u(z) solving -u = (z/2) (1-u)^(1+a) (1+u)^(1+b), by
+    Lagrange inversion.
 
     The coupling (gamma with v, beta with u) is forced by re-deriving the sum
     through the coefficient identity J_n^{(r,s)}(0) = [mu^n] 2^(-n)
@@ -331,31 +328,11 @@ class SrivastavaSinghalSpec:
     print the couplings interchanged only agree on the a = b, gamma = beta
     diagonal.  The slope-1 test pins this orientation.
     """
-
-    a: Fraction
-    b: Fraction
-    gamma: Fraction
-    beta: Fraction
-    order: int
-
-    def __post_init__(self):
-        for name in ("a", "b", "gamma", "beta"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, Fraction)):
-                raise TypeError(f"parameter {name} must be an exact rational")
-
-
-def _binomial_power(c: Fraction, sign: int, order: int) -> RationalSeries:
-    """(1 + sign*u)^c as a series in u, rational exponent allowed."""
-    base = RationalSeries.polynomial([1, sign], order)
-    return base.pow_rational(c)
-
-
-def srivastava_singhal_series(spec: SrivastavaSinghalSpec) -> RationalSeries:
-    """Solve the implicit equation by Lagrange inversion and assemble the sum."""
-    order = spec.order
-    a, b = Fraction(spec.a), Fraction(spec.b)
-    gamma, beta = Fraction(spec.gamma), Fraction(spec.beta)
+    for name, value in (("a", a), ("b", b), ("gamma", gamma), ("beta", beta)):
+        if not isinstance(value, (int, Fraction)):
+            raise TypeError(f"parameter {name} must be an exact rational")
+    a, b = Fraction(a), Fraction(b)
+    gamma, beta = Fraction(gamma), Fraction(beta)
 
     # u = z * phihat(u) with phihat(u) = -(1/2)(1-u)^(1+a) (1+u)^(1+b)
     phihat = (_binomial_power(1 + a, -1, order)
@@ -401,8 +378,7 @@ def check_lagrange(order: int, implicit_order: int, seed: int = 0) -> Ledger:
         phi_rand = random_rational_series(rng, order, constant=1)
         w = lagrange_invert(phi_rand, ident)
         ledger.record("w == z phi(w)", trial, phi_rand.compose(w).shift(1) == w)
-    implicit = srivastava_singhal_series(
-        SrivastavaSinghalSpec(0, 0, 0, 0, implicit_order))
+    implicit = srivastava_singhal_series(0, 0, 0, 0, implicit_order)
     ledger.record("implicit series", "a=b=gamma=beta=0",
                   implicit == jacobi_generating(0, 0, 0, implicit_order))
     return ledger

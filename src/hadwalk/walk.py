@@ -1,28 +1,27 @@
-"""Exact simulation of the Hadamard walk on the integer line.
+"""The integer simulator: exact evolution of the Hadamard walk on the line.
 
 Amplitudes at time t are integers times sqrt(2)**(-t); the common 1/sqrt(2)
 per step lives in that exponent, so stepping is pure integer arithmetic and
 unitarity is the exact statement sum(mantissa**2) == 2**t.
 
-Two step orientations are exposed.  ``as-printed`` is the recursion
-
-    psi_R(n, t+1) =  psi_L(n+1, t) + psi_R(n-1, t)
-    psi_L(n, t+1) = -psi_L(n+1, t) + psi_R(n-1, t)
-
-``canonical`` is the orientation that reproduces the momentum-integral
-representations (the one the closed forms and asymptotics here are written
-against; pinned by tests, not assumed):
+The one step rule is the canonical orientation, the one that reproduces the
+momentum-integral representations (the closed forms and asymptotics here are
+written against it; pinned by tests, not assumed):
 
     psi_R(n, t+1) = psi_L(n-1, t) - psi_R(n-1, t)
     psi_L(n, t+1) = psi_R(n+1, t) + psi_L(n+1, t)
 
-The two walks are related componentwise by
+The ``as-printed`` orientation of the source is not a second walk but a
+relabelling of this one (``as_printed``):
 
-    psi_R^canonical(n, t) = psi_R^printed(-n, t)
-    psi_L^canonical(n, t) = (-1)**t * psi_L^printed(n, t)
+    psi_R^printed(n, t) = psi_R(-n, t)
+    psi_L^printed(n, t) = (-1)**t * psi_L(n, t)
 
-which is *not* a plain mirror image; see the package documentation for how
-this was pinned down empirically.
+which is *not* a plain mirror image.  The tests check it state for state
+against the printed recursion
+
+    psi_R(n, t+1) =  psi_L(n+1, t) + psi_R(n-1, t)
+    psi_L(n, t+1) = -psi_L(n+1, t) + psi_R(n-1, t)
 """
 
 from __future__ import annotations
@@ -30,8 +29,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .ring import Sqrt2Scalar
 
@@ -44,19 +41,13 @@ __all__ = [
     "probability",
     "norm_squared_mantissas",
     "mantissa_to_float",
-    "coin_matrix",
-    "fourier_evolve",
-    "AliasingError",
+    "as_printed",
     "ORIENTATIONS",
 ]
 
 ORIENTATIONS = ("canonical", "as-printed")
 
 _SQRT2 = math.sqrt(2.0)
-
-
-class AliasingError(ValueError):
-    """Momentum grid too small to reconstruct the state without aliasing."""
 
 
 @dataclass(frozen=True)
@@ -101,43 +92,29 @@ def initial_state() -> WalkState:
     return WalkState(0, (0,), (1,))
 
 
-def step(state: WalkState, orientation: str = "canonical") -> WalkState:
+def step(state: WalkState) -> WalkState:
     """One time step; the 1/sqrt(2) is carried by the halftime exponent."""
-    if orientation not in ORIENTATIONS:
-        raise ValueError(f"unknown orientation {orientation!r}")
     t = state.t
     size = 2 * t + 3
     new_r = [0] * size
     new_l = [0] * size
     old_r = state.psi_r
     old_l = state.psi_l
-    if orientation == "canonical":
-        # contribution view: site p sends (l - r) to R(p+1) and (r + l) to L(p-1)
-        for i in range(2 * t + 1):
-            r = old_r[i]
-            l = old_l[i]
-            if r or l:
-                new_r[i + 2] += l - r
-                new_l[i] += r + l
-    else:
-        # site p sends l to R(p-1), -l to L(p-1), r to R(p+1), r to L(p+1)
-        for i in range(2 * t + 1):
-            r = old_r[i]
-            l = old_l[i]
-            if l:
-                new_r[i] += l
-                new_l[i] -= l
-            if r:
-                new_r[i + 2] += r
-                new_l[i + 2] += r
+    # contribution view: site p sends (l - r) to R(p+1) and (r + l) to L(p-1)
+    for i in range(2 * t + 1):
+        r = old_r[i]
+        l = old_l[i]
+        if r or l:
+            new_r[i + 2] += l - r
+            new_l[i] += r + l
     return WalkState(t + 1, tuple(new_r), tuple(new_l))
 
 
-def evolve(state: WalkState, steps: int, orientation: str = "canonical") -> WalkState:
+def evolve(state: WalkState, steps: int) -> WalkState:
     if steps < 0:
         raise ValueError("steps must be nonnegative")
     for _ in range(steps):
-        state = step(state, orientation)
+        state = step(state)
     return state
 
 
@@ -154,19 +131,16 @@ def probability(state: WalkState, n: int) -> Fraction:
 
 
 class WalkCache:
-    """Lazily extended list of states for one orientation, and nothing more."""
+    """Lazily extended list of states, and nothing more."""
 
-    def __init__(self, orientation: str = "canonical"):
-        if orientation not in ORIENTATIONS:
-            raise ValueError(f"unknown orientation {orientation!r}")
-        self.orientation = orientation
+    def __init__(self):
         self._states = [initial_state()]
 
     def state(self, t: int) -> WalkState:
         if t < 0:
             raise ValueError("time must be nonnegative")
         while len(self._states) <= t:
-            self._states.append(step(self._states[-1], self.orientation))
+            self._states.append(step(self._states[-1]))
         return self._states[t]
 
 
@@ -180,45 +154,7 @@ def mantissa_to_float(mantissa: int, t: int) -> float:
     return val
 
 
-def coin_matrix(theta) -> np.ndarray:
-    """Momentum-space step matrix (the 1/sqrt(2) Hadamard factor included).
-
-    ``theta`` may be an array of angles; the result then has shape
-    ``theta.shape + (2, 2)``.
-    """
-    em = np.exp(-1j * np.asarray(theta, dtype=float))
-    ep = np.conj(em)
-    rows = (np.stack([em, em], axis=-1), np.stack([ep, -ep], axis=-1))
-    return np.stack(rows, axis=-2) / _SQRT2
-
-
-def fourier_evolve(t: int, grid: int) -> tuple:
-    """Reconstruct the canonical state at time t from momentum-space evolution.
-
-    Applies coin_matrix(theta)**t to (1, 0) on a ``grid``-point theta grid and
-    inverse-transforms.  Returns (psi_r, psi_l) as float arrays over n=-t..t.
-    The grid must be even and at least 4t (the state is a trigonometric
-    polynomial of degree t, so this is alias-free with margin).
-    """
-    if t < 0:
-        raise ValueError("time must be nonnegative")
-    if grid % 2 or grid < max(4, 4 * t):
-        raise AliasingError(f"grid {grid} too small for t={t}; need even >= {max(4, 4 * t)}")
-    thetas = 2.0 * math.pi * np.arange(grid) / grid
-    acc = np.broadcast_to(np.eye(2, dtype=complex), (grid, 2, 2)).copy()
-    base = coin_matrix(thetas)
-    power = t
-    while power:
-        if power & 1:
-            acc = base @ acc
-        power >>= 1
-        if power:
-            base = base @ base
-
-    vec = acc[:, :, 0]  # evolution applied to (1, 0)^T
-    ns = np.arange(-t, t + 1)
-    kernel = np.exp(-1j * np.outer(ns, thetas)) / grid
-    # canonical labels swap the component roles of the momentum-space vector
-    psi_l = kernel @ vec[:, 0]
-    psi_r = kernel @ vec[:, 1]
-    return psi_r.real, psi_l.real
+def as_printed(state: WalkState) -> WalkState:
+    """The same state in the source's printed labels: R mirrored, L times (-1)**t."""
+    sign = -1 if state.t % 2 else 1
+    return WalkState(state.t, state.psi_r[::-1], tuple(sign * m for m in state.psi_l))

@@ -15,7 +15,7 @@ from hadwalk import asymptotics, genfun, jacobi, walk
 
 @pytest.fixture(scope="module")
 def cache400():
-    c = walk.WalkCache("canonical")
+    c = walk.WalkCache()
     c.state(400)
     return c
 

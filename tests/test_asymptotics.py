@@ -36,7 +36,7 @@ def exact(cache, n, t):
 
 @pytest.fixture(scope="module")
 def walk400():
-    cache = WalkCache("canonical")
+    cache = WalkCache()
     cache.state(400)
     return cache
 

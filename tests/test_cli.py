@@ -59,6 +59,14 @@ class TestSimulate:
         assert printed["-1"]["psiR"] == "1*2^(-1/2)"
         assert printed["-1"]["psiL"] == "-1*2^(-1/2)"
 
+    @pytest.mark.parametrize("orientation", ["canonical", "as-printed"])
+    def test_table_pinned(self, tmp_path, orientation):
+        out = tmp_path / "walk.csv"
+        code = main(["simulate", "--t", "40", "--orientation", orientation,
+                     "--out", str(out)])
+        assert code == 0
+        assert out.read_bytes() == (DATA / f"simulate-t40-{orientation}.csv").read_bytes()
+
     def test_deterministic_output(self, tmp_path):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
@@ -171,8 +179,24 @@ class TestVerify:
         code = main(["verify", "--t-max", "6", "--order", "4", "--m-max", "1",
                      "--quad-t-max", "2", "--report", "-"])
         assert code == 0
-        out = capsys.readouterr().out
-        assert '"all_passed": true' in out
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["all_passed"] is True
+        # the suite lines move to stderr, ahead of the timings
+        assert captured.err.splitlines()[0].startswith("PASS exact-equivalence: ")
+
+    def test_suite_seconds_on_stderr(self, tmp_path, capsys):
+        code, _ = run_pinned_verify(
+            tmp_path, "verify-pass.json",
+            ["--t-max", "12", "--order", "8", "--m-max", "2", "--quad-t-max", "6"])
+        assert code == 0
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert [line.partition(": ")[0] for line in lines] == [
+            f"time {name}" for name in sorted(cli._SUITES)]
+        for line in lines:
+            seconds, unit = line.partition(": ")[2].split(" ")
+            assert float(seconds) >= 0 and unit == "s"
+        assert "time" not in captured.out
 
 
 class TestAsymptoticsCmd:

@@ -5,8 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hadwalk.genfun import (GenFunSpec, SrivastavaSinghalSpec,
-                            check_intermediate_relations, closed_form_series,
+from hadwalk.genfun import (check_intermediate_relations, closed_form_series,
                             definitional_series, equivalence_ledger,
                             jacobi_generating, lagrange_invert,
                             srivastava_singhal_series)
@@ -17,43 +16,43 @@ from hadwalk.walk import WalkCache
 
 @pytest.fixture(scope="module")
 def walk():
-    cache = WalkCache("canonical")
+    cache = WalkCache()
     cache.state(41)
     return cache
 
 
 class TestClosedForms:
     def test_f0_low_coefficients(self):
-        s = closed_form_series(GenFunSpec("F", 0, 3))
+        s = closed_form_series("F", 0, 3)
         assert s.coefficient(0) == Sqrt2Scalar(Fraction(1, 2), 1)    # 2^(-1/2)
         assert s.coefficient(1).is_zero
         assert s.coefficient(2) == Sqrt2Scalar(Fraction(-1, 4), 1)   # -2^(-3/2)
 
     def test_g0_and_i0_constants(self):
-        assert closed_form_series(GenFunSpec("G", 0, 5)).coefficient(0).is_zero
-        assert closed_form_series(GenFunSpec("I", 0, 5)).coefficient(0) == Sqrt2Scalar(1)
+        assert closed_form_series("G", 0, 5).coefficient(0).is_zero
+        assert closed_form_series("I", 0, 5).coefficient(0) == Sqrt2Scalar(1)
 
     def test_h0_constant_is_negative(self):
         # the left-series boundary value: psiTilde_L(1,1) = -2^(-3/2)
-        got = closed_form_series(GenFunSpec("H", 0, 5)).coefficient(0)
+        got = closed_form_series("H", 0, 5).coefficient(0)
         assert got == Sqrt2Scalar(Fraction(-1, 4), 1)
 
     def test_order_validation(self):
         with pytest.raises(ValueError, match="order"):
-            GenFunSpec("F", 5, 3)
+            closed_form_series("F", 5, 3)
         with pytest.raises(ValueError, match="family"):
-            GenFunSpec("Q", 0, 3)
+            definitional_series("Q", 0, 3, WalkCache())
 
 
 class TestDefinitionalVsClosed:
     @pytest.mark.parametrize("family", "FGHI")
     @pytest.mark.parametrize("m", [0, 1, 2, 4])
     def test_exact_agreement(self, walk, family, m):
-        spec = GenFunSpec(family, m, 16)
-        assert definitional_series(spec, walk) == closed_form_series(spec)
+        assert (definitional_series(family, m, 16, walk)
+                == closed_form_series(family, m, 16))
 
     def test_leading_zeros_below_m(self, walk):
-        s = definitional_series(GenFunSpec("I", 3, 10), walk)
+        s = definitional_series("I", 3, 10, walk)
         for t in range(3):
             assert s.coefficient(t).is_zero
 
@@ -175,26 +174,24 @@ class TestLagrange:
 
 class TestSrivastavaSinghal:
     def test_walk_case_equals_reciprocal_root(self):
-        spec = SrivastavaSinghalSpec(0, 0, 0, 0, 40)
-        assert srivastava_singhal_series(spec) == jacobi_generating(0, 0, 0, 40)
+        assert srivastava_singhal_series(0, 0, 0, 0, 40) == jacobi_generating(0, 0, 0, 40)
 
     def test_order_zero_coefficient(self):
-        s = srivastava_singhal_series(SrivastavaSinghalSpec(0, 1, 0, 0, 8))
+        s = srivastava_singhal_series(0, 1, 0, 0, 8)
         assert s.coefficient(0) == Sqrt2Scalar(1)
 
     def test_parameter_slope_one(self):
         # a=gamma=0, b=1, beta=0 enumerates J_j^{(0,j)}(0)
-        s = srivastava_singhal_series(SrivastavaSinghalSpec(0, 1, 0, 0, 10))
+        s = srivastava_singhal_series(0, 1, 0, 0, 10)
         for j in range(11):
             assert s.coefficient(j) == Sqrt2Scalar(jacobi_at(j, 0, j)), j
 
     def test_rejects_inexact_parameters(self):
         with pytest.raises(TypeError, match="exact rational"):
-            SrivastavaSinghalSpec(0.5, 0, 0, 0, 8)
+            srivastava_singhal_series(0.5, 0, 0, 0, 8)
 
     def test_implicit_solution_leading_terms(self):
         # -u = (z/2)(1-u)(1+u): u = -z/2 + O(z^3)
-        spec = SrivastavaSinghalSpec(0, 0, 0, 0, 6)
         phihat = (RationalSeries.polynomial([1, -1], 6).pow_rational(1)
                   * RationalSeries.polynomial([1, 1], 6).pow_rational(1) / (-2))
         u = lagrange_invert(phihat, RationalSeries.z(6))

@@ -14,7 +14,7 @@ from hadwalk.walk import WalkCache
 
 @pytest.fixture(scope="module")
 def walk60():
-    cache = WalkCache("canonical")
+    cache = WalkCache()
     cache.state(60)
     return cache
 
@@ -132,7 +132,7 @@ class TestClosedForms:
                 assert lhs == rhs, (n, t)
 
     def test_center_forms_to_t200(self):
-        cache = WalkCache("canonical")
+        cache = WalkCache()
         cache.state(200)
         for t in range(2, 201, 2):
             assert psi_center_r(t) == cache.state(t).amp_r(0), t
