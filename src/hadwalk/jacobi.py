@@ -11,8 +11,12 @@ against it rather than used as definitions.  J with negative degree is 0.
 The sum is evaluated in integers: with x = p/q in lowest terms, each term is
 C(k+r, j) C(k+s, k-j) (p-q)^{k-j} (p+q)^j / (2q)^k.  Both binomial rows are
 built as ints by c_{i+1} = c_i (a-i) // (i+1), a division that is exact for
-every integer a, and the integer numerator is divided by (2q)^k once, at the
-end.  Nothing is cached between calls.
+every integer a.  The integer numerator N = (2q)^k J_k^{(r,s)}(p/q) is summed
+in Horner order, N <- N (p-q) + C(k+r, j) C(k+s, k-j) (p+q)^j for j = 0..k,
+carrying the power of (p+q) along.  ``jacobi_at`` divides N by (2q)^k once;
+``check_jacobi_identities`` never divides, but compares each identity
+multiplied through by (2q)^k as integers.  Nothing is cached, within a call
+or between calls.
 
 The closed forms here are written for the canonical walk orientation (the one
 matching the momentum-integral representations).  Note the left-amplitude sign
@@ -60,17 +64,24 @@ def _binomial_row(a: int, k: int) -> list:
     return row
 
 
+def _jacobi_numerator(k: int, r: int, s: int, p: int, q: int) -> int:
+    """(2q)^k J_k^{(r,s)}(p/q) as an int, q > 0; 0 for k < 0 (empty sum)."""
+    left, right = _binomial_row(k + r, k), _binomial_row(k + s, k)
+    minus, plus = p - q, p + q
+    total, power = 0, 1
+    for j in range(k + 1):
+        total = total * minus + left[j] * right[k - j] * power
+        power *= plus
+    return total
+
+
 def jacobi_at(k: int, r: int, s: int, x=Fraction(0)) -> Fraction:
     """Degree-k Jacobi polynomial with integer parameters at rational x."""
     if k < 0:
         return Fraction(0)
     x = Fraction(x)
-    p, q = x.numerator, x.denominator
-    left = _binomial_row(k + r, k)
-    right = _binomial_row(k + s, k)
-    total = sum(left[j] * right[k - j] * (p - q) ** (k - j) * (p + q) ** j
-                for j in range(k + 1))
-    return Fraction(total, (2 * q) ** k)
+    q = x.denominator
+    return Fraction(_jacobi_numerator(k, r, s, x.numerator, q), (2 * q) ** k)
 
 
 def _sign(exponent: int) -> int:
@@ -182,28 +193,39 @@ def check_jacobi_identities(m_max: int = 20, uv_max: int = 6,
     reflection:          J_n^{(r,s)}(-x) == (-1)^n J_n^{(s,r)}(x)
     contiguous:          (u+v+2k) J_k^{(u,v-1)}(x)
                            == (u+v+k) J_k^{(u,v)}(x) + (u+k) J_{k-1}^{(u,v)}(x)
+
+    With x = p/q and N(k,r,s; p) = (2q)^k J_k^{(r,s)}(p/q), the Horner-order
+    integer sum (0 for k < 0), each is compared times (2q)^(top degree):
+
+        C(m,l) N(m,u,-l; p) == C(m+u,l) (p+q)^l N(m-l,u,l; p)
+        N(n,r,s; -p) == (-1)^n N(n,s,r; p)
+        (u+v+2k) N(k,u,v-1; p) == (u+v+k) N(k,u,v; p) + (u+k) 2q N(k-1,u,v; p)
+
+    Every N is summed afresh, with nothing cached within or between calls.
+    Witnesses keep x as a Fraction.
     """
     report = Ledger("Jacobi identities")
     xs = tuple(Fraction(x) for x in xs)
     for x in xs:
+        p, q = x.numerator, x.denominator
         for m in range(m_max + 1):
             for u in range(uv_max + 1):
                 for ell in range(m + 1):
-                    lhs = math.comb(m, ell) * jacobi_at(m, u, -ell, x)
-                    rhs = (math.comb(m + u, ell) * ((1 + x) / 2) ** ell
-                           * jacobi_at(m - ell, u, ell, x))
+                    lhs = math.comb(m, ell) * _jacobi_numerator(m, u, -ell, p, q)
+                    rhs = (math.comb(m + u, ell) * (p + q) ** ell
+                           * _jacobi_numerator(m - ell, u, ell, p, q))
                     report.record("parameter-lowering", (m, u, ell, x), lhs == rhs)
         for n in range(m_max + 1):
             for r in range(uv_max + 1):
                 for s in range(uv_max + 1):
-                    lhs = jacobi_at(n, r, s, -x)
-                    rhs = (-1) ** n * jacobi_at(n, s, r, x)
+                    lhs = _jacobi_numerator(n, r, s, -p, q)
+                    rhs = _sign(n) * _jacobi_numerator(n, s, r, p, q)
                     report.record("reflection", (n, r, s, x), lhs == rhs)
         for k in range(m_max + 1):
             for u in range(uv_max + 1):
                 for v in range(uv_max + 1):
-                    lhs = (u + v + 2 * k) * jacobi_at(k, u, v - 1, x)
-                    rhs = ((u + v + k) * jacobi_at(k, u, v, x)
-                           + (u + k) * jacobi_at(k - 1, u, v, x))
+                    lhs = (u + v + 2 * k) * _jacobi_numerator(k, u, v - 1, p, q)
+                    rhs = ((u + v + k) * _jacobi_numerator(k, u, v, p, q)
+                           + (u + k) * 2 * q * _jacobi_numerator(k - 1, u, v, p, q))
                     report.record("contiguous", (k, u, v, x), lhs == rhs)
     return report

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hadwalk import jacobi
 from hadwalk.jacobi import (binomial, check_jacobi_identities, check_reflections,
                             jacobi_at, psi_center_l, psi_center_r,
                             psi_closed_l, psi_closed_r)
+from hadwalk.ledger import Ledger
 from hadwalk.ring import Sqrt2Scalar
 from hadwalk.walk import WalkCache
 
@@ -164,7 +167,8 @@ class TestIdentities:
     def test_sweep_is_exact(self):
         report = check_jacobi_identities(m_max=8, uv_max=4)
         assert report.passed, report.failures[:3]
-        assert report.checked > 1000
+        # 3 points x 3 families x 225 instances: a loop that skips cases fails
+        assert report.checked == 2025
 
     def test_parameter_lowering_trivial_at_ell0(self):
         x = Fraction(1, 2)
@@ -208,3 +212,68 @@ class TestIdentities:
         rhs = (binomial(m + u, ell) * ((1 + x) / 2) ** ell
                * jacobi_at(m - ell, u, ell, x))
         assert lhs == rhs
+
+
+def reference_sweep(m_max, uv_max, xs):
+    """The identity sweep in Fractions on ``jacobi_at``, each relation
+    compared as stated with no scaling by (2q)^k: the integer sweep's reference."""
+    report = Ledger("Jacobi identities")
+    for x in xs:
+        for m in range(m_max + 1):
+            for u in range(uv_max + 1):
+                for ell in range(m + 1):
+                    lhs = math.comb(m, ell) * jacobi_at(m, u, -ell, x)
+                    rhs = (math.comb(m + u, ell) * ((1 + x) / 2) ** ell
+                           * jacobi_at(m - ell, u, ell, x))
+                    report.record("parameter-lowering", (m, u, ell, x), lhs == rhs)
+        for n in range(m_max + 1):
+            for r in range(uv_max + 1):
+                for s in range(uv_max + 1):
+                    lhs = jacobi_at(n, r, s, -x)
+                    rhs = (-1) ** n * jacobi_at(n, s, r, x)
+                    report.record("reflection", (n, r, s, x), lhs == rhs)
+        for k in range(m_max + 1):
+            for u in range(uv_max + 1):
+                for v in range(uv_max + 1):
+                    lhs = (u + v + 2 * k) * jacobi_at(k, u, v - 1, x)
+                    rhs = ((u + v + k) * jacobi_at(k, u, v, x)
+                           + (u + k) * jacobi_at(k - 1, u, v, x))
+                    report.record("contiguous", (k, u, v, x), lhs == rhs)
+    return report
+
+
+DEFAULT_XS = (Fraction(0), Fraction(1, 2), Fraction(-1, 2))
+OFF_DEFAULT_XS = (Fraction(3, 7), Fraction(-5, 3), Fraction(2), Fraction(-1))
+
+
+class TestIntegerSweep:
+    """The integer sweep reports exactly what the Fraction sweep reports."""
+
+    @pytest.mark.parametrize("xs", [DEFAULT_XS, OFF_DEFAULT_XS],
+                             ids=["default", "off-default"])
+    def test_matches_reference_sweep(self, xs):
+        new = check_jacobi_identities(m_max=12, uv_max=6, xs=xs)
+        ref = reference_sweep(12, 6, xs)
+        # per point, each family has 637 instances: 91 (m, ell) x 7 u, 13 x 49
+        assert new.checked == ref.checked == len(xs) * 3 * 637
+        assert new.failures == ref.failures == []
+
+    def test_same_failures_when_one_value_is_wrong(self, monkeypatch):
+        exact = jacobi._jacobi_numerator
+        target = (3, 1, 2, Fraction(-1, 2))
+
+        def off_by_one(k, r, s, p, q):
+            value = exact(k, r, s, p, q)
+            return value + 1 if (k, r, s, Fraction(p, q)) == target else value
+
+        monkeypatch.setattr(jacobi, "_jacobi_numerator", off_by_one)
+        new = check_jacobi_identities(m_max=6, uv_max=4)
+        ref = reference_sweep(6, 4, DEFAULT_XS)
+        assert new.checked == ref.checked
+        assert new.failures == ref.failures
+        # the wrong value enters reflections as J(-x) at x = 1/2 and as J(x)
+        # at x = -1/2, and contiguous relations at degrees 3 and 4
+        assert ("reflection", (3, 1, 2, Fraction(1, 2))) in new.failures
+        assert ("reflection", (3, 2, 1, Fraction(-1, 2))) in new.failures
+        assert ("contiguous", (3, 1, 3, Fraction(-1, 2))) in new.failures
+        assert ("contiguous", (4, 1, 2, Fraction(-1, 2))) in new.failures
