@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from hadwalk import asymptotics
 from hadwalk.asymptotics import (ARCSINH1, BranchCutError, ContourReport,
                                  ValidityError, b_pathintegral, btilde,
                                  contour_shift_check, growth_check, omega,
@@ -295,6 +296,47 @@ class TestQuadrature:
         with pytest.raises(QuadratureBudgetError) as excinfo:
             _refine(nasty, -math.pi, math.pi, 1e-12, 64, max_nodes=20_000)
         assert excinfo.value.achieved > 1e-12
+
+
+class TestQuadratureRow:
+    @pytest.mark.parametrize("t, nodes", [(24, 128), (50, 256)])
+    def test_final_node_count(self, t, nodes):
+        # starts at the smallest power of two >= 2t+2 and doubles once
+        row = asymptotics._quadrature_row(t, 1e-10)
+        assert len(row) == t + 1
+        assert {part.node_count for pair in row for part in pair} == {nodes}
+
+    def test_budget_error_reports_achieved_estimate(self, monkeypatch):
+        def nasty(theta, t):
+            wave = np.exp(1j * 3000.0 * np.cos(theta))
+            return np.stack((wave, wave))
+
+        monkeypatch.setattr(asymptotics, "_sample_integrands", nasty)
+        with pytest.raises(asymptotics.QuadratureBudgetError) as excinfo:
+            asymptotics._quadrature_row(24, 1e-10, max_nodes=1 << 12)
+        assert excinfo.value.achieved > 1e-10
+
+    def test_point_oracle_is_a_view_of_the_row(self):
+        row = asymptotics._quadrature_row(18, 1e-10)
+        for n, pair in zip(range(-18, 19, 2), row):
+            assert quadrature_psi(n, 18) == pair
+
+    def test_tolerance_checked_for_every_caller(self, walk400):
+        with pytest.raises(ValueError, match="tolerance"):
+            asymptotics.check_quadrature(walk400, 2, tol=1e-14)
+
+    def test_dropping_one_over_q_fails_the_suite(self, walk400, monkeypatch):
+        # negative control: the oracle is not a tautology of the simulator
+        def without_q(theta, t):
+            phase = np.exp(-1j * np.arcsin(np.sin(theta) * INV_SQRT2) * t)
+            return np.stack((np.exp(1j * theta) * phase, (1.0 + np.cos(theta)) * phase))
+
+        monkeypatch.setattr(asymptotics, "_sample_integrands", without_q)
+        ledger = asymptotics.check_quadrature(walk400, 24, tol=1e-9)
+        assert ledger.checked == 325 and not ledger.passed
+        item, (n, t, deviation) = ledger.failures[0]
+        assert item == "momentum integral" and deviation > 1e-9
+        assert abs(n) <= t <= 24 and (n - t) % 2 == 0
 
 
 class TestContourShift:

@@ -36,6 +36,17 @@ class TestBinomial:
     def test_negative_k(self):
         assert binomial(5, -1) == 0
 
+    def test_row_matches_math_comb(self):
+        # C(a, j) = (-1)^j C(j - a - 1, j) for a < 0
+        def comb_row(a, k):
+            if a >= 0:
+                return [math.comb(a, j) for j in range(k + 1)]
+            return [(-1) ** j * math.comb(j - a - 1, j) for j in range(k + 1)]
+
+        for a in range(-8, 30):
+            for k in range(25):
+                assert jacobi._binomial_row(a, k) == comb_row(a, k), (a, k)
+
 
 def reference_jacobi(k, r, s, x):
     """The explicit sum evaluated term by term in Fractions with the
