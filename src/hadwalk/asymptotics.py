@@ -23,7 +23,13 @@ which the path-integral base b_pathintegral is provably identical.
 The quadrature oracle reads every position at time t from one FFT of the
 momentum integrands sampled at N equispaced nodes: the periodic trapezoid
 rule converges geometrically for integrands analytic in a strip, here
-|Im theta| < arcsinh 1 (Trefethen & Weideman, SIAM Review 56, 2014).
+|Im theta| < arcsinh 1 (Trefethen & Weideman, SIAM Review 56, 2014).  The
+FFT is the module's own radix-2 transform (Cooley & Tukey, Math. Comp. 19,
+1965) on lists of complex numbers; when N doubles it transforms only the new
+midpoint samples and merges them with the previous level's transform.  The
+contour shift uses a 16-point Gauss-Legendre rule whose table is computed at
+import by Newton's method, so the module needs nothing beyond the standard
+library.
 """
 
 from __future__ import annotations
@@ -31,8 +37,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .ledger import Ledger
 from .walk import WalkCache, mantissa_to_float
@@ -218,28 +222,52 @@ def psi_asymptotic(n: int, t: int, eps: float = 1e-3) -> tuple:
 # quadrature oracles
 # ---------------------------------------------------------------------------
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+def _gauss_legendre(n: int) -> tuple:
+    """Ascending nodes and weights of the n-point Gauss-Legendre rule on [-1, 1].
+
+    Newton's method on P_n from x = cos(pi (i + 3/4) / (n + 1/2)), with P_n
+    and P_n' from the three-term recurrence; w = 2 / ((1 - x^2) P_n'(x)^2).
+    """
+    def legendre(x):
+        p0, p1 = 1.0, x
+        for k in range(2, n + 1):
+            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        return p1, n * (x * p1 - p0) / (x * x - 1.0)
+
+    rule = []
+    for i in range(n):
+        x = math.cos(math.pi * (i + 0.75) / (n + 0.5))
+        for _ in range(8):
+            p, dp = legendre(x)
+            x -= p / dp
+        dp = legendre(x)[1]
+        rule.append((x, 2.0 / ((1.0 - x * x) * dp * dp)))
+    rule.sort()
+    return tuple(x for x, _ in rule), tuple(w for _, w in rule)
 
 
-def _panel_integrate(fvec, a: float, b: float, panels: int) -> complex:
-    """Composite 16-point Gauss-Legendre on [a, b] for a vectorized integrand."""
-    edges = np.linspace(a, b, panels + 1)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    halves = 0.5 * (edges[1] - edges[0])
-    thetas = (mids[:, None] + halves * _GL_NODES[None, :]).ravel()
-    vals = fvec(thetas).reshape(panels, -1)
-    return complex(halves * np.sum(vals @ _GL_WEIGHTS))
+_GL_NODES, _GL_WEIGHTS = _gauss_legendre(16)
 
 
-def _refine(fvec, a: float, b: float, tol: float, panels0: int,
+def _panel_integrate(f, a: float, b: float, panels: int) -> complex:
+    """Composite 16-point Gauss-Legendre on [a, b] for a scalar integrand."""
+    half = 0.5 * (b - a) / panels
+    total = 0j
+    for p in range(panels):
+        mid = a + (2 * p + 1) * half
+        total += sum(w * f(mid + half * x) for x, w in zip(_GL_NODES, _GL_WEIGHTS))
+    return half * total
+
+
+def _refine(f, a: float, b: float, tol: float, panels0: int,
             max_nodes: int = 1 << 22) -> tuple:
     """Panel-doubling until two refinements agree; returns (value, est, nodes)."""
     panels = panels0
-    prev = _panel_integrate(fvec, a, b, panels)
+    prev = _panel_integrate(f, a, b, panels)
     nodes = panels * 16
     while True:
         panels *= 2
-        cur = _panel_integrate(fvec, a, b, panels)
+        cur = _panel_integrate(f, a, b, panels)
         nodes += panels * 16
         delta = abs(cur - prev)
         if delta <= tol:
@@ -261,49 +289,110 @@ class QuadratureResult:
         return self.value.real
 
 
-def _sample_integrands(theta, t: int) -> np.ndarray:
-    """Rows e^{i theta}/q e^{-i omega t} and (1 + cos theta/q) e^{-i omega t}:
-    the psi_R, psi_L integrands without e^{-i theta n}, q = sqrt(1 + cos^2 theta)."""
-    om = np.arcsin(np.sin(theta) * _INV_SQRT2)
-    c = np.cos(theta)
-    q = np.sqrt(1.0 + c * c)
-    phase = np.exp(-1j * om * t)
-    return np.stack((np.exp(1j * theta) / q * phase, (1.0 + c / q) * phase))
+def _sample_integrands(thetas, t: int) -> tuple:
+    """Lists e^{i theta}/q e^{-i omega t} and (1 + cos theta/q) e^{-i omega t}
+    over ``thetas``: the psi_R, psi_L integrands without e^{-i theta n},
+    q = sqrt(1 + cos^2 theta); omega is real on the real line."""
+    right, left = [], []
+    for theta in thetas:
+        c, s = math.cos(theta), math.sin(theta)
+        q = math.sqrt(1.0 + c * c)
+        om_t = math.asin(s * _INV_SQRT2) * t
+        phase = complex(math.cos(om_t), -math.sin(om_t))
+        right.append(complex(c, s) / q * phase)
+        left.append((1.0 + c / q) * phase)
+    return right, left
+
+
+def _twiddles(n: int) -> list:
+    """e^{-2 pi i k/n} for k < n/2."""
+    return [complex(math.cos(2.0 * math.pi * k / n), -math.sin(2.0 * math.pi * k / n))
+            for k in range(n // 2)]
+
+
+def _merge(even: list, odd: list, twiddles: list) -> list:
+    """Length-2m DFTs from length-m DFTs of the even- and odd-indexed samples.
+
+    ``even`` and ``odd`` each hold rows of m entries and row r of the result
+    is X[k] = E_r[k mod m] + e^{-i pi k/m} O_r[k mod m]; ``twiddles`` is
+    _twiddles(2m).  The rows are interleaved by whichever of rows and columns
+    is shorter.
+    """
+    m = len(twiddles)
+    rows = len(even) // m
+    odd = [w * o for w, o in zip(twiddles * rows, odd)]
+    low = [e + o for e, o in zip(even, odd)]
+    high = [e - o for e, o in zip(even, odd)]
+    out = [0j] * (2 * len(low))
+    if m <= rows:
+        for k in range(m):
+            out[k::2 * m] = low[k::m]
+            out[m + k::2 * m] = high[k::m]
+    else:
+        for r in range(0, len(low), m):
+            out[2 * r:2 * r + m] = low[r:r + m]
+            out[2 * r + m:2 * r + 2 * m] = high[r:r + m]
+    return out
+
+
+def _fft(x: list, twiddles: list) -> list:
+    """DFT X[k] = sum_j x[j] e^{-2 pi i jk/n}, n = len(x) a power of two and
+    ``twiddles`` = _twiddles(n): iterative radix-2 decimation in time.
+
+    Before the stage that builds length-2m DFTs, row r of ``x`` is the DFT of
+    the samples j = r (mod n/m), so the rows for the even and odd samples of
+    residue r mod n/(2m) are row r of the first and of the second half.
+    """
+    n = len(x)
+    m = 1
+    while m < n:
+        x = _merge(x[:n // 2], x[n // 2:], twiddles[::n // (2 * m)])
+        m *= 2
+    return x
 
 
 def _quadrature_row(t: int, tol: float, max_nodes: int = 1 << 22) -> list:
     """(psi_R, psi_L) QuadratureResult pairs for n = -t, -t+2, ..., t.
 
     At theta_j = -pi + 2 pi j/N the N-node trapezoid sum at n is (-1)^n/N times
-    FFT entry n mod N; no |n| <= t aliases once N >= 2t+2.  Doubling keeps the
+    DFT entry n mod N; no |n| <= t aliases once N >= 2t+2.  Doubling keeps the
     old nodes and stops once no position of either integral changes by more
-    than tol/4 before its 1/(2 pi).  Estimates are the last change plus |imag|
-    and node_count is the final N; QuadratureBudgetError carries the largest
+    than tol/4 before its 1/(2 pi).  The DFT is an in-package radix-2 FFT; a
+    doubling transforms only the N new midpoint samples and merges them with
+    the previous level's transform, so all levels together cost about one
+    FFT of the final size.  Estimates are the last change plus |imag| and
+    node_count is the final N; QuadratureBudgetError carries the largest
     change once N reaches ``max_nodes``.
     """
     if tol < 1e-14:
         raise ValueError("tolerance below attainable double precision")
-    index = np.arange(-t, t + 1, 2)
+    index = range(-t, t + 1, 2)
     nodes = 1 << (2 * t + 1).bit_length()
-    samples = _sample_integrands(np.linspace(-math.pi, math.pi, nodes, endpoint=False), t)
-    prev = np.fft.fft(samples)[:, index % nodes] / nodes
+    step = 2.0 * math.pi / nodes
+    twiddles = _twiddles(nodes)
+    spectra = [_fft(x, twiddles)
+               for x in _sample_integrands([-math.pi + j * step for j in range(nodes)], t)]
+    prev = [[x[n % nodes] / nodes for n in index] for x in spectra]
     while True:
-        mids = -math.pi + (np.arange(nodes) + 0.5) * (2.0 * math.pi / nodes)
-        samples = np.stack((samples, _sample_integrands(mids, t)), axis=-1).reshape(2, -1)
+        mids = _sample_integrands([-math.pi + (j + 0.5) * step for j in range(nodes)], t)
+        twiddles = _twiddles(2 * nodes)
+        spectra = [_merge(x, _fft(m, twiddles[::2]), twiddles)
+                   for x, m in zip(spectra, mids)]
         nodes *= 2
-        cur = np.fft.fft(samples)[:, index % nodes] / nodes
-        change = np.abs(cur - prev)
-        delta = 2.0 * math.pi * float(change.max())
+        step = 2.0 * math.pi / nodes
+        cur = [[x[n % nodes] / nodes for n in index] for x in spectra]
+        change = [[abs(c - p) for c, p in zip(*pair)] for pair in zip(cur, prev)]
+        delta = 2.0 * math.pi * max(map(max, change))
         if delta <= tol * 0.25:
             break
         if nodes >= max_nodes:
             raise QuadratureBudgetError(
                 f"node budget exhausted at estimate {delta:g} (tol {tol * 0.25:g})", delta)
         prev = cur
-    cur *= (-1.0) ** t
-    est = change + np.abs(cur.imag)
-    return [tuple(QuadratureResult(complex(v), float(e), nodes) for v, e in zip(*pair))
-            for pair in zip(cur.T, est.T)]
+    sign = -1.0 if t % 2 else 1.0
+    parts = [[QuadratureResult(sign * v, e + abs(v.imag), nodes) for v, e in zip(*pair)]
+             for pair in zip(cur, change)]
+    return list(zip(*parts))
 
 
 def quadrature_psi(n: int, t: int, tol: float = 1e-10) -> tuple:
@@ -359,9 +448,9 @@ def _reflected_kernel(theta, alpha: float, t: int):
                  * e^{-i (omega - theta alpha) t} d theta,
     analytic on the cut strip; usable on complex paths.
     """
-    om = np.arcsin(np.sin(theta) * _INV_SQRT2)
-    q = np.sqrt((1.0 + np.cos(theta) ** 2).astype(complex))
-    return np.exp(-1j * theta) / q * np.exp(-1j * (om - theta * alpha) * t)
+    om = cmath.asin(cmath.sin(theta) * _INV_SQRT2)
+    q = cmath.sqrt(1.0 + cmath.cos(theta) ** 2)
+    return cmath.exp(-1j * theta) / q * cmath.exp(-1j * (om - theta * alpha) * t)
 
 
 def _segment_integrate(f, za: complex, zb: complex, tol: float) -> tuple:

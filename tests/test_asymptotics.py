@@ -287,15 +287,23 @@ class TestQuadrature:
             quadrature_psi(0, 2, tol=1e-15)
 
     def test_budget_error_reports_achieved_estimate(self):
-        import numpy as np
         from hadwalk.asymptotics import QuadratureBudgetError, _refine
 
         def nasty(theta):
-            return np.exp(1j * 3000.0 * np.cos(theta))
+            return cmath.exp(1j * 3000.0 * math.cos(theta))
 
         with pytest.raises(QuadratureBudgetError) as excinfo:
             _refine(nasty, -math.pi, math.pi, 1e-12, 64, max_nodes=20_000)
         assert excinfo.value.achieved > 1e-12
+
+
+class TestGaussLegendre:
+    def test_table_matches_numpy(self):
+        nodes, weights = np.polynomial.legendre.leggauss(16)
+        assert len(asymptotics._GL_NODES) == len(asymptotics._GL_WEIGHTS) == 16
+        assert np.max(np.abs(np.array(asymptotics._GL_NODES) - nodes)) <= 1e-15
+        assert np.max(np.abs(np.array(asymptotics._GL_WEIGHTS) - weights)) <= 1e-15
+        assert abs(math.fsum(asymptotics._GL_WEIGHTS) - 2.0) <= 1e-15
 
 
 class TestQuadratureRow:
@@ -307,9 +315,9 @@ class TestQuadratureRow:
         assert {part.node_count for pair in row for part in pair} == {nodes}
 
     def test_budget_error_reports_achieved_estimate(self, monkeypatch):
-        def nasty(theta, t):
-            wave = np.exp(1j * 3000.0 * np.cos(theta))
-            return np.stack((wave, wave))
+        def nasty(thetas, t):
+            wave = [cmath.exp(1j * 3000.0 * math.cos(theta)) for theta in thetas]
+            return wave, list(wave)
 
         monkeypatch.setattr(asymptotics, "_sample_integrands", nasty)
         with pytest.raises(asymptotics.QuadratureBudgetError) as excinfo:
@@ -327,9 +335,11 @@ class TestQuadratureRow:
 
     def test_dropping_one_over_q_fails_the_suite(self, walk400, monkeypatch):
         # negative control: the oracle is not a tautology of the simulator
-        def without_q(theta, t):
-            phase = np.exp(-1j * np.arcsin(np.sin(theta) * INV_SQRT2) * t)
-            return np.stack((np.exp(1j * theta) * phase, (1.0 + np.cos(theta)) * phase))
+        def without_q(thetas, t):
+            phases = [cmath.exp(-1j * math.asin(math.sin(theta) * INV_SQRT2) * t)
+                      for theta in thetas]
+            return ([cmath.exp(1j * theta) * phase for theta, phase in zip(thetas, phases)],
+                    [(1.0 + math.cos(theta)) * phase for theta, phase in zip(thetas, phases)])
 
         monkeypatch.setattr(asymptotics, "_sample_integrands", without_q)
         ledger = asymptotics.check_quadrature(walk400, 24, tol=1e-9)

@@ -109,8 +109,8 @@ class TestVerify:
         lines = capsys.readouterr().out.splitlines()
         assert lines[2] == ("PASS jacobi-identity: 5733 identity instances exact; "
                             "checked=5877")
-        assert lines[4] == ("PASS quadrature: max deviation 3.331e-16 through t=6; "
-                            "checked=28 worst=3.331e-16 tol=1e-09")
+        assert lines[4] == ("PASS quadrature: max deviation 3.886e-16 through t=6; "
+                            "checked=28 worst=3.886e-16 tol=1e-09")
 
     def test_fault_injection_fails_symmetry(self, tmp_path):
         code, data = run_pinned_verify(
@@ -331,13 +331,24 @@ class TestAsymptoticsCmd:
 
 
 class TestPackage:
-    def test_import_loads_no_mpmath(self):
-        # numpy is the only runtime dependency pyproject.toml declares
+    def test_runs_without_numpy(self, tmp_path):
+        # the package has no runtime dependency; numpy is a test-only reference
         src = str(Path(hadwalk.__file__).parents[1])
-        code = "import sys, hadwalk, hadwalk.cli; print('mpmath' in sys.modules)"
-        out = subprocess.run([sys.executable, "-c", code], cwd=src, check=True,
-                             capture_output=True, text=True).stdout
-        assert out.strip() == "False"
+        report, table = tmp_path / "verify.json", tmp_path / "decay.csv"
+        code = (
+            "import sys\n"
+            "sys.modules['numpy'] = None\n"
+            "from hadwalk.cli import main\n"
+            "assert main(['verify', '--report', sys.argv[1]]) == 0\n"
+            "assert main(['asymptotics', '--alpha-start=-1.1', '--alpha-stop', '1.1',\n"
+            "             '--alpha-step', '0.1', '--t', '40,10,120,40',\n"
+            "             '--out', sys.argv[2]]) == 0\n"
+            "print('mpmath' in sys.modules)\n")
+        out = subprocess.run([sys.executable, "-c", code, str(report), str(table)],
+                             cwd=src, check=True, capture_output=True, text=True).stdout
+        assert out.splitlines()[-1] == "False"
+        assert report.read_bytes() == (DATA / "verify-default.json").read_bytes()
+        assert table.read_bytes() == (DATA / "asymptotics-grid.csv").read_bytes()
 
 
 # Every token below is one argparse accepts, so each vector reaches the command.
