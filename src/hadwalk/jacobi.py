@@ -13,10 +13,12 @@ C(k+r, j) C(k+s, k-j) (p-q)^{k-j} (p+q)^j / (2q)^k.  Both binomial rows are
 built as ints by c_{i+1} = c_i (a-i) // (i+1), a division that is exact for
 every integer a.  The integer numerator N = (2q)^k J_k^{(r,s)}(p/q) is summed
 in Horner order, N <- N (p-q) + C(k+r, j) C(k+s, k-j) (p+q)^j for j = 0..k,
-carrying the power of (p+q) along.  ``jacobi_at`` divides N by (2q)^k once;
+carrying the power of (p+q) along; one core, ``_horner_numerator``, does this
+for every caller.  ``jacobi_at`` divides N by (2q)^k once;
 ``check_jacobi_identities`` never divides, but compares each identity
-multiplied through by (2q)^k as integers.  Nothing is cached, within a call
-or between calls.
+multiplied through by (2q)^k as integers.  The sweep builds each binomial row
+once per call and each N of its (k, u, v) box once per point; nothing
+persists between calls.
 
 The closed forms here are written for the canonical walk orientation (the one
 matching the momentum-integral representations).  Note the left-amplitude sign
@@ -64,9 +66,11 @@ def _binomial_row(a: int, k: int) -> list:
     return row
 
 
-def _jacobi_numerator(k: int, r: int, s: int, p: int, q: int) -> int:
-    """(2q)^k J_k^{(r,s)}(p/q) as an int, q > 0; 0 for k < 0 (empty sum)."""
-    left, right = _binomial_row(k + r, k), _binomial_row(k + s, k)
+def _horner_numerator(k: int, left: list, right: list, p: int, q: int) -> int:
+    """sum_j left[j] right[k-j] (p-q)^(k-j) (p+q)^j over j = 0..k, in Horner
+    order; 0 for k < 0 (empty sum).  With rows starting C(k+r, .) and
+    C(k+s, .) this is (2q)^k J_k^{(r,s)}(p/q); longer rows are read as prefixes.
+    """
     minus, plus = p - q, p + q
     total, power = 0, 1
     for j in range(k + 1):
@@ -81,7 +85,9 @@ def jacobi_at(k: int, r: int, s: int, x=Fraction(0)) -> Fraction:
         return Fraction(0)
     x = Fraction(x)
     q = x.denominator
-    return Fraction(_jacobi_numerator(k, r, s, x.numerator, q), (2 * q) ** k)
+    numerator = _horner_numerator(k, _binomial_row(k + r, k), _binomial_row(k + s, k),
+                                  x.numerator, q)
+    return Fraction(numerator, (2 * q) ** k)
 
 
 def _sign(exponent: int) -> int:
@@ -201,31 +207,49 @@ def check_jacobi_identities(m_max: int = 20, uv_max: int = 6,
         N(n,r,s; -p) == (-1)^n N(n,s,r; p)
         (u+v+2k) N(k,u,v-1; p) == (u+v+k) N(k,u,v; p) + (u+k) 2q N(k-1,u,v; p)
 
-    Every N is summed afresh, with nothing cached within or between calls.
+    Each binomial row C(a, 0..m_max), -1 <= a <= m_max + uv_max, is built
+    once per call.  Per point, the box N(k,u,v; p) for 0 <= k <= m_max,
+    0 <= u <= uv_max, -1 <= v <= uv_max (with zeros at k = -1) is summed once
+    and dropped when the point is done; the contiguous relation, the
+    reflection right side and the parameter-lowering right side for
+    l <= uv_max read it.  The reflection left side N(n,r,s; -p), the
+    parameter-lowering left side N(m,u,-l; p) and its right side for
+    l > uv_max are summed directly.  Nothing persists between calls.
     Witnesses keep x as a Fraction.
     """
     report = Ledger("Jacobi identities")
     xs = tuple(Fraction(x) for x in xs)
+    rows = {a: _binomial_row(a, m_max) for a in range(-1, m_max + uv_max + 1)}
+
+    def numerator(k, r, s, p, q):
+        return _horner_numerator(k, rows[k + r], rows[k + s], p, q)
+
     for x in xs:
         p, q = x.numerator, x.denominator
+        # k = -1 (zeros) and v = -1 sit last in their lists, where index -1 finds them
+        box = [[[numerator(k, u, v, p, q) for v in (*range(uv_max + 1), -1)]
+                for u in range(uv_max + 1)] for k in range(m_max + 1)]
+        box.append([[0] * (uv_max + 2) for _ in range(uv_max + 1)])
         for m in range(m_max + 1):
             for u in range(uv_max + 1):
                 for ell in range(m + 1):
-                    lhs = math.comb(m, ell) * _jacobi_numerator(m, u, -ell, p, q)
-                    rhs = (math.comb(m + u, ell) * (p + q) ** ell
-                           * _jacobi_numerator(m - ell, u, ell, p, q))
+                    lhs = math.comb(m, ell) * numerator(m, u, -ell, p, q)
+                    lowered = (box[m - ell][u][ell] if ell <= uv_max
+                               else numerator(m - ell, u, ell, p, q))
+                    rhs = math.comb(m + u, ell) * (p + q) ** ell * lowered
                     report.record("parameter-lowering", (m, u, ell, x), lhs == rhs)
         for n in range(m_max + 1):
             for r in range(uv_max + 1):
                 for s in range(uv_max + 1):
-                    lhs = _jacobi_numerator(n, r, s, -p, q)
-                    rhs = _sign(n) * _jacobi_numerator(n, s, r, p, q)
+                    lhs = numerator(n, r, s, -p, q)
+                    rhs = _sign(n) * box[n][s][r]
                     report.record("reflection", (n, r, s, x), lhs == rhs)
         for k in range(m_max + 1):
             for u in range(uv_max + 1):
                 for v in range(uv_max + 1):
-                    lhs = (u + v + 2 * k) * _jacobi_numerator(k, u, v - 1, p, q)
-                    rhs = ((u + v + k) * _jacobi_numerator(k, u, v, p, q)
-                           + (u + k) * 2 * q * _jacobi_numerator(k - 1, u, v, p, q))
+                    lhs = (u + v + 2 * k) * box[k][u][v - 1]
+                    rhs = ((u + v + k) * box[k][u][v]
+                           + (u + k) * 2 * q * box[k - 1][u][v])
                     report.record("contiguous", (k, u, v, x), lhs == rhs)
+        del box
     return report

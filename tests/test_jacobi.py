@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -257,27 +258,45 @@ DEFAULT_XS = (Fraction(0), Fraction(1, 2), Fraction(-1, 2))
 OFF_DEFAULT_XS = (Fraction(3, 7), Fraction(-5, 3), Fraction(2), Fraction(-1))
 
 
+def _families_per_point(m_max, uv_max):
+    """Instances per point: parameter-lowering, reflection, contiguous."""
+    lowering = (m_max + 1) * (m_max + 2) // 2 * (uv_max + 1)
+    return lowering + 2 * (m_max + 1) * (uv_max + 1) ** 2
+
+
+def wrong_numerator(monkeypatch, k, a_left, a_right, x):
+    """Make the shared Horner core return N + 1 for one numerator: degree k,
+    rows C(a_left, .) and C(a_right, .), at the point x.  The sweep and
+    ``jacobi_at`` (hence ``reference_sweep``) both see the wrong value."""
+    exact = jacobi._horner_numerator
+    left, right = jacobi._binomial_row(a_left, k), jacobi._binomial_row(a_right, k)
+
+    def off_by_one(k_, left_, right_, p, q):
+        value = exact(k_, left_, right_, p, q)
+        hit = (k_ == k and left_[:k + 1] == left and right_[:k + 1] == right
+               and Fraction(p, q) == x)
+        return value + 1 if hit else value
+
+    monkeypatch.setattr(jacobi, "_horner_numerator", off_by_one)
+
+
 class TestIntegerSweep:
     """The integer sweep reports exactly what the Fraction sweep reports."""
 
+    # (9, 2) reaches the parameter-lowering right side with l > uv_max, which
+    # is summed outside the box; (3, 6) has uv_max > m_max
+    @pytest.mark.parametrize("m_max, uv_max", [(0, 0), (1, 0), (3, 6), (9, 2), (12, 6)])
     @pytest.mark.parametrize("xs", [DEFAULT_XS, OFF_DEFAULT_XS],
                              ids=["default", "off-default"])
-    def test_matches_reference_sweep(self, xs):
-        new = check_jacobi_identities(m_max=12, uv_max=6, xs=xs)
-        ref = reference_sweep(12, 6, xs)
-        # per point, each family has 637 instances: 91 (m, ell) x 7 u, 13 x 49
-        assert new.checked == ref.checked == len(xs) * 3 * 637
+    def test_matches_reference_sweep(self, xs, m_max, uv_max):
+        new = check_jacobi_identities(m_max=m_max, uv_max=uv_max, xs=xs)
+        ref = reference_sweep(m_max, uv_max, xs)
+        assert new.checked == ref.checked == len(xs) * _families_per_point(m_max, uv_max)
         assert new.failures == ref.failures == []
 
     def test_same_failures_when_one_value_is_wrong(self, monkeypatch):
-        exact = jacobi._jacobi_numerator
-        target = (3, 1, 2, Fraction(-1, 2))
-
-        def off_by_one(k, r, s, p, q):
-            value = exact(k, r, s, p, q)
-            return value + 1 if (k, r, s, Fraction(p, q)) == target else value
-
-        monkeypatch.setattr(jacobi, "_jacobi_numerator", off_by_one)
+        # N(3, 1, 2) at x = -1/2: rows C(4, .) and C(5, .) of degree 3
+        wrong_numerator(monkeypatch, 3, 4, 5, Fraction(-1, 2))
         new = check_jacobi_identities(m_max=6, uv_max=4)
         ref = reference_sweep(6, 4, DEFAULT_XS)
         assert new.checked == ref.checked
@@ -288,3 +307,57 @@ class TestIntegerSweep:
         assert ("reflection", (3, 2, 1, Fraction(-1, 2))) in new.failures
         assert ("contiguous", (3, 1, 3, Fraction(-1, 2))) in new.failures
         assert ("contiguous", (4, 1, 2, Fraction(-1, 2))) in new.failures
+
+    def test_same_failures_when_a_v_minus_one_value_is_wrong(self, monkeypatch):
+        # N(5, 2, -1) at x = 0: the contiguous left side reads it from the
+        # box, the parameter-lowering left side N(5, 2, -1) sums it directly
+        wrong_numerator(monkeypatch, 5, 7, 4, Fraction(0))
+        new = check_jacobi_identities(m_max=6, uv_max=4)
+        ref = reference_sweep(6, 4, DEFAULT_XS)
+        assert new.checked == ref.checked
+        assert new.failures == ref.failures
+        assert ("contiguous", (5, 2, 0, Fraction(0))) in new.failures
+        assert ("parameter-lowering", (5, 2, 1, Fraction(0))) in new.failures
+
+    def test_same_failures_when_a_value_outside_the_box_is_wrong(self, monkeypatch):
+        # N(4, 1, 3) at x = 1/2 with uv_max = 2: only the parameter-lowering
+        # right side at (m, u, l) = (7, 1, 3) needs it, summed outside the box
+        wrong_numerator(monkeypatch, 4, 5, 7, Fraction(1, 2))
+        new = check_jacobi_identities(m_max=9, uv_max=2)
+        ref = reference_sweep(9, 2, DEFAULT_XS)
+        assert new.checked == ref.checked
+        assert new.failures == ref.failures == [
+            ("parameter-lowering", (7, 1, 3, Fraction(1, 2)))]
+
+    def test_rows_once_per_call_and_numerators_once_per_point(self, monkeypatch):
+        # counts, not timings: at the defaults (20, 6) the sweep sums each
+        # numerator of the (k, u, v) box once per point and builds each row
+        # once per call (13,671 sums and 28 rows, against 25,137 and 50,274
+        # when every numerator was summed afresh from its own rows)
+        calls = {"horner": 0, "row": 0}
+        horner, row = jacobi._horner_numerator, jacobi._binomial_row
+
+        def counted_horner(*args):
+            calls["horner"] += 1
+            return horner(*args)
+
+        def counted_row(*args):
+            calls["row"] += 1
+            return row(*args)
+
+        monkeypatch.setattr(jacobi, "_horner_numerator", counted_horner)
+        monkeypatch.setattr(jacobi, "_binomial_row", counted_row)
+        assert check_jacobi_identities(20, 6).passed
+        assert calls["horner"] <= 13_700
+        assert calls["row"] <= 20 + 6 + 2
+
+    def test_memory_bounded_by_one_box(self):
+        # one point's box is ~70 KB traced; a memo table kept over the whole
+        # sweep takes ~1.4 MB
+        tracemalloc.start()
+        try:
+            check_jacobi_identities(20, 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024
