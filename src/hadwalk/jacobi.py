@@ -18,7 +18,8 @@ for every caller.  ``jacobi_at`` divides N by (2q)^k once;
 ``check_jacobi_identities`` never divides, but compares each identity
 multiplied through by (2q)^k as integers.  The sweep builds each binomial row
 once per call and each N of its (k, u, v) box once per point; nothing
-persists between calls.
+persists between calls.  ``genfun.equivalence_ledger`` reads its x = 0
+numerators from the same kind of per-call row table, ``_numerator_table``.
 
 The closed forms here are written for the canonical walk orientation (the one
 matching the momentum-integral representations).  Note the left-amplitude sign
@@ -77,6 +78,19 @@ def _horner_numerator(k: int, left: list, right: list, p: int, q: int) -> int:
         total = total * minus + left[j] * right[k - j] * power
         power *= plus
     return total
+
+
+def _numerator_table(a_max: int, length: int):
+    """N(k, r, s; p, q) = (2q)^k J_k^{(r,s)}(p/q) as a function reading the rows
+    C(a, 0..length), -1 <= a <= a_max, each built once here; valid for
+    k <= length and -1 <= k+r, k+s <= a_max.  The caller drops it with its call.
+    """
+    rows = {a: _binomial_row(a, length) for a in range(-1, a_max + 1)}
+
+    def numerator(k, r, s, p=0, q=1):
+        return _horner_numerator(k, rows[k + r], rows[k + s], p, q)
+
+    return numerator
 
 
 def jacobi_at(k: int, r: int, s: int, x=Fraction(0)) -> Fraction:
@@ -219,11 +233,7 @@ def check_jacobi_identities(m_max: int = 20, uv_max: int = 6,
     """
     report = Ledger("Jacobi identities")
     xs = tuple(Fraction(x) for x in xs)
-    rows = {a: _binomial_row(a, m_max) for a in range(-1, m_max + uv_max + 1)}
-
-    def numerator(k, r, s, p, q):
-        return _horner_numerator(k, rows[k + r], rows[k + s], p, q)
-
+    numerator = _numerator_table(m_max + uv_max, m_max)
     for x in xs:
         p, q = x.numerator, x.denominator
         # k = -1 (zeros) and v = -1 sit last in their lists, where index -1 finds them

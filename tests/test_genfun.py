@@ -1,17 +1,23 @@
 import math
 import random
+import subprocess
+import sys
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hadwalk
+from hadwalk import genfun, jacobi
 from hadwalk.genfun import (check_intermediate_relations, closed_form_series,
                             definitional_series, equivalence_ledger,
                             jacobi_generating, lagrange_invert,
                             srivastava_singhal_series)
 from hadwalk.jacobi import jacobi_at
 from hadwalk.ring import RationalSeries, Sqrt2Scalar, random_rational_series
-from hadwalk.walk import WalkCache
+from hadwalk.walk import WalkCache, WalkState
 
 
 @pytest.fixture(scope="module")
@@ -92,11 +98,121 @@ class TestJacobiGenerating:
                     assert abs(coef - float(jacobi_at(k, r, s))) < 1e-10
 
 
+class OneWrongMantissa(WalkCache):
+    """The simulator with 1 added to one mantissa of one state."""
+
+    def __init__(self, t: int, chirality: str, n: int):
+        super().__init__()
+        self.wrong = (t, chirality, n)
+
+    def state(self, t: int) -> WalkState:
+        st = super().state(t)
+        wrong_t, chirality, n = self.wrong
+        if t != wrong_t:
+            return st
+        psi_r, psi_l = list(st.psi_r), list(st.psi_l)
+        (psi_r if chirality == "R" else psi_l)[n + t] += 1
+        return WalkState(t, tuple(psi_r), tuple(psi_l))
+
+
+@pytest.fixture(scope="module")
+def walk81():
+    cache = WalkCache()
+    cache.state(81)
+    return cache
+
+
 class TestEquivalenceLedger:
     def test_chain_holds(self, walk):
         rep = equivalence_ledger(walk, m_max=4, order=16)
         assert rep.passed, rep.failures[:5]
         assert rep.checked > 500
+
+    # each wrong mantissa fails the definitional series that reads it and
+    # exactly the amplitude checks at its (m, t); lists as the Fraction ledger gave
+    @pytest.mark.parametrize("wrong, failures", [
+        ((15, "R", 5), [("F: definitional == closed", ("F", 2)),
+                        ("psi_R odd == 2^(-m-1/2) J_(t-m)^(2m,0)(0)", (2, 7)),
+                        ("psi_R odd reflected-parameter form", (2, 7)),
+                        ("psi_R odd == closed amplitude", (2, 7))]),
+        ((16, "L", 4), [("I: definitional == closed", ("I", 2)),
+                        ("psi_L even == Jacobi form", (2, 8)),
+                        ("psi_L even == closed amplitude", (2, 8))]),
+        ((16, "R", 0), [("G: definitional == closed", ("G", 0)),
+                        ("psi_R even == Jacobi form", (0, 8))]),
+        ((9, "L", 3), [("H: definitional == closed", ("H", 1)),
+                       ("psi_L odd == Jacobi form", (1, 4))]),
+    ], ids=["R-t15-n5", "L-t16-n4", "R-t16-n0", "L-t9-n3"])
+    def test_one_wrong_mantissa(self, wrong, failures):
+        rep = equivalence_ledger(OneWrongMantissa(*wrong), m_max=4, order=12)
+        assert rep.checked == 413
+        assert rep.failures == failures
+
+    def test_wrong_jacobi_series_fails_only_its_reassembly(self, walk, monkeypatch):
+        # r = 3 is read by H_1 (r = 2m+1) and G_2 (r = 2m-1); the closed side
+        # never reads the Jacobi side, so no definitional check fails
+        core = genfun._jacobi_core
+
+        def wrong_core(inv_root, minus_power, plus_power, r, s):
+            series = core(inv_root, minus_power, plus_power, r, s)
+            return series + RationalSeries.one(series.order) if r == 3 else series
+
+        monkeypatch.setattr(genfun, "_jacobi_core", wrong_core)
+        rep = equivalence_ledger(walk, m_max=4, order=12)
+        assert rep.checked == 413
+        assert rep.failures == [("H: closed == Jacobi generating reassembly", ("H", 1)),
+                                ("G: closed == Jacobi generating reassembly", ("G", 2))]
+
+    @pytest.mark.parametrize("m_max, order", [(0, 0), (0, 1), (1, 1), (5, 4)])
+    def test_domain(self, walk, m_max, order):
+        with pytest.raises(ValueError, match=f"order={order} and m_max={m_max}"):
+            equivalence_ledger(walk, m_max=m_max, order=order)
+
+    def test_order_equal_to_m_max_holds(self, walk):
+        rep = equivalence_ledger(walk, m_max=3, order=3)
+        assert rep.passed, rep.failures[:5]
+
+    def test_one_basis_per_call(self, walk81, monkeypatch):
+        # counts, not timings, at (10, 40): one sqrt(1+z^2), D^k and D^-k
+        # stepped by one product each, rows built once per call (the Fraction
+        # ledger made 88 square roots, 130 reciprocals, 703 products,
+        # 172 pow_int calls and 5,438 rows)
+        calls = Counter()
+
+        def counted(owner, name):
+            func = getattr(owner, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return func(*args)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        for name in ("sqrt", "reciprocal", "__mul__", "pow_int"):
+            counted(RationalSeries, name)
+        counted(jacobi, "_binomial_row")
+        assert equivalence_ledger(walk81, m_max=10, order=40).checked == 2820
+        assert calls["sqrt"] == 1
+        assert calls["reciprocal"] <= 46
+        assert calls["__mul__"] <= 320
+        assert calls["pow_int"] == 0
+        # the ledger's own rows are ~50; the rest come from psi_closed_r/l
+        assert calls["_binomial_row"] <= 1700
+
+    def test_memory_bounded_by_one_call(self):
+        # in a fresh interpreter, so that a table kept between calls is filled
+        # by the traced call and counts towards its peak (~200 KB without one)
+        src = str(Path(hadwalk.__file__).parents[1])
+        code = ("import tracemalloc\n"
+                "from hadwalk import genfun, walk\n"
+                "cache = walk.WalkCache()\n"
+                "cache.state(81)\n"
+                "tracemalloc.start()\n"
+                "genfun.equivalence_ledger(cache, 10, 40)\n"
+                "print(tracemalloc.get_traced_memory()[1])\n")
+        out = subprocess.run([sys.executable, "-c", code], cwd=src, check=True,
+                             capture_output=True, text=True).stdout
+        assert int(out) < 512 * 1024
 
 
 class TestKernelIntegral:
