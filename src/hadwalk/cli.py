@@ -350,7 +350,7 @@ def cmd_asymptotics(args) -> int:
                 row = {"alpha": _fmt(alpha), "t": t, "exact": "", "asymptotic": "",
                        "rel_error": "", "btilde": "", "b": "", "n": n, "status": "ok"}
                 inside = abs(n) <= t  # |alpha| > 1 puts n outside the light cone
-                exact = (walk.mantissa_to_float(jacobi.psi_closed_r(n, t).to_mantissa(t), t)
+                exact = (walk.mantissa_to_float(jacobi.psi_closed_r(n, t), t)
                          if inside else 0.0)
                 row["exact"] = _fmt(exact)
                 try:

@@ -27,8 +27,9 @@ wrappers around the same cores (``_closed_core``, ``_jacobi_core``) that
 raise D with ``pow_int``.  The ledger compares amplitudes as integers: each
 simulator mantissa against a Horner numerator N(k, r, s) = 2^k J_k^{(r,s)}(0)
 of ``jacobi``, e.g. psi_R(2m+1, 2t+1) = 2^(-m-1/2) N(t-m, 2m, 0) / 2^(t-m)
-= N(t-m, 2m, 0) sqrt(2)^(-(2t+1)), so the mantissa is N(t-m, 2m, 0).
-Nothing is kept between calls.
+= N(t-m, 2m, 0) sqrt(2)^(-(2t+1)), so the mantissa is N(t-m, 2m, 0); the
+closed-form amplitudes ``psi_closed_r/l`` return mantissas too.  Nothing is
+kept between calls.
 
 Also here: the Jacobi generating function with exact coefficient extraction,
 Lagrange inversion, and the implicit-series (Srivastava-Singhal style)
@@ -44,7 +45,7 @@ from typing import Literal
 
 from .jacobi import _numerator_table, _sign, jacobi_at, psi_closed_l, psi_closed_r
 from .ledger import Ledger
-from .ring import RationalSeries, Sqrt2Scalar, random_rational_series
+from .ring import RationalSeries, Sqrt2Scalar, _as_fraction, random_rational_series
 from .walk import WalkCache
 
 __all__ = [
@@ -218,7 +219,7 @@ def jacobi_generating(x, r: int, s: int, order: int) -> RationalSeries:
     Coefficient k equals jacobi_at(k, r, s, x); negative r or s go through
     reciprocal powers.
     """
-    x = Fraction(x)
+    x = _as_fraction(x)
     root = RationalSeries.polynomial([1, -2 * x, 1], order).sqrt()
     d_minus = RationalSeries.polynomial([1, -1], order) + root
     d_plus = RationalSeries.polynomial([1, 1], order) + root
@@ -274,8 +275,9 @@ def equivalence_ledger(walk: WalkCache, m_max: int = 10, order: int = 40
     and the closed form == its reassembly from the Jacobi generating series.
     For every m <= m_max and m <= t <= order the simulator mantissas equal
     the Jacobi-polynomial expressions for the amplitudes (both the raw
-    generating-function extraction and the reduced single-J forms), and the
-    amplitudes equal the closed-form amplitude routines used elsewhere.
+    generating-function extraction and the reduced single-J forms), and equal
+    the ints that the closed-form amplitude routines ``psi_closed_r/l``
+    return, each summing its own N per call.
 
     One basis per call: R, D, 1/R and 1/D are built once, and D^k, D^(-k)
     for k <= 2 m_max + 1 are stepped by one product each.  The closed side
@@ -343,9 +345,9 @@ def equivalence_ledger(walk: WalkCache, m_max: int = 10, order: int = 40
 
             # tie the chain back to the closed-form amplitude routines
             rep.record("psi_R odd == closed amplitude", (m, t),
-                       odd.amp_r(2 * m + 1) == psi_closed_r(2 * m + 1, 2 * t + 1))
+                       mantissa == psi_closed_r(2 * m + 1, 2 * t + 1))
             rep.record("psi_L even == closed amplitude", (m, t),
-                       even.amp_l(2 * m) == psi_closed_l(2 * m, 2 * t))
+                       even.mantissa_l(2 * m) == psi_closed_l(2 * m, 2 * t))
 
     rep.record("psi_R(0,0) == 0", (0, 0), walk.state(0).mantissa_r(0) == 0)
     return rep

@@ -22,9 +22,22 @@ persists between calls.  ``genfun.equivalence_ledger`` reads its x = 0
 numerators from the same kind of per-call row table, ``_numerator_table``.
 
 The closed forms here are written for the canonical walk orientation (the one
-matching the momentum-integral representations).  Note the left-amplitude sign
-convention: both chirality branches carry the factor (-1)^(n+1), and the
-left edge value is psi_L(-t, t) = +2^(-t/2).
+matching the momentum-integral representations).  They return the walk's own
+encoding, the integer mantissa m with psi = m sqrt(2)^(-t).  At x = 0 the
+Jacobi denominator 2^k cancels the time scaling exactly: with
+N(k, r, s) = 2^k J_k^{(r,s)}(0), the explicit sum above (0 for k < 0),
+
+    psi_R, n >= 0:  (-1)^(k+n+1) N(k, 0, n-1),            k = (t-n)/2
+    psi_R, n < 0:   (-1)^k N(k, 0, 1-n),                  k = (t+n)/2 - 1
+    psi_L, n >= 0:  (-1)^(k+n+2) N(k, 1, n),              k = (t-n)/2 - 1
+    psi_L, n < 0:   (-1)^k (t-n) N(k, 1, -n) / (t+n),     k = (t+n)/2 - 1
+    psi_L(-t, t) = 1,  psi_R(n, 0) = 0,
+
+and at n = 0, even t, psi_R = N(t/2-1, 1, 0) and psi_L = N(t/2, 0, 0) +
+N(t/2-1, 1, 0).  The one division, (t-n)/(t+n), is exact on ints and is
+checked to leave no remainder.  Note the left-amplitude sign convention: both
+chirality branches carry the factor (-1)^(n+1), and the left edge value is
+psi_L(-t, t) = +2^(-t/2).
 """
 
 from __future__ import annotations
@@ -33,7 +46,7 @@ import math
 from fractions import Fraction
 
 from .ledger import Ledger
-from .ring import Sqrt2Scalar
+from .ring import _as_fraction
 from .walk import WalkCache
 
 __all__ = [
@@ -93,15 +106,20 @@ def _numerator_table(a_max: int, length: int):
     return numerator
 
 
+def _numerator(k: int, r: int, s: int, p: int = 0, q: int = 1) -> int:
+    """N(k, r, s; p, q) = (2q)^k J_k^{(r,s)}(p/q), the explicit sum over rows
+    built for this call; 0 for k < 0."""
+    return _horner_numerator(k, _binomial_row(k + r, k), _binomial_row(k + s, k), p, q)
+
+
 def jacobi_at(k: int, r: int, s: int, x=Fraction(0)) -> Fraction:
-    """Degree-k Jacobi polynomial with integer parameters at rational x."""
+    """Degree-k Jacobi polynomial with integer parameters at an exact rational
+    x (int or Fraction); a float raises TypeError."""
+    x = _as_fraction(x)
     if k < 0:
         return Fraction(0)
-    x = Fraction(x)
     q = x.denominator
-    numerator = _horner_numerator(k, _binomial_row(k + r, k), _binomial_row(k + s, k),
-                                  x.numerator, q)
-    return Fraction(numerator, (2 * q) ** k)
+    return Fraction(_numerator(k, r, s, x.numerator, q), (2 * q) ** k)
 
 
 def _sign(exponent: int) -> int:
@@ -116,48 +134,47 @@ def _require_valid(n: int, t: int) -> None:
         raise ValueError(f"parity violation: n={n}, t={t}")
 
 
-def psi_closed_r(n: int, t: int) -> Sqrt2Scalar:
-    """Right-chirality amplitude at (n, t) from the Jacobi closed forms."""
+def psi_closed_r(n: int, t: int) -> int:
+    """Mantissa of the right-chirality amplitude at (n, t), from the Jacobi
+    closed forms: the int m with psi_R(n, t) = m sqrt(2)^(-t)."""
     _require_valid(n, t)
     if t == 0:
-        return Sqrt2Scalar.zero()
+        return 0
     if n >= 0:
-        val = _sign((t - n) // 2 + n + 1) * jacobi_at((t - n) // 2, 0, n - 1)
-        return Sqrt2Scalar(val, -n)
-    val = _sign((t + n) // 2 - 1) * jacobi_at((t + n) // 2 - 1, 0, 1 - n)
-    return Sqrt2Scalar(val, n - 2)
+        k = (t - n) // 2
+        return _sign(k + n + 1) * _numerator(k, 0, n - 1)
+    k = (t + n) // 2 - 1
+    return _sign(k) * _numerator(k, 0, 1 - n)
 
 
-def psi_closed_l(n: int, t: int) -> Sqrt2Scalar:
-    """Left-chirality amplitude at (n, t) from the Jacobi closed forms."""
+def psi_closed_l(n: int, t: int) -> int:
+    """Mantissa of the left-chirality amplitude at (n, t), from the Jacobi
+    closed forms: the int m with psi_L(n, t) = m sqrt(2)^(-t)."""
     _require_valid(n, t)
     if n == -t:
-        return Sqrt2Scalar(1, -t)
+        return 1
     if n >= 0:
-        val = _sign((t - n) // 2 + n + 1) * jacobi_at((t - n) // 2 - 1, 1, n)
-        return Sqrt2Scalar(val, -n - 2)
-    val = (_sign((t + n) // 2 + 1) * Fraction(t - n, t + n)
-           * jacobi_at((t + n) // 2 - 1, 1, -n))
-    return Sqrt2Scalar(val, n - 2)
+        k = (t - n) // 2 - 1
+        return _sign(k + n + 2) * _numerator(k, 1, n)
+    k = (t + n) // 2 - 1
+    mantissa, remainder = divmod((t - n) * _numerator(k, 1, -n), t + n)
+    if remainder:
+        raise ArithmeticError(f"(t-n)/(t+n) left a remainder at n={n}, t={t}")
+    return _sign(k) * mantissa
 
 
-def psi_center_r(t: int) -> Sqrt2Scalar:
-    """psi_R(0, t) for even t via the degree-(t/2 - 1) J^(1,0) value."""
+def psi_center_r(t: int) -> int:
+    """Mantissa of psi_R(0, t) for even t, from the degree-(t/2 - 1) J^(1,0) value."""
     if t % 2:
         raise ValueError("center amplitudes need even t")
-    if t == 0:
-        return Sqrt2Scalar.zero()
-    return Sqrt2Scalar(Fraction(1, 2) * jacobi_at(t // 2 - 1, 1, 0))
+    return _numerator(t // 2 - 1, 1, 0)
 
 
-def psi_center_l(t: int) -> Sqrt2Scalar:
-    """psi_L(0, t) for even t as a Legendre-plus-Jacobi combination."""
+def psi_center_l(t: int) -> int:
+    """Mantissa of psi_L(0, t) for even t, a Legendre-plus-Jacobi combination."""
     if t % 2:
         raise ValueError("center amplitudes need even t")
-    if t == 0:
-        return Sqrt2Scalar.one()
-    val = jacobi_at(t // 2, 0, 0) + Fraction(1, 2) * jacobi_at(t // 2 - 1, 1, 0)
-    return Sqrt2Scalar(val)
+    return _numerator(t // 2, 0, 0) + _numerator(t // 2 - 1, 1, 0)
 
 
 def check_closed_forms(walk: WalkCache, t_max: int) -> Ledger:
@@ -170,12 +187,12 @@ def check_closed_forms(walk: WalkCache, t_max: int) -> Ledger:
         st = walk.state(t)
         for n in range(-t, t + 1, 2):
             ledger.record("closed form", (n, t),
-                          st.amp_r(n) == psi_closed_r(n, t)
-                          and st.amp_l(n) == psi_closed_l(n, t))
+                          st.mantissa_r(n) == psi_closed_r(n, t)
+                          and st.mantissa_l(n) == psi_closed_l(n, t))
         if t and t % 2 == 0:
             ledger.record("center closed form", (0, t),
-                          st.amp_r(0) == psi_center_r(t)
-                          and st.amp_l(0) == psi_center_l(t))
+                          st.mantissa_r(0) == psi_center_r(t)
+                          and st.mantissa_l(0) == psi_center_l(t))
     return ledger
 
 
@@ -232,7 +249,7 @@ def check_jacobi_identities(m_max: int = 20, uv_max: int = 6,
     Witnesses keep x as a Fraction.
     """
     report = Ledger("Jacobi identities")
-    xs = tuple(Fraction(x) for x in xs)
+    xs = tuple(_as_fraction(x) for x in xs)
     numerator = _numerator_table(m_max + uv_max, m_max)
     for x in xs:
         p, q = x.numerator, x.denominator

@@ -72,24 +72,8 @@ class Sqrt2Scalar:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def one(cls) -> "Sqrt2Scalar":
-        return cls(1, 0)
-
-    @classmethod
     def zero(cls) -> "Sqrt2Scalar":
         return cls(0, 0)
-
-    @classmethod
-    def from_mantissa(cls, mantissa: int, halftime: int) -> "Sqrt2Scalar":
-        """Value mantissa * sqrt(2)**(-halftime), the walk's amplitude encoding."""
-        return cls(Fraction(mantissa), -halftime)
-
-    def to_mantissa(self, halftime: int) -> int:
-        """The integer m with self == m * sqrt(2)**(-halftime); inverse of from_mantissa."""
-        scaled = Sqrt2Scalar(self.q, self.k + halftime)
-        if scaled.k or scaled.q.denominator != 1:
-            raise ValueError(f"{self!r} is not an integer times sqrt(2)**(-{halftime})")
-        return scaled.q.numerator
 
     # -- predicates ---------------------------------------------------------
 
@@ -129,21 +113,6 @@ class Sqrt2Scalar:
         return NotImplemented
 
     __rmul__ = __mul__
-
-    def inverse(self) -> "Sqrt2Scalar":
-        if self.q == 0:
-            raise ZeroDivisionError("inverse of zero scalar")
-        # 1/(q*sqrt2) = (1/(2q)) * sqrt2
-        if self.k == 0:
-            return Sqrt2Scalar(1 / self.q, 0)
-        return Sqrt2Scalar(1 / (2 * self.q), 1)
-
-    def __truediv__(self, other) -> "Sqrt2Scalar":
-        if isinstance(other, Sqrt2Scalar):
-            return self * other.inverse()
-        if isinstance(other, (int, Fraction)):
-            return Sqrt2Scalar(self.q / other, self.k)
-        return NotImplemented
 
     def sqrt(self) -> "Sqrt2Scalar":
         """Exact square root when one exists in the ring, else ValueError.
@@ -370,9 +339,7 @@ class RationalSeries:
 
     def __truediv__(self, other) -> "RationalSeries":
         if isinstance(other, (int, Fraction)):
-            other = Sqrt2Scalar(other)
-        if isinstance(other, Sqrt2Scalar):
-            return _scaled(self, other.inverse())
+            return _scaled(self, 1 / Fraction(other))
         if isinstance(other, RationalSeries):
             return self * other.reciprocal()
         return NotImplemented

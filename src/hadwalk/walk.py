@@ -30,8 +30,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ring import Sqrt2Scalar
-
 __all__ = [
     "WalkState",
     "WalkCache",
@@ -76,15 +74,6 @@ class WalkState:
 
     def mantissa_l(self, n: int) -> int:
         return self.psi_l[self._index(n)]
-
-    def amp_r(self, n: int) -> Sqrt2Scalar:
-        return Sqrt2Scalar.from_mantissa(self.mantissa_r(n), self.t)
-
-    def amp_l(self, n: int) -> Sqrt2Scalar:
-        return Sqrt2Scalar.from_mantissa(self.mantissa_l(n), self.t)
-
-    def positions(self) -> range:
-        return range(-self.t, self.t + 1)
 
 
 def initial_state() -> WalkState:

@@ -161,7 +161,7 @@ def test_ac11_lagrange_inversion():
 def test_ac12_peak_location(cache400):
     line = _Line("AC-12", "t=100 distribution: right peak in [62,72], tail < 1e-3 peak")
     state = cache400.state(100)
-    probs = {n: walk.probability(state, n) for n in state.positions()
+    probs = {n: walk.probability(state, n) for n in range(-state.t, state.t + 1)
              if (n - 100) % 2 == 0}
     right_peak = max((p for n, p in probs.items() if n > 0))
     argmax_right = max((n for n, p in probs.items() if n > 0 and p == right_peak))

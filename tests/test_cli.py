@@ -279,7 +279,7 @@ class TestAsymptoticsCmd:
             state = walk.evolve(state, t - state.t)
             for row in (r for r in rows if int(r["t"]) == t):
                 n = int(row["n"])
-                assert jacobi.psi_closed_r(n, t) == state.amp_r(n)
+                assert jacobi.psi_closed_r(n, t) == state.mantissa_r(n)
                 assert float(row["exact"]) == walk.mantissa_to_float(state.mantissa_r(n), t)
 
     @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")

@@ -77,6 +77,11 @@ class TestJacobiGenerating:
         assert s.coefficient(0) == Sqrt2Scalar(1)
         assert s.coefficient(2) == Sqrt2Scalar(Fraction(-1, 2))
 
+    def test_float_argument_rejected(self):
+        # even 0.5, which a Fraction would convert exactly; x must be exact
+        with pytest.raises(TypeError, match="float"):
+            jacobi_generating(0.5, 0, 0, 4)
+
     @pytest.mark.parametrize("r, s", [(0, 0), (2, 1), (5, 5), (-1, 0), (0, -2)])
     @pytest.mark.parametrize("x", [Fraction(0), Fraction(1, 2), Fraction(-1, 2)])
     def test_coefficients_match_explicit_sum(self, r, s, x):

@@ -12,8 +12,7 @@ from hadwalk.jacobi import (binomial, check_jacobi_identities, check_reflections
                             jacobi_at, psi_center_l, psi_center_r,
                             psi_closed_l, psi_closed_r)
 from hadwalk.ledger import Ledger
-from hadwalk.ring import Sqrt2Scalar
-from hadwalk.walk import WalkCache
+from hadwalk.walk import WalkCache, evolve, initial_state, step
 
 
 @pytest.fixture(scope="module")
@@ -108,30 +107,61 @@ class TestJacobiAt:
     def test_negative_degree_is_zero(self):
         assert jacobi_at(-1, 1, 0) == 0
 
+    def test_exact_rational_argument(self):
+        # P_2(1/10) = (3/100 - 1)/2; a float 0.1 would be the binary double
+        # 3602879701896397/2^55, so floats are refused rather than converted
+        assert jacobi_at(2, 0, 0, Fraction(1, 10)) == Fraction(-97, 200)
+        for x in (0.1, 0.0):
+            with pytest.raises(TypeError, match="float"):
+                jacobi_at(2, 0, 0, x)
+        with pytest.raises(TypeError, match="float"):
+            jacobi_at(-1, 0, 0, 0.1)
+        with pytest.raises(TypeError, match="float"):
+            check_jacobi_identities(2, 1, xs=(Fraction(1, 2), 0.5))
+
 
 class TestClosedForms:
     def test_matches_simulator_through_t60(self, walk60):
         for t in range(61):
+            st = walk60.state(t)
             for n in range(-t, t + 1):
                 if (n - t) % 2:
                     continue
-                assert psi_closed_r(n, t) == walk60.state(t).amp_r(n), (n, t)
-                assert psi_closed_l(n, t) == walk60.state(t).amp_l(n), (n, t)
+                right, left = psi_closed_r(n, t), psi_closed_l(n, t)
+                assert type(right) is int and type(left) is int
+                assert (right, left) == (st.mantissa_r(n), st.mantissa_l(n)), (n, t)
+
+    def test_matches_simulator_at_t199_and_t200(self):
+        # every position of two large times from one stepped state; the n < 0
+        # left branch divides (t-n) N by (t+n) exactly on ints of ~200 bits
+        state = evolve(initial_state(), 199)
+        for st in (state, step(state)):
+            t = st.t
+            for n in range(-t, t + 1, 2):
+                assert psi_closed_r(n, t) == st.mantissa_r(n), (n, t)
+                assert psi_closed_l(n, t) == st.mantissa_l(n), (n, t)
+
+    def test_inexact_left_division_raises(self, monkeypatch):
+        # (t-n) N / (t+n) must be an int; a wrong N that leaves a remainder
+        # raises instead of being rounded
+        monkeypatch.setattr(jacobi, "_numerator", lambda k, r, s: 1)
+        with pytest.raises(ArithmeticError, match="n=-1, t=5"):
+            psi_closed_l(-1, 5)
 
     def test_right_edge(self):
         for t in range(1, 30):
-            assert psi_closed_r(t, t) == Sqrt2Scalar((-1) ** (t + 1), -t)
+            assert psi_closed_r(t, t) == (-1) ** (t + 1)
 
     def test_origin_values(self):
-        assert psi_closed_r(0, 0).is_zero
-        assert psi_closed_l(0, 0) == Sqrt2Scalar(1)
-        assert psi_closed_r(0, 2) == Sqrt2Scalar(Fraction(1, 2))
+        assert psi_closed_r(0, 0) == 0
+        assert psi_closed_l(0, 0) == 1
+        assert psi_closed_r(0, 2) == 1  # value 1/2 at t = 2
 
     def test_center_forms(self, walk60):
-        assert psi_center_l(0) == Sqrt2Scalar(1)
+        assert psi_center_r(0) == 0 and psi_center_l(0) == 1
         for t in range(2, 61, 2):
-            assert psi_center_r(t) == walk60.state(t).amp_r(0)
-            assert psi_center_l(t) == walk60.state(t).amp_l(0)
+            assert psi_center_r(t) == walk60.state(t).mantissa_r(0)
+            assert psi_center_l(t) == walk60.state(t).mantissa_l(0)
 
     def test_closed_form_branches_connected_by_symmetry(self):
         # the n >= 0 and n < 0 branches reproduce the reflection relations
@@ -150,8 +180,8 @@ class TestClosedForms:
         cache = WalkCache()
         cache.state(200)
         for t in range(2, 201, 2):
-            assert psi_center_r(t) == cache.state(t).amp_r(0), t
-            assert psi_center_l(t) == cache.state(t).amp_l(0), t
+            assert psi_center_r(t) == cache.state(t).mantissa_r(0), t
+            assert psi_center_l(t) == cache.state(t).mantissa_l(0), t
 
     def test_domain_errors(self):
         with pytest.raises(ValueError, match="parity"):

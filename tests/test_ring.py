@@ -40,22 +40,6 @@ class TestSqrt2Scalar:
     def test_multiplication_associates(self, a, b, c):
         assert (a * b) * c == a * (b * c)
 
-    @given(scalars_st)
-    def test_inverse_roundtrip(self, a):
-        if not a.is_zero:
-            assert a * a.inverse() == Sqrt2Scalar.one()
-
-    @given(st.integers(-10**30, 10**30), st.integers(0, 60))
-    def test_mantissa_roundtrip(self, mantissa, halftime):
-        assert Sqrt2Scalar.from_mantissa(mantissa, halftime).to_mantissa(halftime) == mantissa
-
-    @pytest.mark.parametrize("value, halftime", [
-        (Sqrt2Scalar(1), 1), (Sqrt2Scalar(1, 1), 0), (Sqrt2Scalar(Fraction(1, 3)), 2),
-        (Sqrt2Scalar(Fraction(1, 4)), 2)])
-    def test_mantissa_rejects_other_values(self, value, halftime):
-        with pytest.raises(ValueError):
-            value.to_mantissa(halftime)
-
     def test_mixed_grade_addition_rejected(self):
         with pytest.raises(ValueError, match="mixed"):
             Sqrt2Scalar(1, 0) + Sqrt2Scalar(1, 1)
@@ -365,7 +349,7 @@ class TestIntegerRepresentation:
             same_grade = RationalSeries([3 * c for c in fractions_of(b)], order, a.grade)
             results = [a * b, -a, a * 0, a * -4, a * Fraction(-6, 35),
                        a * Sqrt2Scalar(2, 1), a * Sqrt2Scalar(0), a / -6,
-                       a / Fraction(-10, 21), a / Sqrt2Scalar(Fraction(1, 3), 1),
+                       a / Fraction(-10, 21),
                        a.pow_int(3), a.differentiate(), a + same_grade,
                        a - same_grade, a - a]
             want_sum = [x + y for x, y in zip(a.coefficients(), same_grade.coefficients())]

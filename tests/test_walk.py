@@ -2,11 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from hadwalk.ring import Sqrt2Scalar
 from hadwalk.walk import (WalkCache, WalkState, as_printed, evolve, initial_state,
                           norm_squared_mantissas, probability, step)
-
-HALF_ROOT2 = Sqrt2Scalar(Fraction(1, 2), 1)   # value 2^(-1/2)
 
 
 def printed_step(state):
@@ -36,22 +33,23 @@ class TestSingleSteps:
 
     def test_canonical_first_step(self):
         # orientation pinned against the momentum-integral oracle: the right
-        # amplitude lands at +1 and the left amplitude at -1 with value +2^(-1/2)
+        # amplitude lands at +1 and the left amplitude at -1 with value +2^(-1/2),
+        # mantissa 1 at t = 1
         s = step(initial_state())
-        assert s.amp_r(1) == HALF_ROOT2
-        assert s.amp_l(-1) == HALF_ROOT2
+        assert s.mantissa_r(1) == 1
+        assert s.mantissa_l(-1) == 1
         assert s.mantissa_l(1) == 0 and s.mantissa_r(-1) == 0
 
     def test_as_printed_first_step(self):
         s = as_printed(step(initial_state()))
         assert s == printed_step(initial_state())
-        assert s.amp_r(-1) == HALF_ROOT2
-        assert s.amp_l(-1) == -HALF_ROOT2
+        assert s.mantissa_r(-1) == 1
+        assert s.mantissa_l(-1) == -1
         assert s.mantissa_r(1) == 0 and s.mantissa_l(1) == 0
 
     def test_two_canonical_steps_center(self):
         s = evolve(initial_state(), 2)
-        assert s.amp_r(0) == Sqrt2Scalar(Fraction(1, 2))
+        assert s.mantissa_r(0) == 1  # value 1/2 at t = 2
 
 
 class TestInvariants:
@@ -60,7 +58,7 @@ class TestInvariants:
         for t in range(1, 301):
             s = step(s)
             assert norm_squared_mantissas(s) == 2**t
-            for n in s.positions():
+            for n in range(-s.t, s.t + 1):
                 if (n - t) % 2:
                     assert s.mantissa_r(n) == 0 and s.mantissa_l(n) == 0
 
@@ -68,10 +66,10 @@ class TestInvariants:
         cache = WalkCache()
         for t in range(1, 201):
             st = cache.state(t)
-            assert st.amp_r(t) == Sqrt2Scalar((-1) ** (t + 1), -t)
+            assert st.mantissa_r(t) == (-1) ** (t + 1)
             assert st.mantissa_l(t) == 0
             assert st.mantissa_r(-t) == 0
-            assert st.amp_l(-t) == Sqrt2Scalar(1, -t)
+            assert st.mantissa_l(-t) == 1
 
     def test_orientation_relationship(self):
         # relabelling the canonical state (R mirrored, L times (-1)^t) gives the
@@ -89,8 +87,8 @@ class TestInvariants:
         canon = WalkCache()
         for t in range(1, 61):
             st = as_printed(canon.state(t))
-            assert st.amp_r(-t) == Sqrt2Scalar((-1) ** (t + 1), -t)
-            assert st.amp_l(-t) == Sqrt2Scalar((-1) ** t, -t)
+            assert st.mantissa_r(-t) == (-1) ** (t + 1)
+            assert st.mantissa_l(-t) == (-1) ** t
             assert st.mantissa_r(t) == 0
             assert st.mantissa_l(t) == 0
 
@@ -106,7 +104,7 @@ class TestProbability:
         s = initial_state()
         for _ in range(100):
             s = step(s)
-        total = sum(probability(s, n) for n in s.positions())
+        total = sum(probability(s, n) for n in range(-s.t, s.t + 1))
         assert total == 1
 
     def test_domain_error(self):
