@@ -1,6 +1,6 @@
 """Exact-arithmetic and asymptotic-analysis laboratory for the Hadamard walk."""
 
-from .ring import RationalSeries, Sqrt2Scalar
+from .ring import RationalSeries
 from .walk import WalkCache, WalkState, evolve, initial_state, probability, step
 from .jacobi import (check_jacobi_identities, check_reflections, jacobi_at,
                      psi_closed_l, psi_closed_r)
@@ -13,7 +13,7 @@ from .asymptotics import (b_pathintegral, btilde, contour_shift_check,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Sqrt2Scalar", "RationalSeries",
+    "RationalSeries",
     "WalkState", "WalkCache", "initial_state", "step", "evolve", "probability",
     "jacobi_at", "psi_closed_r", "psi_closed_l", "check_reflections",
     "check_jacobi_identities",

@@ -39,13 +39,14 @@ generating function that ties the two together.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from fractions import Fraction
 from typing import Literal
 
 from .jacobi import _numerator_table, _sign, jacobi_at, psi_closed_l, psi_closed_r
 from .ledger import Ledger
-from .ring import RationalSeries, Sqrt2Scalar, _as_fraction, random_rational_series
+from .ring import RationalSeries, _as_fraction, random_rational_series
 from .walk import WalkCache
 
 __all__ = [
@@ -94,15 +95,16 @@ def _closed_core(family: Family, m: int, root: RationalSeries,
         half = RationalSeries.polynomial([Fraction(1, 2)], root.order)
         return half + one_plus_z * root.reciprocal() / 2
     body = (root * d_power).reciprocal()
+    # 2^(m-1/2) = sqrt(2)^(2m-1) and 2^(m-1) = sqrt(2)^(2m-2)
     if family == "F":
-        return body.shift(m) * Sqrt2Scalar(Fraction(2) ** (m - 1), 1)
+        return body.shift(m).scaled(1, 2 * m - 1)
     if family == "G":
         if m == 0:
             return body.shift(1)
-        return body.shift(m) * Sqrt2Scalar(-(Fraction(2) ** (m - 1)))
+        return body.shift(m).scaled(-1, 2 * m - 2)
     if family == "H":
-        return (one_plus_z * body).shift(m) * Sqrt2Scalar(-(Fraction(2) ** (m - 1)), 1)
-    return (one_plus_z * body).shift(m) * Sqrt2Scalar(Fraction(2) ** (m - 1))
+        return (one_plus_z * body).shift(m).scaled(-1, 2 * m - 1)
+    return (one_plus_z * body).shift(m).scaled(1, 2 * m - 2)
 
 
 def closed_form_series(family: Family, m: int, order: int) -> RationalSeries:
@@ -165,11 +167,15 @@ def definitional_series(family: Family, m: int, order: int,
     return RationalSeries(coeffs, order)
 
 
-def _first_mismatch(a: RationalSeries, b: RationalSeries) -> int | None:
-    for i in range(a.order + 1):
-        if a.coefficient(i) != b.coefficient(i):
-            return i
-    return None
+def _record_bridge(ledger: Ledger, item: str, m: int, rhs: RationalSeries,
+                   lhs: RationalSeries) -> None:
+    """Record rhs == lhs with the witness (m, first index whose coefficient
+    differs); the index is searched only when the two series differ."""
+    equal = rhs == lhs
+    index = None if equal else next(
+        i for i, (x, y) in enumerate(zip(rhs.nums, lhs.nums))
+        if x * lhs.den != y * rhs.den or (x and rhs.grade != lhs.grade))
+    ledger.record(item, (m, index), equal)
 
 
 def check_intermediate_relations(walk: WalkCache, m_max: int, order: int) -> Ledger:
@@ -179,7 +185,8 @@ def check_intermediate_relations(walk: WalkCache, m_max: int, order: int) -> Led
         I_m == sqrt(2)/(4(1-z)) * (2(2-z) F_m - z F_{|m-1|} - z F_{m+1})
 
     for every m <= m_max.  Each F_m and 1/(1-z) is built once per call.
-    Witnesses are (m, first mismatching coefficient).
+    Witnesses are (m, first mismatching coefficient), searched for only on a
+    failure.
     """
     if order < m_max + 1:
         raise ValueError("order must be at least m_max+1")
@@ -193,11 +200,11 @@ def check_intermediate_relations(walk: WalkCache, m_max: int, order: int) -> Led
         i_m = definitional_series("I", m, order, walk)
 
         rhs_h = one_plus_z * inv_one_minus_z * (f[m + 1] - f[m]) / 2
-        ledger.record("H bridge", (m, _first_mismatch(rhs_h, h_m)), rhs_h == h_m)
+        _record_bridge(ledger, "H bridge", m, rhs_h, h_m)
 
         bracket = two_minus_z * f[m] * 2 - (f[abs(m - 1)] + f[m + 1]).shift(1)
-        rhs_i = (inv_one_minus_z * bracket / 4) * Sqrt2Scalar(1, 1)
-        ledger.record("I bridge", (m, _first_mismatch(rhs_i, i_m)), rhs_i == i_m)
+        rhs_i = (inv_one_minus_z * bracket).scaled(Fraction(1, 4), 1)
+        _record_bridge(ledger, "I bridge", m, rhs_i, i_m)
     return ledger
 
 
@@ -227,10 +234,15 @@ def jacobi_generating(x, r: int, s: int, order: int) -> RationalSeries:
 
 
 def check_jacobi_generating(k_max: int, rs_max: int) -> Ledger:
-    """Coefficient k of ``jacobi_generating(0, r, s, k_max)`` == jacobi_at(k, r, s)
+    """Coefficient k of ``jacobi_generating(0, r, s, k_max)`` == J_k^{(r,s)}(0)
     for k <= k_max and 0 <= r, s <= rs_max.  R = sqrt(1+z^2), 1/R and the
     reciprocals of 1-z+R and 1+z+R are built once per call, and their powers
-    are stepped by one product each.  Witnesses are (k, r, s).
+    are stepped by one product each.
+
+    The comparison is in integers: with N(k, r, s) = 2^k J_k^{(r,s)}(0), the
+    explicit sum of ``jacobi`` over binomial rows built once per call, each
+    coefficient must have nums[k] 2^k == N(k, r, s) den, and be 0 unless the
+    series has grade 0.  Witnesses are (k, r, s).
     """
     ledger = Ledger("Jacobi generating coefficients")
     root = _sqrt_one_plus_z2(k_max)
@@ -239,12 +251,15 @@ def check_jacobi_generating(k_max: int, rs_max: int) -> Ledger:
                             rs_max)
     plus = _stepped_powers((RationalSeries.polynomial([1, 1], k_max) + root).reciprocal(),
                            rs_max)
+    numerator = _numerator_table(k_max + rs_max, k_max)
     for r in range(rs_max + 1):
         for s in range(rs_max + 1):
             series = _jacobi_core(inv_root, minus[r], plus[s], r, s)
+            rational, nums, den = series.grade == 0, series.nums, series.den
             for k in range(k_max + 1):
                 ledger.record("generating coefficient", (k, r, s),
-                              series.coefficient(k) == Sqrt2Scalar(jacobi_at(k, r, s)))
+                              (rational or not nums[k])
+                              and nums[k] * 2**k == numerator(k, r, s) * den)
     return ledger
 
 
@@ -252,19 +267,19 @@ def _reassembly(family: Family, m: int, generating: RationalSeries,
                 one_plus_z: RationalSeries) -> RationalSeries:
     """Closed form of ``family``'s m-th series rebuilt from the x = 0 Jacobi
     generating series with r = ``_d_exponent(family, m)`` and s = 0."""
+    # the factors as powers of sqrt(2), e.g. 2^(-m-1) sqrt(2) = sqrt(2)^(-2m-1)
     if family == "F":
-        return generating.shift(m) * Sqrt2Scalar(Fraction(1, 2 ** (m + 1)), 1)
+        return generating.shift(m).scaled(1, -2 * m - 1)
     if family == "G":
         if m == 0:
-            return generating.shift(1) * Sqrt2Scalar(Fraction(1, 2))
-        return generating.shift(m) * Sqrt2Scalar(-Fraction(1, 2 ** m))
+            return generating.shift(1).scaled(1, -2)
+        return generating.shift(m).scaled(-1, -2 * m)
     if family == "H":
-        scale = Sqrt2Scalar(-Fraction(1, 2 ** (m + 2)), 1)
-        return (one_plus_z * generating).shift(m) * scale
+        return (one_plus_z * generating).shift(m).scaled(-1, -2 * m - 3)
     if m == 0:
         half = RationalSeries.polynomial([Fraction(1, 2)], generating.order)
         return half + (one_plus_z * generating) / 2
-    return (one_plus_z * generating).shift(m) * Sqrt2Scalar(Fraction(1, 2 ** (m + 1)))
+    return (one_plus_z * generating).shift(m).scaled(1, -2 * m - 2)
 
 
 def equivalence_ledger(walk: WalkCache, m_max: int = 10, order: int = 40
@@ -368,13 +383,13 @@ def lagrange_invert(phi: RationalSeries, f: RationalSeries) -> RationalSeries:
     if phi.grade or f.grade:
         raise ValueError("inversion needs rational-graded series")
     fprime = f.differentiate()
-    out = [Fraction(0)] * (order + 1)
-    out[0] = f.coefficient(0).to_fraction()
+    out = [f.coefficient(0)]
     power = RationalSeries.one(order)
     for n in range(1, order + 1):
         power = power * phi
-        term = fprime * power
-        out[n] = term.coefficient(n - 1).to_fraction() / n
+        # [lambda^(n-1)] f' phi^n, one integer dot product over both denominators
+        dot = sum(map(operator.mul, fprime.nums[:n], power.nums[n - 1::-1]))
+        out.append(Fraction(dot, n * fprime.den * power.den))
     return RationalSeries(out, order)
 
 
@@ -437,13 +452,12 @@ def check_lagrange(order: int, implicit_order: int, seed: int = 0) -> Ledger:
     tree = lagrange_invert(phi, ident)
     for n in range(1, order + 1):
         want = Fraction(n ** (n - 1), math.factorial(n))
-        ledger.record("tree function", n, tree.coefficient(n) == Sqrt2Scalar(want))
+        ledger.record("tree function", n, tree.coefficient(n) == want)
     square = RationalSeries.polynomial([0, 0, 1], order)
     tree_sq = lagrange_invert(phi, square)
     for n in range(2, order + 1):
         want = 2 * Fraction(n) ** (n - 3) / math.factorial(n - 2)
-        ledger.record("tree function squared", n,
-                      tree_sq.coefficient(n) == Sqrt2Scalar(want))
+        ledger.record("tree function squared", n, tree_sq.coefficient(n) == want)
     rng = random.Random(seed)
     for trial in range(5):
         phi_rand = random_rational_series(rng, order, constant=1)

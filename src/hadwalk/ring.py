@@ -1,18 +1,17 @@
-"""Exact scalar and truncated-power-series arithmetic over rationals scaled by sqrt(2).
+"""Exact truncated-power-series arithmetic over rationals scaled by sqrt(2).
 
 Every amplitude of the walk and every generating-function coefficient lives in
-Q union sqrt(2)*Q, so a two-component scalar (q, k) representing q * sqrt(2)**k
-with k in {0, 1} is enough; no general computer algebra is required.
-
-A series is a tuple of integer numerators over one positive integer
-denominator, and a grade bit in {0, 1}: the power of sqrt(2) that every
-coefficient carries.  Its arithmetic runs on Python ints alone: a product is
-an integer convolution over the product of the denominators (a grade of 2 is
-absorbed by doubling the numerators), a sum cross-multiplies, and the
-reciprocal, square root and rational power run their recurrences on integers
-over a running denominator made of powers of the constant term's numerator.
-Each operation ends with one gcd pass, which keeps gcd(den, *nums) == 1, so
-equal series have equal parts.
+Q union sqrt(2)*Q, so no general computer algebra is required.  A series is a
+tuple of integer numerators over one positive integer denominator, and a grade
+bit in {0, 1}: the power of sqrt(2) that every coefficient carries.  Its
+arithmetic runs on Python ints alone: a product is an integer convolution over
+the product of the denominators, a sum cross-multiplies, scaling by
+q sqrt(2)^k multiplies through, and the reciprocal, square root and rational
+power run their recurrences on integers over a running denominator made of
+powers of the constant term's numerator.  Each operation ends with one pass
+that absorbs any power of 2 out of sqrt(2)^grade, (sqrt 2)^(2e + b) = 2^e
+(sqrt 2)^b, and one gcd pass, which keeps gcd(den, *nums) == 1, so equal series
+have equal parts.
 
 Series keep an explicit truncation order.  Binary operations on series of
 different orders raise instead of silently truncating, because silent
@@ -31,7 +30,6 @@ from typing import Iterable, Sequence, Union
 RationalLike = Union[int, Fraction]
 
 __all__ = [
-    "Sqrt2Scalar",
     "RationalSeries",
     "random_rational_series",
 ]
@@ -45,119 +43,16 @@ def _as_fraction(value: RationalLike) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
-class Sqrt2Scalar:
-    """Exact value q * sqrt(2)**k with q rational and k normalized into {0, 1}."""
-
-    __slots__ = ("q", "k")
-
-    def __init__(self, q: RationalLike, k: int = 0):
-        q = _as_fraction(q)
-        if q == 0:
-            k = 0
-        elif k not in (0, 1):
-            # absorb (sqrt 2)^(k - r) = 2^e into the rational part by a shift
-            r = k % 2
-            e = (k - r) // 2
-            if e > 0:
-                q = Fraction(q.numerator << e, q.denominator)
-            else:
-                q = Fraction(q.numerator, q.denominator << -e)
-            k = r
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "k", k)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Sqrt2Scalar is immutable")
-
-    # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> "Sqrt2Scalar":
-        return cls(0, 0)
-
-    # -- predicates ---------------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return self.q == 0
-
-    def to_fraction(self) -> Fraction:
-        if self.k != 0:
-            raise ValueError(f"{self!r} is irrational")
-        return self.q
-
-    # -- arithmetic ---------------------------------------------------------
-
-    def __add__(self, other: "Sqrt2Scalar") -> "Sqrt2Scalar":
-        if not isinstance(other, Sqrt2Scalar):
-            return NotImplemented
-        if self.q == 0:
-            return other
-        if other.q == 0:
-            return self
-        if self.k != other.k:
-            raise ValueError("cannot add scalars of mixed sqrt(2) grade")
-        return Sqrt2Scalar(self.q + other.q, self.k)
-
-    def __neg__(self) -> "Sqrt2Scalar":
-        return Sqrt2Scalar(-self.q, self.k)
-
-    def __sub__(self, other: "Sqrt2Scalar") -> "Sqrt2Scalar":
-        return self + (-other)
-
-    def __mul__(self, other) -> "Sqrt2Scalar":
-        if isinstance(other, Sqrt2Scalar):
-            return Sqrt2Scalar(self.q * other.q, self.k + other.k)
-        if isinstance(other, (int, Fraction)):
-            return Sqrt2Scalar(self.q * other, self.k)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def sqrt(self) -> "Sqrt2Scalar":
-        """Exact square root when one exists in the ring, else ValueError.
-
-        A value has a ring square root iff it is rational, nonnegative, and of
-        the form (a/b)**2 * 2**j; the root is then (a/b) * sqrt(2)**j.
-        """
-        if self.q == 0:
-            return Sqrt2Scalar.zero()
-        if self.k != 0 or self.q < 0:
-            raise ValueError("scalar has no square root in ring")
-        num, den = self.q.numerator, self.q.denominator
-        tn = (num & -num).bit_length() - 1
-        td = (den & -den).bit_length() - 1
-        num >>= tn
-        den >>= td
-        rn, rd = math.isqrt(num), math.isqrt(den)
-        if rn * rn != num or rd * rd != den:
-            raise ValueError("scalar has no square root in ring")
-        return Sqrt2Scalar(Fraction(rn, rd), tn - td)
-
-    # -- comparisons / conversions ------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Sqrt2Scalar):
-            return self.q == other.q and self.k == other.k
-        if isinstance(other, (int, Fraction)):
-            return self.k == 0 and self.q == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.q, self.k))
-
-    def __repr__(self) -> str:
-        if self.k == 0:
-            return f"Sqrt2Scalar({self.q})"
-        return f"Sqrt2Scalar({self.q}*sqrt2)"
-
-
 def _canonical(nums, den: int, order: int, grade: int) -> "RationalSeries":
-    """Series sqrt(2)**grade * sum nums[i]/den z^i for a nonzero den and a
-    grade in {0, 1, 2}, in canonical form: a grade of 2 doubles the
-    numerators, then one gcd pass."""
-    if grade == 2:
-        nums, grade = [2 * a for a in nums], 0
+    """Series sqrt(2)**grade * sum nums[i]/den z^i for a nonzero den and any
+    integer grade, in canonical form: with grade = 2e + b, b in {0, 1}, the
+    factor 2**|e| goes into the numerators or the denominator, then one gcd
+    pass."""
+    e, grade = divmod(grade, 2)
+    if e > 0:
+        nums = [a << e for a in nums]
+    elif e < 0:
+        den <<= -e
     if den < 0:
         nums, den = [-a for a in nums], -den
     g = math.gcd(den, *nums)
@@ -168,11 +63,25 @@ def _canonical(nums, den: int, order: int, grade: int) -> "RationalSeries":
     return series
 
 
-def _scaled(series: "RationalSeries", value) -> "RationalSeries":
-    """series * value for an int, Fraction or Sqrt2Scalar value."""
-    q, k = (value.q, value.k) if isinstance(value, Sqrt2Scalar) else (value, 0)
-    return _canonical([a * q.numerator for a in series.nums],
-                      series.den * q.denominator, series.order, series.grade + k)
+def _constant_root(c0: Fraction, grade: int) -> tuple:
+    """(r, k) with r rational and (r sqrt(2)**k)**2 == c0 sqrt(2)**grade.
+
+    A nonzero value has a root in the ring iff it is rational, positive and
+    of the form (a/b)**2 * 2**j; the root is then (a/b) * sqrt(2)**j.  Zero and
+    every other value raise ValueError.
+    """
+    if c0 == 0:
+        raise ValueError("series has no square root in ring")
+    if not grade and c0 > 0:
+        num, den = c0.numerator, c0.denominator
+        tn = (num & -num).bit_length() - 1
+        td = (den & -den).bit_length() - 1
+        num >>= tn
+        den >>= td
+        rn, rd = math.isqrt(num), math.isqrt(den)
+        if rn * rn == num and rd * rd == den:
+            return Fraction(rn, rd), tn - td
+    raise ValueError("series has no square root in ring")
 
 
 def _powers(base: int, top: int) -> list:
@@ -200,9 +109,8 @@ class RationalSeries:
     """Truncated formal power series sqrt(2)**grade * sum (nums[i] / den) z^i.
 
     ``nums`` is a tuple of ints, ``den`` one positive int and ``grade`` 0 or
-    1, so the coefficient of z^i as a ring element is
-    ``coefficient(i) = Sqrt2Scalar(Fraction(nums[i], den), grade)``.  The form
-    is canonical: ``gcd(den, *nums) == 1`` and the zero series has
+    1, so the coefficient of z^i is ``coefficient(i) = Fraction(nums[i], den)``
+    times sqrt(2)**grade.  The form is canonical: ``gcd(den, *nums) == 1`` and the zero series has
     ``den == 1`` and grade 0, so two series are equal exactly when their
     ``(order, grade, den, nums)`` are.  The constructor takes ints and
     Fractions.
@@ -255,17 +163,11 @@ class RationalSeries:
 
     # -- accessors ----------------------------------------------------------
 
-    def coefficient(self, i: int) -> Sqrt2Scalar:
+    def coefficient(self, i: int) -> Fraction:
+        """The rational part of the coefficient of z^i; it carries sqrt(2)**grade."""
         if not 0 <= i <= self.order:
             raise IndexError(f"coefficient index {i} outside 0..{self.order}")
-        return Sqrt2Scalar(Fraction(self.nums[i], self.den), self.grade)
-
-    def coefficients(self) -> list:
-        return [self.coefficient(i) for i in range(self.order + 1)]
-
-    @property
-    def constant_term(self) -> Sqrt2Scalar:
-        return self.coefficient(0)
+        return Fraction(self.nums[i], self.den)
 
     def is_zero(self) -> bool:
         return not any(self.nums)
@@ -304,9 +206,15 @@ class RationalSeries:
             return NotImplemented
         return self + (-other)
 
+    def scaled(self, q: RationalLike = 1, k: int = 0) -> "RationalSeries":
+        """self * q * sqrt(2)**k for a rational q and any integer k."""
+        q = _as_fraction(q)
+        return _canonical([a * q.numerator for a in self.nums], self.den * q.denominator,
+                          self.order, self.grade + k)
+
     def __mul__(self, other) -> "RationalSeries":
-        if isinstance(other, (int, Fraction, Sqrt2Scalar)):
-            return _scaled(self, other)
+        if isinstance(other, (int, Fraction)):
+            return self.scaled(other)
         if not isinstance(other, RationalSeries):
             return NotImplemented
         self._require_same_order(other)
@@ -320,9 +228,8 @@ class RationalSeries:
         """Multiplicative inverse; requires a nonzero constant term.
 
         With a = nums, 1/a = sum b_m z^m / a0^(m+1) where b_0 = 1 and
-        b_m = -sum_{i=1..m} a_i a0^(i-1) b_(m-i), all in integers.  A grade
-        of 1 stays 1 and puts a factor 2 in the denominator, because
-        1/(x sqrt2) = sqrt2 / (2x).
+        b_m = -sum_{i=1..m} a_i a0^(i-1) b_(m-i), all in integers.  The grade
+        is negated: 1/(x sqrt2) = sqrt2^(-1) / x = sqrt2 / (2x).
         """
         a = self.nums
         a0 = a[0]
@@ -335,11 +242,11 @@ class RationalSeries:
         for m in range(1, n + 1):
             b.append(-sum(map(operator.mul, c[:m], reversed(b))))
         nums = [b[m] * pw[n - m] * self.den for m in range(n + 1)]
-        return _canonical(nums, pw[n + 1] * (1 + self.grade), n, self.grade)
+        return _canonical(nums, pw[n + 1], n, -self.grade)
 
     def __truediv__(self, other) -> "RationalSeries":
         if isinstance(other, (int, Fraction)):
-            return _scaled(self, 1 / Fraction(other))
+            return self.scaled(1 / Fraction(other))
         if isinstance(other, RationalSeries):
             return self * other.reciprocal()
         return NotImplemented
@@ -351,22 +258,16 @@ class RationalSeries:
         root(c0) * sum r_m z^m with r_0 = 1 and r_m = 2 t_m / (4 a0)^m, where
         t_m = a_m (4 a0)^(m-1) - sum_{i=1..m-1} t_i t_(m-i), all in integers.
         """
-        c0 = self.constant_term
-        if c0.is_zero:
-            raise ValueError("series has no square root in ring")
-        try:
-            root0 = c0.sqrt()
-        except ValueError:
-            raise ValueError("series has no square root in ring") from None
+        root0, k = _constant_root(self.coefficient(0), self.grade)
         a = self.nums
         n = self.order
         pw = _powers(4 * a[0], n)
         t = [0]
         for m in range(1, n + 1):
             t.append(a[m] * pw[m - 1] - sum(map(operator.mul, t[1:m], t[m - 1:0:-1])))
-        p, q = root0.q.numerator, root0.q.denominator
+        p, q = root0.numerator, root0.denominator
         nums = [pw[n] * p] + [2 * t[m] * pw[n - m] * p for m in range(1, n + 1)]
-        return _canonical(nums, pw[n] * q, n, root0.k)
+        return _canonical(nums, pw[n] * q, n, k)
 
     def pow_int(self, n: int) -> "RationalSeries":
         """Integer power; negative exponents go through the reciprocal."""

@@ -16,7 +16,7 @@ from hadwalk.genfun import (check_intermediate_relations, closed_form_series,
                             jacobi_generating, lagrange_invert,
                             srivastava_singhal_series)
 from hadwalk.jacobi import jacobi_at
-from hadwalk.ring import RationalSeries, Sqrt2Scalar, random_rational_series
+from hadwalk.ring import RationalSeries, random_rational_series
 from hadwalk.walk import WalkCache, WalkState
 
 
@@ -30,18 +30,27 @@ def walk():
 class TestClosedForms:
     def test_f0_low_coefficients(self):
         s = closed_form_series("F", 0, 3)
-        assert s.coefficient(0) == Sqrt2Scalar(Fraction(1, 2), 1)    # 2^(-1/2)
-        assert s.coefficient(1).is_zero
-        assert s.coefficient(2) == Sqrt2Scalar(Fraction(-1, 4), 1)   # -2^(-3/2)
+        assert s.grade == 1
+        assert s.coefficient(0) == Fraction(1, 2)    # 2^(-1/2) = sqrt2 / 2
+        assert s.coefficient(1) == 0
+        assert s.coefficient(2) == Fraction(-1, 4)   # -2^(-3/2) = -sqrt2 / 4
+
+    def test_coefficient_is_fraction_read_with_grade(self):
+        s = closed_form_series("F", 0, 3)
+        assert s.grade == 1
+        for i in range(4):
+            assert type(s.coefficient(i)) is Fraction
+            assert s.coefficient(i) == Fraction(s.nums[i], s.den)
 
     def test_g0_and_i0_constants(self):
-        assert closed_form_series("G", 0, 5).coefficient(0).is_zero
-        assert closed_form_series("I", 0, 5).coefficient(0) == Sqrt2Scalar(1)
+        assert closed_form_series("G", 0, 5).coefficient(0) == 0
+        i0 = closed_form_series("I", 0, 5)
+        assert (i0.coefficient(0), i0.grade) == (1, 0)
 
     def test_h0_constant_is_negative(self):
         # the left-series boundary value: psiTilde_L(1,1) = -2^(-3/2)
-        got = closed_form_series("H", 0, 5).coefficient(0)
-        assert got == Sqrt2Scalar(Fraction(-1, 4), 1)
+        h0 = closed_form_series("H", 0, 5)
+        assert (h0.coefficient(0), h0.grade) == (Fraction(-1, 4), 1)
 
     def test_order_validation(self):
         with pytest.raises(ValueError, match="order"):
@@ -60,7 +69,7 @@ class TestDefinitionalVsClosed:
     def test_leading_zeros_below_m(self, walk):
         s = definitional_series("I", 3, 10, walk)
         for t in range(3):
-            assert s.coefficient(t).is_zero
+            assert s.coefficient(t) == 0
 
 
 class TestIntermediateRelations:
@@ -70,12 +79,28 @@ class TestIntermediateRelations:
         assert rep.passed, rep.failures[:2]
         assert rep.checked == 2 * (m_max + 1)
 
+    # a wrong mantissa fails exactly the bridges whose series read it, each
+    # with its first mismatching coefficient; the lists the full
+    # coefficient-by-coefficient scan gave, now searched only on a failure
+    @pytest.mark.parametrize("wrong, failures", [
+        ((15, "R", 5), [("H bridge", (1, 7)), ("I bridge", (1, 8)), ("H bridge", (2, 7)),
+                        ("I bridge", (2, 7)), ("I bridge", (3, 8))]),
+        ((16, "L", 4), [("I bridge", (2, 8))]),
+        ((9, "L", 3), [("H bridge", (1, 4))]),
+        ((17, "L", 1), [("H bridge", (0, 8))]),
+    ], ids=["R-t15-n5", "L-t16-n4", "L-t9-n3", "L-t17-n1"])
+    def test_one_wrong_mantissa(self, wrong, failures):
+        rep = check_intermediate_relations(OneWrongMantissa(*wrong), 3, 12)
+        assert rep.checked == 8
+        assert rep.failures == failures
+
 
 class TestJacobiGenerating:
     def test_x0_trivial_coefficients(self):
         s = jacobi_generating(0, 0, 0, 6)
-        assert s.coefficient(0) == Sqrt2Scalar(1)
-        assert s.coefficient(2) == Sqrt2Scalar(Fraction(-1, 2))
+        assert s.grade == 0
+        assert s.coefficient(0) == 1
+        assert s.coefficient(2) == Fraction(-1, 2)
 
     def test_float_argument_rejected(self):
         # even 0.5, which a Fraction would convert exactly; x must be exact
@@ -86,8 +111,40 @@ class TestJacobiGenerating:
     @pytest.mark.parametrize("x", [Fraction(0), Fraction(1, 2), Fraction(-1, 2)])
     def test_coefficients_match_explicit_sum(self, r, s, x):
         series = jacobi_generating(x, r, s, 12)
+        assert series.grade == 0
         for k in range(13):
-            assert series.coefficient(k) == Sqrt2Scalar(jacobi_at(k, r, s, x)), (k, r, s, x)
+            assert series.coefficient(k) == jacobi_at(k, r, s, x), (k, r, s, x)
+
+    @pytest.mark.parametrize("r, s", [(2, 1), (0, 0), (3, 3)])
+    def test_check_fails_only_the_wrong_coefficients(self, r, s, monkeypatch):
+        # coefficients 0 and 3 of one (r, s) series off by one
+        core = genfun._jacobi_core
+        bad = (r, s)
+
+        def wrong_core(inv_root, minus_power, plus_power, r, s):
+            series = core(inv_root, minus_power, plus_power, r, s)
+            if (r, s) != bad:
+                return series
+            return series + RationalSeries.polynomial([1, 0, 0, 1], series.order)
+
+        monkeypatch.setattr(genfun, "_jacobi_core", wrong_core)
+        rep = genfun.check_jacobi_generating(12, 3)
+        assert rep.checked == 208
+        assert rep.failures == [("generating coefficient", (0, r, s)),
+                                ("generating coefficient", (3, r, s))]
+
+    def test_check_reads_the_grade(self, monkeypatch):
+        # times sqrt(2), a series fails wherever J_k^{(0,0)}(0) != 0: at even k
+        core = genfun._jacobi_core
+
+        def wrong_core(inv_root, minus_power, plus_power, r, s):
+            series = core(inv_root, minus_power, plus_power, r, s)
+            return series.scaled(1, 1) if (r, s) == (0, 0) else series
+
+        monkeypatch.setattr(genfun, "_jacobi_core", wrong_core)
+        rep = genfun.check_jacobi_generating(12, 3)
+        assert rep.failures == [("generating coefficient", (k, 0, 0))
+                                for k in range(0, 13, 2)]
 
     def test_cauchy_extraction_matches(self):
         # trapezoid contour integral at radius 1/2 of the x=0 generating function
@@ -249,7 +306,7 @@ class TestLagrange:
                              order)
         w = lagrange_invert(phi, RationalSeries.z(order))
         for n in range(1, order + 1):
-            assert w.coefficient(n) == Sqrt2Scalar(Fraction(n ** (n - 1), math.factorial(n)))
+            assert w.coefficient(n) == Fraction(n ** (n - 1), math.factorial(n))
 
     def test_w_squared(self):
         order = 20
@@ -257,10 +314,10 @@ class TestLagrange:
                              order)
         f = RationalSeries.polynomial([0, 0, 1], order)
         w2 = lagrange_invert(phi, f)
-        assert w2.coefficient(0).is_zero and w2.coefficient(1).is_zero
+        assert w2.coefficient(0) == 0 and w2.coefficient(1) == 0
         for n in range(2, order + 1):
             want = 2 * Fraction(n) ** (n - 3) / math.factorial(n - 2)
-            assert w2.coefficient(n) == Sqrt2Scalar(want)
+            assert w2.coefficient(n) == want
 
     def test_constant_phi_gives_identity(self):
         order = 6
@@ -287,8 +344,7 @@ class TestLagrange:
 
     def test_rejects_irrational_grade(self):
         one, ident = RationalSeries.one(4), RationalSeries.z(4)
-        root2 = Sqrt2Scalar(1, 1)
-        for phi, f in [(one * root2, ident), (one, ident * root2)]:
+        for phi, f in [(one.scaled(1, 1), ident), (one, ident.scaled(1, 1))]:
             with pytest.raises(ValueError, match="rational-graded"):
                 lagrange_invert(phi, f)
 
@@ -299,13 +355,14 @@ class TestSrivastavaSinghal:
 
     def test_order_zero_coefficient(self):
         s = srivastava_singhal_series(0, 1, 0, 0, 8)
-        assert s.coefficient(0) == Sqrt2Scalar(1)
+        assert (s.coefficient(0), s.grade) == (1, 0)
 
     def test_parameter_slope_one(self):
         # a=gamma=0, b=1, beta=0 enumerates J_j^{(0,j)}(0)
         s = srivastava_singhal_series(0, 1, 0, 0, 10)
+        assert s.grade == 0
         for j in range(11):
-            assert s.coefficient(j) == Sqrt2Scalar(jacobi_at(j, 0, j)), j
+            assert s.coefficient(j) == jacobi_at(j, 0, j), j
 
     def test_rejects_inexact_parameters(self):
         with pytest.raises(TypeError, match="exact rational"):
@@ -316,6 +373,7 @@ class TestSrivastavaSinghal:
         phihat = (RationalSeries.polynomial([1, -1], 6).pow_rational(1)
                   * RationalSeries.polynomial([1, 1], 6).pow_rational(1) / (-2))
         u = lagrange_invert(phihat, RationalSeries.z(6))
-        assert u.coefficient(1) == Sqrt2Scalar(Fraction(-1, 2))
-        assert u.coefficient(2).is_zero
-        assert u.coefficient(3) == Sqrt2Scalar(Fraction(1, 8))
+        assert u.grade == 0
+        assert u.coefficient(1) == Fraction(-1, 2)
+        assert u.coefficient(2) == 0
+        assert u.coefficient(3) == Fraction(1, 8)

@@ -6,67 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hadwalk.ring import RationalSeries, Sqrt2Scalar, random_rational_series
+from hadwalk.ring import RationalSeries, random_rational_series
 
 fractions_st = st.fractions(min_value=-5, max_value=5, max_denominator=7)
-scalars_st = st.builds(Sqrt2Scalar, fractions_st, st.integers(-3, 3))
-
-
-class TestSqrt2Scalar:
-    def test_normalization_absorbs_two(self):
-        assert Sqrt2Scalar(1, 2) == Sqrt2Scalar(2, 0)
-        assert Sqrt2Scalar(1, 3) == Sqrt2Scalar(2, 1)
-        assert Sqrt2Scalar(1, -1) == Sqrt2Scalar(Fraction(1, 2), 1)
-        assert Sqrt2Scalar(0, 1).k == 0
-
-    @given(fractions_st, st.integers(-9, 9))
-    def test_normalization_matches_power_of_two(self, q, k):
-        s = Sqrt2Scalar(q, k)
-        if q == 0:
-            assert (s.q, s.k) == (0, 0)
-        else:
-            assert (s.q, s.k) == (q * Fraction(2) ** ((k - k % 2) // 2), k % 2)
-
-    def test_sqrt2_squared_is_two(self):
-        root2 = Sqrt2Scalar(1, 1)
-        sq = root2 * root2
-        assert sq.q == 2 and sq.k == 0
-
-    @given(scalars_st, scalars_st)
-    def test_multiplication_commutes(self, a, b):
-        assert a * b == b * a
-
-    @given(scalars_st, scalars_st, scalars_st)
-    def test_multiplication_associates(self, a, b, c):
-        assert (a * b) * c == a * (b * c)
-
-    def test_mixed_grade_addition_rejected(self):
-        with pytest.raises(ValueError, match="mixed"):
-            Sqrt2Scalar(1, 0) + Sqrt2Scalar(1, 1)
-
-    def test_zero_additions_cross_grades(self):
-        assert Sqrt2Scalar(0) + Sqrt2Scalar(3, 1) == Sqrt2Scalar(3, 1)
-
-    @pytest.mark.parametrize("value, root", [
-        (Sqrt2Scalar(4), Sqrt2Scalar(2)),
-        (Sqrt2Scalar(2), Sqrt2Scalar(1, 1)),
-        (Sqrt2Scalar(Fraction(9, 2)), Sqrt2Scalar(Fraction(3, 2), 1)),
-        (Sqrt2Scalar(Fraction(1, 4)), Sqrt2Scalar(Fraction(1, 2))),
-    ])
-    def test_sqrt_exact(self, value, root):
-        assert value.sqrt() == root
-        assert root * root == value
-
-    @pytest.mark.parametrize("bad", [Sqrt2Scalar(3), Sqrt2Scalar(-1),
-                                     Sqrt2Scalar(1, 1)])
-    def test_sqrt_rejects_non_squares(self, bad):
-        with pytest.raises(ValueError):
-            bad.sqrt()
-
-    def test_immutability(self):
-        a = Sqrt2Scalar(1)
-        with pytest.raises(AttributeError):
-            a.q = Fraction(2)
+scalings_st = st.tuples(fractions_st, st.integers(-3, 3))
 
 
 def poly(coeffs, order):
@@ -83,6 +26,26 @@ class TestRationalSeries:
     def test_sqrt_identity_and_constant(self):
         assert RationalSeries.one(6).sqrt() == RationalSeries.one(6)
         assert poly([4], 3).sqrt() == poly([2], 3)
+
+    @pytest.mark.parametrize("value, root, k", [
+        (4, 2, 0),
+        (2, 1, 1),
+        (Fraction(9, 2), Fraction(3, 2), 1),
+        (Fraction(1, 4), Fraction(1, 2), 0),
+    ], ids=["4", "2", "9_2", "1_4"])
+    def test_sqrt_exact_constant(self, value, root, k):
+        # the root of the constant term is root * sqrt(2)**k
+        s = poly([value, 1, -3], 4)
+        got = s.sqrt()
+        assert (got.coefficient(0), got.grade) == (root, k)
+        assert got * got == s
+
+    @pytest.mark.parametrize("bad", [
+        poly([3, 1], 4), poly([-1, 1], 4), RationalSeries.polynomial([1, 1], 4, grade=1),
+    ], ids=["3", "-1", "sqrt2"])
+    def test_sqrt_rejects_non_squares(self, bad):
+        with pytest.raises(ValueError, match="no square root"):
+            bad.sqrt()
 
     def test_sqrt_rejects_nonsquare_constant(self):
         with pytest.raises(ValueError, match="no square root"):
@@ -116,10 +79,63 @@ class TestRationalSeries:
         with pytest.raises(ValueError, match="grade"):
             a + b
 
+    def test_mixed_grade_constants_rejected(self):
+        # 1 + sqrt(2) has no single-grade representation
+        one = poly([1], 3)
+        sqrt2 = RationalSeries.polynomial([1], 3, grade=1)
+        for a, b in ((one, sqrt2), (sqrt2, one)):
+            with pytest.raises(ValueError, match="mixed"):
+                a + b
+
     def test_scaled_addition_merges_parity(self):
         a = RationalSeries.polynomial([1], 3, grade=1)      # sqrt2
         b = RationalSeries.polynomial([3], 3, grade=1)      # 3 sqrt2
-        assert (a + b).coefficient(0) == Sqrt2Scalar(4, 1)
+        assert ((a + b).coefficient(0), (a + b).grade) == (4, 1)
+
+    def test_zero_adds_to_either_grade(self):
+        zero = RationalSeries.polynomial([0], 3, grade=1)
+        assert zero.grade == 0
+        for grade in (0, 1):
+            s = RationalSeries.polynomial([3, 1], 3, grade)
+            assert zero + s == s and s + zero == s
+
+    def test_scaled_absorbs_two(self):
+        s = poly([1, Fraction(-2, 3)], 3)
+        assert s.scaled(1, 2) == s.scaled(2, 0)
+        assert s.scaled(1, 3) == s.scaled(2, 1)
+        assert s.scaled(1, -1) == s.scaled(Fraction(1, 2), 1)
+        assert s.scaled(0, 1).grade == 0
+
+    @given(fractions_st, st.integers(-9, 9), st.integers(0, 1))
+    @settings(deadline=None)
+    def test_scaled_matches_power_of_two(self, q, k, grade):
+        s = RationalSeries.polynomial([3, Fraction(-1, 2)], 2, grade)
+        assert values(s.scaled(q, k)) == scaled([q * c for c in fractions_of(s)], grade + k)
+
+    def test_sqrt2_twice_is_two(self):
+        for grade in (0, 1):
+            s = RationalSeries.polynomial([1, Fraction(5, 3), -2], 3, grade)
+            assert s.scaled(1, 1).scaled(1, 1) == s * 2
+            assert s.scaled(1, 1).grade == 1 - grade
+
+    @given(scalings_st, scalings_st, st.integers(0, 1))
+    @settings(deadline=None)
+    def test_scaling_commutes(self, a, b, grade):
+        s = RationalSeries.polynomial([2, Fraction(-3, 4)], 2, grade)
+        assert s.scaled(*a).scaled(*b) == s.scaled(*b).scaled(*a)
+
+    @given(scalings_st, scalings_st, st.integers(0, 1))
+    @settings(deadline=None)
+    def test_scaling_composes(self, a, b, grade):
+        s = RationalSeries.polynomial([2, Fraction(-3, 4)], 2, grade)
+        assert s.scaled(*a).scaled(*b) == s.scaled(a[0] * b[0], a[1] + b[1])
+
+    def test_immutability(self):
+        s = poly([1, 2], 3)
+        with pytest.raises(AttributeError):
+            s.nums = (3, 4, 0, 0)
+        with pytest.raises(AttributeError):
+            s.grade = 1
 
     @given(st.integers(0, 6), st.integers(0, 2**31 - 1))
     @settings(max_examples=60, deadline=None)
@@ -148,7 +164,7 @@ class TestRationalSeries:
         # unit constant term carried jointly by numerator and denominator
         s = RationalSeries.polynomial([1, Fraction(3, 2)], 6)
         assert s.nums[0] == s.den == 2
-        assert s.constant_term == Sqrt2Scalar(1)
+        assert (s.coefficient(0), s.grade) == (1, 0)
         half = s.pow_rational(Fraction(1, 2))
         assert half * half == s
 
@@ -183,9 +199,11 @@ class TestRationalSeries:
         assert s.differentiate() == poly([3, 4, 21, 0], 3)
 
     def test_coefficient_accessor_carries_scale(self):
+        # the coefficient is the rational part; the grade carries the sqrt(2)
         s = RationalSeries.polynomial([Fraction(1, 2), 1], 4, grade=1)
-        assert s.coefficient(0) == Sqrt2Scalar(Fraction(1, 2), 1)
-        assert s.coefficient(1) == Sqrt2Scalar(1, 1)
+        assert s.grade == 1
+        assert s.coefficient(0) == Fraction(1, 2) and type(s.coefficient(0)) is Fraction
+        assert s.coefficient(1) == 1 and type(s.coefficient(1)) is Fraction
         with pytest.raises(IndexError):
             s.coefficient(5)
 
@@ -254,8 +272,17 @@ def fractions_of(series):
     return [Fraction(a, series.den) for a in series.nums]
 
 
-def scaled(scalar, coeffs):
-    return [scalar * c for c in coeffs]
+def values(series):
+    """The series as (rational parts of its coefficients, grade)."""
+    return fractions_of(series), series.grade
+
+
+def scaled(coeffs, k):
+    """Rationals times sqrt(2)**k for any integer k, as (Fractions, grade) with
+    the grade in {0, 1} and 0 for all-zero coefficients."""
+    e, grade = divmod(k, 2)
+    coeffs = [c * Fraction(2) ** e for c in coeffs]
+    return coeffs, grade if any(coeffs) else 0
 
 
 def assert_canonical(series):
@@ -295,8 +322,7 @@ class TestIntegerRepresentation:
                 product = a * b
                 assert_canonical(product)
                 want = reference_mul(fractions_of(a), fractions_of(b))
-                assert product.coefficients() == scaled(Sqrt2Scalar(1, a.grade + b.grade),
-                                                        want)
+                assert values(product) == scaled(want, a.grade + b.grade)
 
     @pytest.mark.parametrize("order", REFERENCE_ORDERS)
     def test_reciprocal_matches_reference(self, order):
@@ -305,13 +331,18 @@ class TestIntegerRepresentation:
             assert_canonical(inverse)
             want = reference_reciprocal(fractions_of(s))
             # the inverse of sqrt(2)**grade * x is sqrt(2)**(-grade) / x
-            assert inverse.coefficients() == scaled(Sqrt2Scalar(1, -s.grade), want)
+            assert values(inverse) == scaled(want, -s.grade)
 
     @pytest.mark.parametrize("order", REFERENCE_ORDERS)
     def test_sqrt_matches_reference(self, order):
         rng = random.Random(3000 + order)
-        # ring squares as constant term, times sqrt(2) in grade 1
-        for value in [1, 4, 2, Fraction(9, 2), Fraction(1, 8), Fraction(25, 49)]:
+        # ring squares as constant term, with their roots root * sqrt(2)**k,
+        # times sqrt(2) in grade 1
+        for value, root, k in [(1, 1, 0), (4, 2, 0), (2, 1, 1),
+                               (Fraction(9, 2), Fraction(3, 2), 1),
+                               (Fraction(1, 8), Fraction(1, 4), 1),
+                               (Fraction(25, 49), Fraction(5, 7), 0)]:
+            assert root * root * 2**k == value
             for grade in (0, 1):
                 factor = random_factor(rng)
                 raw = random_rational_series(rng, order, constant=1)
@@ -322,10 +353,10 @@ class TestIntegerRepresentation:
                     with pytest.raises(ValueError, match="no square root"):
                         s.sqrt()
                     continue
-                root = s.sqrt()
-                assert_canonical(root)
+                root_series = s.sqrt()
+                assert_canonical(root_series)
                 want = reference_sqrt(coeffs)
-                assert root.coefficients() == scaled(Sqrt2Scalar(value).sqrt(), want)
+                assert values(root_series) == scaled([root * c for c in want], k)
 
     @pytest.mark.parametrize("order", REFERENCE_ORDERS)
     def test_pow_rational_matches_reference(self, order):
@@ -337,8 +368,7 @@ class TestIntegerRepresentation:
             s = RationalSeries([factor * c for c in coeffs], order)
             power = s.pow_rational(c)
             assert_canonical(power)
-            assert power.coefficients() == scaled(Sqrt2Scalar(1),
-                                                  reference_pow_rational(coeffs, c))
+            assert values(power) == scaled(reference_pow_rational(coeffs, c), 0)
 
     @pytest.mark.parametrize("order", REFERENCE_ORDERS)
     def test_every_operation_is_canonical(self, order):
@@ -348,21 +378,21 @@ class TestIntegerRepresentation:
         for a, b in zip(cases, cases[1:] + cases[:1]):
             same_grade = RationalSeries([3 * c for c in fractions_of(b)], order, a.grade)
             results = [a * b, -a, a * 0, a * -4, a * Fraction(-6, 35),
-                       a * Sqrt2Scalar(2, 1), a * Sqrt2Scalar(0), a / -6,
+                       a.scaled(2, 1), a.scaled(Fraction(-3, 5), -3), a.scaled(0), a / -6,
                        a / Fraction(-10, 21),
                        a.pow_int(3), a.differentiate(), a + same_grade,
                        a - same_grade, a - a]
-            want_sum = [x + y for x, y in zip(a.coefficients(), same_grade.coefficients())]
-            assert (a + same_grade).coefficients() == want_sum
+            want_sum = [x + y for x, y in zip(fractions_of(a), fractions_of(same_grade))]
+            assert values(a + same_grade) == scaled(want_sum, a.grade)
             assert (a - a).is_zero() and (a - a).den == 1
             for m in range(order + 2):
                 results.append(a.shift(m))
-                want = ([Sqrt2Scalar(0)] * m + a.coefficients())[: order + 1]
-                assert a.shift(m).coefficients() == want
+                want = ([0] * m + fractions_of(a))[: order + 1]
+                assert values(a.shift(m)) == scaled(want, a.grade)
             if not b.is_zero() and b.nums[0]:
                 results += [b.reciprocal(), a / b, b.pow_int(-2)]
             inner = rng.choice(rational)
-            inner = inner - RationalSeries.polynomial([inner.coefficient(0).q], order)
+            inner = inner - RationalSeries.polynomial([inner.coefficient(0)], order)
             results.append(a.compose(inner))
             for series in results:
                 assert_canonical(series)
@@ -374,7 +404,7 @@ class TestIntegerRepresentation:
         cases += [RationalSeries([0] * (order + 1), order, grade=1)]
         for a in cases:
             for b in cases:
-                equal = a.coefficients() == b.coefficients()
+                equal = values(a) == values(b)
                 assert (a == b) == equal
                 if equal:
                     assert hash(a) == hash(b)
