@@ -46,7 +46,7 @@ from typing import Literal
 
 from .jacobi import _numerator_table, _sign, jacobi_at, psi_closed_l, psi_closed_r
 from .ledger import Ledger
-from .ring import RationalSeries, _as_fraction, random_rational_series
+from .ring import RationalSeries, _as_fraction, _canonical, random_rational_series
 from .walk import WalkCache
 
 __all__ = [
@@ -140,31 +140,36 @@ def _i_boundary(m: int) -> Fraction:
 
 def definitional_series(family: Family, m: int, order: int,
                         walk: WalkCache) -> RationalSeries:
-    """Series whose coefficient t is the exact simulator amplitude."""
+    """Series whose coefficient t is the exact simulator amplitude.
+
+    The numerators are ints over one denominator: 2^(order+1) for F and G,
+    and for H and I 2^(order+2) times lcm(1..order-m), which clears every
+    t/(t-m) of psiTilde_L, with the boundary value scaled in.  The series is
+    canonicalised once.
+    """
     _check_series(family, m, order)
-    coeffs = [Fraction(0)] * m  # t < m: position 2m (or 2m+1) is outside the light cone
+    nums = [0] * m  # t < m: position 2m (or 2m+1) is outside the light cone
+    top = order + 1
     if family == "F":
-        for t in range(m, order + 1):
-            # amplitude mantissa * sqrt(2)^(-(2t+1)) == (mantissa/2^(t+1)) * sqrt2
-            mantissa = walk.state(2 * t + 1).mantissa_r(2 * m + 1)
-            coeffs.append(Fraction(mantissa, 2 ** (t + 1)))
-        return RationalSeries(coeffs, order, grade=1)
+        # amplitude mantissa * sqrt(2)^(-(2t+1)) == (mantissa/2^(t+1)) * sqrt2
+        nums += [walk.state(2 * t + 1).mantissa_r(2 * m + 1) << (order - t)
+                 for t in range(m, top)]
+        return _canonical(nums, 1 << top, order, 1)
     if family == "G":
-        for t in range(m, order + 1):
-            coeffs.append(Fraction(walk.state(2 * t).mantissa_r(2 * m), 2**t))
-        return RationalSeries(coeffs, order)
+        nums += [walk.state(2 * t).mantissa_r(2 * m) << (top - t) for t in range(m, top)]
+        return _canonical(nums, 1 << top, order, 0)
+    boundary = _h_boundary(m) if family == "H" else _i_boundary(m)
+    den = math.lcm(math.lcm(*range(1, order - m + 1)) << (order + 2), boundary.denominator)
+    nums.append(boundary.numerator * (den // boundary.denominator))
     if family == "H":
-        coeffs.append(_h_boundary(m))
-        for t in range(m + 1, order + 1):
-            frac = Fraction(2 * t + 1, 2 * (t - m))
-            coeffs.append(frac * walk.state(2 * t + 1).mantissa_l(2 * m + 1)
-                          / 2 ** (t + 1))
-        return RationalSeries(coeffs, order, grade=1)
-    coeffs.append(_i_boundary(m))
-    for t in range(m + 1, order + 1):
-        frac = Fraction(t, t - m)
-        coeffs.append(frac * walk.state(2 * t).mantissa_l(2 * m) / 2**t)
-    return RationalSeries(coeffs, order)
+        # psiTilde_L / sqrt2 == (2t+1) mantissa / ((t-m) 2^(t+2))
+        nums += [(2 * t + 1) * walk.state(2 * t + 1).mantissa_l(2 * m + 1)
+                 * (den // ((t - m) << (t + 2))) for t in range(m + 1, top)]
+        return _canonical(nums, den, order, 1)
+    # psiTilde_L == t mantissa / ((t-m) 2^t)
+    nums += [t * walk.state(2 * t).mantissa_l(2 * m) * (den // ((t - m) << t))
+             for t in range(m + 1, top)]
+    return _canonical(nums, den, order, 0)
 
 
 def _record_bridge(ledger: Ledger, item: str, m: int, rhs: RationalSeries,

@@ -4,10 +4,14 @@ Every amplitude of the walk and every generating-function coefficient lives in
 Q union sqrt(2)*Q, so no general computer algebra is required.  A series is a
 tuple of integer numerators over one positive integer denominator, and a grade
 bit in {0, 1}: the power of sqrt(2) that every coefficient carries.  Its
-arithmetic runs on Python ints alone: a product is an integer convolution over
-the product of the denominators, a sum cross-multiplies, scaling by
-q sqrt(2)^k multiplies through, and the reciprocal, square root and rational
-power run their recurrences on integers over a running denominator made of
+arithmetic runs on Python ints alone.  A product is one big-integer multiply
+(Kronecker substitution): each factor's numerators are packed into one int as
+signed digits wide enough for every coefficient of the product, and the
+product's digits are read back, over the product of the denominators.  A sum
+cross-multiplies, and scaling by q sqrt(2)^k multiplies through.  The
+reciprocal runs its recurrence over one common denominator that each step
+extends only by the factor its new term needs, so the integers stay near the
+size of the reduced result; the square root and rational power run theirs over
 powers of the constant term's numerator.  Each operation ends with one pass
 that absorbs any power of 2 out of sqrt(2)^grade, (sqrt 2)^(2e + b) = 2^e
 (sqrt 2)^b, and one gcd pass, which keeps gcd(den, *nums) == 1, so equal series
@@ -92,17 +96,54 @@ def _powers(base: int, top: int) -> list:
     return out
 
 
+def _length(p: tuple) -> int:
+    """len(p) without its trailing zeros."""
+    k = len(p)
+    while k and not p[k - 1]:
+        k -= 1
+    return k
+
+
+def _sign_bits(count: int, size: int) -> int:
+    """The int whose count digits of size bytes each hold only their top bit."""
+    return int.from_bytes((bytes(size - 1) + b"\x80") * count, "little")
+
+
+def _pack(p: tuple, size: int) -> int:
+    """sum p[i] 2^(8 size i) for ints |p[i]| < 2^(8 size - 1)."""
+    signs = _sign_bits(len(p), size)
+    # a two's-complement digit with its top bit flipped is p[i] + 2^(8 size - 1)
+    digits = b"".join([x.to_bytes(size, "little", signed=True) for x in p])
+    return (int.from_bytes(digits, "little") ^ signs) - signs
+
+
 def _convolve(a: tuple, b: tuple, n: int) -> list:
-    """Coefficients 0..n of the product of two integer polynomials given to
-    order n; each one is a C-level sum over the nonzero range of the factor
-    of lower degree."""
-    deg_a = max((i for i, x in enumerate(a) if x), default=-1)
-    deg_b = max((i for i, x in enumerate(b) if x), default=-1)
-    if deg_b < deg_a:
-        a, b, deg_a = b, a, deg_b
-    a = a[: deg_a + 1]
-    rb = b[::-1]  # rb[n - j] == b[j]
-    return [sum(map(operator.mul, a[: k + 1], rb[n - k:])) for k in range(n + 1)]
+    """Coefficients 0..n of the product of two integer polynomials, from one
+    big-integer multiply (Kronecker substitution; Harvey, J. Symb. Comput. 44,
+    2009).
+
+    Without trailing zeros, each product coefficient is a sum of at most
+    L = min(len a, len b) terms, so |c_k| < L 2^(bits(a) + bits(b)), where
+    bits is the bit length of a factor's largest numerator.  A digit of that
+    many bits plus a sign bit, in whole bytes, holds every c_k: each factor
+    is packed at that spacing into one int, the two ints are multiplied once,
+    and digits 0..n of the product are read back as signed ints.
+    """
+    la, lb = _length(a), _length(b)
+    if not (la and lb):
+        return [0] * (n + 1)
+    a, b = a[:la], b[:lb]
+    bits = (max(max(a), -min(a)).bit_length() + max(max(b), -min(b)).bit_length()
+            + (min(la, lb) - 1).bit_length() + 1)
+    size = (bits + 7) // 8
+    m = n + 1
+    signs = _sign_bits(m, size)
+    # adding the sign bits makes digits 0..n nonnegative, so no borrow crosses
+    # them; flipping the bits back leaves each digit in two's complement
+    low = ((_pack(a, size) * _pack(b, size) + signs) ^ signs) & ((1 << (8 * size * m)) - 1)
+    buf = low.to_bytes(size * m, "little")
+    return [int.from_bytes(buf[i:i + size], "little", signed=True)
+            for i in range(0, size * m, size)]
 
 
 class RationalSeries:
@@ -227,22 +268,29 @@ class RationalSeries:
     def reciprocal(self) -> "RationalSeries":
         """Multiplicative inverse; requires a nonzero constant term.
 
-        With a = nums, 1/a = sum b_m z^m / a0^(m+1) where b_0 = 1 and
-        b_m = -sum_{i=1..m} a_i a0^(i-1) b_(m-i), all in integers.  The grade
-        is negated: 1/(x sqrt2) = sqrt2^(-1) / x = sqrt2 / (2x).
+        With a = nums, 1/a = sum b_m z^m where b_0 = 1/a0 and
+        b_m = -(1/a0) sum_{i=1..m} a_i b_(m-i).  The b_m are held as integers
+        over one common denominator d.  The new term is t / (d a0) with t an
+        integer, so d grows only by a0 / gcd(t, a0), the part of a0 that t
+        does not cancel, and stays near the reduced result's denominator
+        instead of a0^(m+1).  The grade is negated: 1/(x sqrt2) =
+        sqrt2^(-1) / x = sqrt2 / (2x).
         """
         a = self.nums
         a0 = a[0]
         if a0 == 0:
             raise ValueError("series not invertible")
         n = self.order
-        pw = _powers(a0, n + 1)
-        c = [a[i] * pw[i - 1] for i in range(1, n + 1)]  # c[i-1] = a_i a0^(i-1)
-        b = [1]
+        b, d = [1], a0  # b_j = b[j] / d
         for m in range(1, n + 1):
-            b.append(-sum(map(operator.mul, c[:m], reversed(b))))
-        nums = [b[m] * pw[n - m] * self.den for m in range(n + 1)]
-        return _canonical(nums, pw[n + 1], n, -self.grade)
+            t = -sum(map(operator.mul, a[1:m + 1], reversed(b)))
+            g = math.gcd(t, a0)
+            f = a0 // g
+            if f != 1:
+                b = [x * f for x in b]
+                d *= f
+            b.append(t // g)
+        return _canonical([x * self.den for x in b], d, n, -self.grade)
 
     def __truediv__(self, other) -> "RationalSeries":
         if isinstance(other, (int, Fraction)):

@@ -143,6 +143,13 @@ class TestVerify:
         code, data = run_pinned_verify(tmp_path, "verify-default.json", [])
         assert code == 0 and data["all_passed"]
 
+    def test_ledger_scale_report(self, tmp_path):
+        # the 2,820-check equivalence ledger at order 40, m_max 10
+        code, data = run_pinned_verify(tmp_path, "verify-order40.json",
+                                       ["--order", "40", "--m-max", "10"])
+        assert code == 0 and data["all_passed"]
+        assert data["suites"]["generating-function"]["detail"] == "2820 equivalence checks exact"
+
     @pytest.mark.parametrize("flag, value", [
         ("--t-max", "-1"), ("--order", "-1"), ("--m-max", "-3"),
         ("--quad-t-max", "-1"), ("--tol", "nan"), ("--tol", "inf"), ("--tol", "-inf"),

@@ -408,3 +408,129 @@ class TestIntegerRepresentation:
                 assert (a == b) == equal
                 if equal:
                     assert hash(a) == hash(b)
+
+
+# -- kernels at large sizes and at the packing width ----------------------------
+# A product packs each factor's numerators into one int, in digits of
+# bits(a) + bits(b) + ceil(log2 L) + 1 bits rounded up to whole bytes, where
+# bits is the bit length of a factor's largest numerator and L the shorter
+# factor's length without trailing zeros.  Every case below is also multiplied
+# by its edge partner, whose product needs every bit of that width.
+
+
+def edge_partner(series):
+    """The constant 2^e - 1 whose product with ``series`` needs every bit of
+    the packing width, or None when no constant does.
+
+    With x the largest numerator, the width is bits(x) + e + 1 bits; e makes
+    it 8j + 1, so one bit less is a whole byte less, and
+    |x| (2^e - 1) >= 2^(bits(x) + e - 1) puts the product in the top bit.
+    A power of two |x| never gets there.
+    """
+    top = max(map(abs, series.nums))
+    if top & (top - 1) == 0:
+        return None
+    bits = top.bit_length()
+    e = -bits % 8 or 8
+    while top * ((1 << e) - 1) < 1 << (bits + e - 1):
+        e += 8
+    return RationalSeries.polynomial([(1 << e) - 1], series.order)
+
+
+def assert_kernels_match_reference(cases):
+    """Products of every pair of cases, of each case with its edge partner,
+    and the reciprocal of each invertible case equal the Fraction reference."""
+    for a in cases:
+        partner = edge_partner(a)
+        for b in cases + ([partner] if partner else []):
+            product = a * b
+            assert_canonical(product)
+            want = reference_mul(fractions_of(a), fractions_of(b))
+            assert values(product) == scaled(want, a.grade + b.grade)
+        if a.nums[0]:
+            inverse = a.reciprocal()
+            assert_canonical(inverse)
+            assert values(inverse) == scaled(reference_reciprocal(fractions_of(a)), -a.grade)
+
+
+def random_ints(rng, count, low_bits, high_bits):
+    """Nonzero ints of low_bits..high_bits bits, with random signs."""
+    out = []
+    for _ in range(count):
+        bits = rng.randint(low_bits, high_bits)
+        out.append(rng.choice([-1, 1]) * rng.randint(1 << (bits - 1), (1 << bits) - 1))
+    return out
+
+
+class TestKernelsAtSize:
+    @pytest.mark.parametrize("order", [1, 5, 16])
+    def test_large_numerators(self, order):
+        rng = random.Random(7000 + order)
+        cases = []
+        for grade in (0, 1, 0):
+            nums = random_ints(rng, order + 1, 200, 2000)
+            den = rng.choice([1, 3, 2**64 + 1, 6**90])
+            cases.append(RationalSeries([Fraction(x, den) for x in nums], order, grade))
+        assert all(200 <= abs(x).bit_length() <= 2000 for s in cases for x in s.nums)
+        assert_kernels_match_reference(cases)
+
+    @pytest.mark.parametrize("order", [2, 12, 40])
+    def test_constant_terms(self, order):
+        # powers of two, odd constants and constants sharing factors with den
+        rng = random.Random(8000 + order)
+        cases = []
+        for constant, den in [(2**40, 3), (-2**7, 1), (1, 5), (-1, 2**9), (2**61 - 1, 1),
+                              (-45, 7), (12, 2**5 * 9), (-2**10 * 15, 2**6 * 3 * 5**4)]:
+            nums = [constant] + random_ints(rng, order, 1, 50)
+            series = RationalSeries([Fraction(x, den) for x in nums], order, rng.randint(0, 1))
+            assert series.coefficient(0) == Fraction(constant, den)
+            cases.append(series)
+        assert any(math.gcd(s.nums[0], s.den) > 1 for s in cases)
+        assert_kernels_match_reference(cases)
+
+    @pytest.mark.parametrize("order", [0, 1, 6, 40])
+    def test_short_factors_and_zeros(self, order):
+        # degree 0 and 1, nonzero prefixes followed by zeros, and zero series
+        rng = random.Random(9000 + order)
+        cases = [RationalSeries.polynomial([0], order, grade=1),
+                 RationalSeries.polynomial([0], order)]
+        for length in (1, 2, order // 2 + 1, order + 1):
+            low = [Fraction(x, rng.randint(1, 9)) for x in random_ints(rng, length, 1, 90)]
+            cases.append(RationalSeries.polynomial(low[: order + 1], order, rng.randint(0, 1)))
+        if order >= 2:
+            cases.append(RationalSeries.polynomial([0, 0, -3], order))
+        assert_kernels_match_reference(cases)
+
+    @pytest.mark.parametrize("shift", [(0, 1), (100, 101), (997, 1004)],
+                             ids=["s0-t1", "s100-t101", "s997-t1004"])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_product_coefficient_at_width_edge(self, shift, sign):
+        # bits 3 + s and 3 + t, L = 2: the width is w = s + t + 8 = 8j + 1, and
+        # the z coefficient 7*7 + 5*3 = 2^6 times 2^(s+t) is sign * 2^(w - 2),
+        # which a digit one bit narrower cannot hold with the positive sign
+        s, t = shift
+        for order in (1, 40):
+            a = RationalSeries.polynomial([sign * 7 << s, sign * 5 << s], order)
+            b = RationalSeries.polynomial([3 << t, 7 << t], order)
+            product = a * b
+            assert product.nums[1] == sign << (s + t + 6) and product.den == 1
+            assert_kernels_match_reference([a, b])
+
+    def test_ledger_basis(self):
+        # R D^k for k <= 21 at order 40 with R = sqrt(1+z^2), D = 1 - z + R:
+        # the products that build them and the reciprocals the ledger takes
+        order = 40
+        root = RationalSeries.polynomial([1, 0, 1], order).sqrt()
+        big_d = RationalSeries.polynomial([1, -1], order) + root
+        power, cases = RationalSeries.one(order), []
+        for _ in range(22):
+            product = root * power
+            want = reference_mul(fractions_of(root), fractions_of(power))
+            assert values(product) == scaled(want, 0)
+            cases.append(product)
+            want = reference_mul(fractions_of(power), fractions_of(big_d))
+            power = power * big_d
+            assert values(power) == scaled(want, 0)
+        assert all(s.nums[0] for s in cases)
+        for s in cases:
+            assert_kernels_match_reference([s])
