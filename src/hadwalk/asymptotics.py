@@ -49,7 +49,6 @@ __all__ = [
     "QuadratureBudgetError",
     "GrowthBoundError",
     "growth_check",
-    "SaddleData",
     "saddle",
     "btilde",
     "b_pathintegral",
@@ -57,8 +56,7 @@ __all__ = [
     "QuadratureResult",
     "quadrature_psi",
     "check_quadrature",
-    "contour_shift_check",
-    "ContourReport",
+    "check_contour_shift",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -126,15 +124,6 @@ def growth_check(u: float, v: float, t: int) -> float:
     return measured
 
 
-@dataclass(frozen=True)
-class SaddleData:
-    """Saddle location for one value of alpha."""
-
-    alpha: float
-    region: str                 # "oscillatory" or "decay"
-    theta_alpha: complex
-
-
 def _check_alpha(alpha: float, eps: float) -> None:
     if abs(alpha) >= 1.0 - eps:
         raise ValidityError(f"|alpha| = {abs(alpha)} too close to 1")
@@ -143,8 +132,8 @@ def _check_alpha(alpha: float, eps: float) -> None:
             f"alpha = {alpha} inside the excluded transition zone of width {eps}")
 
 
-def saddle(alpha: float) -> SaddleData:
-    """Stationary point of omega(theta) - theta*alpha.
+def saddle(alpha: float) -> complex:
+    """Stationary point theta_alpha of omega(theta) - theta*alpha.
 
     For |alpha| < 1/sqrt2 the two stationary points are real (+-theta_alpha;
     the positive representative is returned).  Beyond, the returned saddle is
@@ -153,12 +142,10 @@ def saddle(alpha: float) -> SaddleData:
     _check_alpha(alpha, 1e-3)
     x = alpha / math.sqrt(1.0 - alpha * alpha)
     if abs(alpha) < _INV_SQRT2:
-        return SaddleData(alpha, "oscillatory", complex(math.acos(x), 0.0))
+        return complex(math.acos(x), 0.0)
     if alpha > 0:
-        theta = complex(0.0, math.acosh(x))
-    else:
-        theta = complex(math.pi, math.acosh(-x))
-    return SaddleData(alpha, "decay", theta)
+        return complex(0.0, math.acosh(x))
+    return complex(math.pi, math.acosh(-x))
 
 
 def _require_decay(alpha: float, eps: float = 0.0) -> None:
@@ -260,8 +247,8 @@ def _panel_integrate(f, a: float, b: float, panels: int) -> complex:
 
 
 def _refine(f, a: float, b: float, tol: float, panels0: int,
-            max_nodes: int = 1 << 22) -> tuple:
-    """Panel-doubling until two refinements agree; returns (value, est, nodes)."""
+            max_nodes: int = 1 << 22) -> complex:
+    """Panel-doubling until two refinements agree; returns the last value."""
     panels = panels0
     prev = _panel_integrate(f, a, b, panels)
     nodes = panels * 16
@@ -271,7 +258,7 @@ def _refine(f, a: float, b: float, tol: float, panels0: int,
         nodes += panels * 16
         delta = abs(cur - prev)
         if delta <= tol:
-            return cur, delta, nodes
+            return cur
         if nodes > max_nodes:
             raise QuadratureBudgetError(
                 f"node budget exhausted at estimate {delta:g} (tol {tol:g})", delta)
@@ -281,7 +268,6 @@ def _refine(f, a: float, b: float, tol: float, panels0: int,
 @dataclass(frozen=True)
 class QuadratureResult:
     value: complex
-    abs_error_estimate: float
     node_count: int
 
     @property
@@ -360,9 +346,8 @@ def _quadrature_row(t: int, tol: float, max_nodes: int = 1 << 22) -> list:
     than tol/4 before its 1/(2 pi).  The DFT is an in-package radix-2 FFT; a
     doubling transforms only the N new midpoint samples and merges them with
     the previous level's transform, so all levels together cost about one
-    FFT of the final size.  Estimates are the last change plus |imag| and
-    node_count is the final N; QuadratureBudgetError carries the largest
-    change once N reaches ``max_nodes``.
+    FFT of the final size.  node_count is the final N; QuadratureBudgetError
+    carries the largest change once N reaches ``max_nodes``.
     """
     if tol < 1e-14:
         raise ValueError("tolerance below attainable double precision")
@@ -381,8 +366,8 @@ def _quadrature_row(t: int, tol: float, max_nodes: int = 1 << 22) -> list:
         nodes *= 2
         step = 2.0 * math.pi / nodes
         cur = [[x[n % nodes] / nodes for n in index] for x in spectra]
-        change = [[abs(c - p) for c, p in zip(*pair)] for pair in zip(cur, prev)]
-        delta = 2.0 * math.pi * max(map(max, change))
+        delta = 2.0 * math.pi * max(abs(c - p) for pair in zip(cur, prev)
+                                    for c, p in zip(*pair))
         if delta <= tol * 0.25:
             break
         if nodes >= max_nodes:
@@ -390,8 +375,7 @@ def _quadrature_row(t: int, tol: float, max_nodes: int = 1 << 22) -> list:
                 f"node budget exhausted at estimate {delta:g} (tol {tol * 0.25:g})", delta)
         prev = cur
     sign = -1.0 if t % 2 else 1.0
-    parts = [[QuadratureResult(sign * v, e + abs(v.imag), nodes) for v, e in zip(*pair)]
-             for pair in zip(cur, change)]
+    parts = [[QuadratureResult(sign * v, nodes) for v in values] for values in cur]
     return list(zip(*parts))
 
 
@@ -403,9 +387,9 @@ def quadrature_psi(n: int, t: int, tol: float = 1e-10) -> tuple:
     Weideman, SIAM Review 56, 2014) and read at n from one FFT that serves
     every position at time t.  Nodes double from the smallest power of two
     >= 2t+2 until no position changes by more than tol/4 before the 1/(2 pi)
-    (``_quadrature_row``).  The imaginary part is pure noise and is folded
-    into the error estimate.  If the node budget runs out first,
-    QuadratureBudgetError carries the achieved estimate.
+    (``_quadrature_row``).  The imaginary part is pure noise.  If the node
+    budget runs out first, QuadratureBudgetError carries the achieved
+    estimate.
     """
     if abs(n) > t:
         raise ValueError(f"position {n} outside [-{t}, {t}]")
@@ -440,6 +424,10 @@ def check_quadrature(walk: WalkCache, t_max: int, tol: float = 1e-9) -> Ledger:
 # contour shift
 # ---------------------------------------------------------------------------
 
+# the shifted path's waypoints at Re theta = +-pi/2 sit below the branch
+# points at height arcsinh 1, so the path passes between the cuts
+_WAYPOINT_HEIGHT = 0.8 * ARCSINH1
+
 
 def _reflected_kernel(theta, alpha: float, t: int):
     """Integrand of the reflected right-amplitude representation.
@@ -453,7 +441,7 @@ def _reflected_kernel(theta, alpha: float, t: int):
     return cmath.exp(-1j * theta) / q * cmath.exp(-1j * (om - theta * alpha) * t)
 
 
-def _segment_integrate(f, za: complex, zb: complex, tol: float) -> tuple:
+def _segment_integrate(f, za: complex, zb: complex, tol: float) -> complex:
     """Adaptive composite GL along the straight segment za -> zb."""
     direction = zb - za
 
@@ -463,68 +451,51 @@ def _segment_integrate(f, za: complex, zb: complex, tol: float) -> tuple:
     return _refine(g, 0.0, 1.0, tol, 16)
 
 
-@dataclass(frozen=True)
-class ContourReport:
-    n: int
-    t: int
-    real_line_value: float
-    shifted_value: float
-    difference: float
-    symmetry_difference: float
-    truncation_height: float
-    waypoint_height: float
-    node_count: int
-    tolerance: float
+def check_contour_shift(walk: WalkCache, points, tol: float = 1e-8) -> Ledger:
+    """The right amplitude by the shifted contour == real line == simulator.
 
-    @property
-    def passed(self) -> bool:
-        return self.difference <= self.tolerance
-
-
-def contour_shift_check(n: int, t: int, tol: float = 1e-8) -> ContourReport:
-    """Compare the real-line and shifted-contour routes for the right amplitude.
-
-    The shifted path runs (-pi + iV) -> (-pi/2 + ih) -> theta_alpha ->
-    (pi/2 + ih) -> (pi + iV) with h below the branch-point height arcsinh(1),
-    so the path threads between the cuts and through the imaginary-axis
-    saddle.  The closing vertical legs at Re theta = +-pi cancel exactly by
-    2pi-periodicity of the integrand (alpha t = n is an integer), so the
-    four-segment path integral equals the [-pi, pi] integral exactly; the
-    ``truncation_height`` V only anchors the slant and its tail contribution
-    is bounded by exp(-(1-alpha) V t).
+    For each decay-region (n, t) in ``points``, the reflected representation
+    (``_reflected_kernel``) is integrated once along [-pi, pi] and once along
+    the shifted path (-pi + iV) -> (-pi/2 + ih) -> theta_alpha -> (pi/2 + ih)
+    -> (pi + iV), h = ``_WAYPOINT_HEIGHT``, which threads between the cuts and
+    through the imaginary-axis saddle.  The closing vertical legs at
+    Re theta = +-pi cancel exactly by 2pi-periodicity of the integrand (alpha
+    t = n is an integer), so the path integral equals the [-pi, pi] integral
+    exactly; V only anchors the slant and its tail contribution is bounded by
+    exp(-(1-alpha) V t).  Three records per point, each with the witness
+    (n, t, deviation): shifted contour == real line, the momentum integral at
+    the reflected position 2 - n == real line, and shifted contour == the
+    simulator's amplitude.  Raises ValidityError outside the decay region.
     """
-    alpha = n / t
-    _require_decay(alpha, 1e-3)
-    sd = saddle(alpha)
-    v_s = sd.theta_alpha.imag
-    h = 0.8 * ARCSINH1
-    v_top = max(1.0, v_s + 0.5)
-    # grow V until the analytic tail bound is inside the error budget
-    while math.exp(-(1.0 - alpha) * v_top * t) > tol * 1e-3 and v_top < 60.0:
-        v_top += 1.0
+    ledger = Ledger("contour shift", worst=0.0, tol=tol)
+    for n, t in points:
+        alpha = n / t
+        _require_decay(alpha, 1e-3)
+        theta_alpha = saddle(alpha)
+        v_top = max(1.0, theta_alpha.imag + 0.5)
+        # grow V until the analytic tail bound is inside the error budget
+        while math.exp(-(1.0 - alpha) * v_top * t) > tol * 1e-3 and v_top < 60.0:
+            v_top += 1.0
 
-    sign = (-1.0) ** (n + 1)
+        sign = (-1.0) ** (n + 1)
 
-    def f(theta):
-        return _reflected_kernel(theta, alpha, t)
+        def f(theta):
+            return _reflected_kernel(theta, alpha, t)
 
-    real_val, _, real_nodes = _refine(
-        f, -math.pi, math.pi, tol * 0.05, max(64, 2 * t))
-    real_line = sign * real_val.real / (2.0 * math.pi)
-
-    waypoints = [complex(-math.pi, v_top), complex(-math.pi / 2, h),
-                 sd.theta_alpha, complex(math.pi / 2, h), complex(math.pi, v_top)]
-    total = 0.0 + 0.0j
-    nodes = real_nodes
-    for za, zb in zip(waypoints[:-1], waypoints[1:]):
-        val, _, seg_nodes = _segment_integrate(f, za, zb, tol * 0.05)
-        total += val
-        nodes += seg_nodes
-    shifted = sign * total.real / (2.0 * math.pi)
-
-    # independent symmetry route: quadrature at the reflected position
-    refl = quadrature_psi(2 - n, t, tol=tol * 0.1)[0].real
-    sym_diff = abs(sign * refl - real_line)
-
-    return ContourReport(n, t, real_line, shifted, abs(real_line - shifted),
-                         sym_diff, v_top, h, nodes, tol)
+        real_line = sign * _refine(f, -math.pi, math.pi, tol * 0.05,
+                                   max(64, 2 * t)).real / (2.0 * math.pi)
+        h = _WAYPOINT_HEIGHT
+        waypoints = [complex(-math.pi, v_top), complex(-math.pi / 2, h), theta_alpha,
+                     complex(math.pi / 2, h), complex(math.pi, v_top)]
+        total = sum(_segment_integrate(f, za, zb, tol * 0.05)
+                    for za, zb in zip(waypoints[:-1], waypoints[1:]))
+        shifted = sign * total.real / (2.0 * math.pi)
+        # independent symmetry route: quadrature at the reflected position
+        reflected = sign * quadrature_psi(2 - n, t, tol=tol * 0.1)[0].real
+        exact = mantissa_to_float(walk.state(t).mantissa_r(n), t)
+        for item, dev in (("shifted contour == real line", abs(shifted - real_line)),
+                          ("reflected position == real line", abs(reflected - real_line)),
+                          ("shifted contour == simulator", abs(shifted - exact))):
+            ledger.worst = max(ledger.worst, dev)
+            ledger.record(item, (n, t, dev), dev <= tol)
+    return ledger

@@ -18,7 +18,6 @@ import math
 import sys
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import asymptotics, genfun, jacobi, walk
 
@@ -40,13 +39,14 @@ def cmd_simulate(args) -> int:
     state = walk.evolve(walk.initial_state(), args.t)
     if args.orientation == "as-printed":
         state = walk.as_printed(state)
-    rows = []
+    rows, probs = [], []
     for n in range(-state.t, state.t + 1):
         if (n - state.t) % 2:
             continue
         mr = state.mantissa_r(n)
         ml = state.mantissa_l(n)
         prob = walk.probability(state, n)
+        probs.append((n, float(prob)))
         rows.append({
             "n": n,
             "t": state.t,
@@ -63,7 +63,6 @@ def cmd_simulate(args) -> int:
         writer.writeheader()
         writer.writerows(rows)
     if args.plot:
-        probs = [(r["n"], float(Fraction(r["prob"]))) for r in rows]
         _write_svg_bars(args.plot, probs, f"occupation probability at t={state.t}")
     return 0
 

@@ -20,16 +20,16 @@ Closed forms, with R = sqrt(1+z^2) and D = 1 - z + R:
 
 The equivalence ledger builds one basis per call: R, D, 1/R and 1/D once,
 and the powers D^k and D^(-k) stepped by one product each as m grows.  Its
-closed side inverts R D^k once per family and m; its Jacobi side reassembles
-R^(-1) (D^(-1))^r 2^r.  The two routes share only R and D, never each other's
-results.  ``closed_form_series`` and ``jacobi_generating`` are one-shot
-wrappers around the same cores (``_closed_core``, ``_jacobi_core``) that
-raise D with ``pow_int``.  The ledger compares amplitudes as integers: each
-simulator mantissa against a Horner numerator N(k, r, s) = 2^k J_k^{(r,s)}(0)
-of ``jacobi``, e.g. psi_R(2m+1, 2t+1) = 2^(-m-1/2) N(t-m, 2m, 0) / 2^(t-m)
-= N(t-m, 2m, 0) sqrt(2)^(-(2t+1)), so the mantissa is N(t-m, 2m, 0); the
-closed-form amplitudes ``psi_closed_r/l`` return mantissas too.  Nothing is
-kept between calls.
+closed side inverts R D^k once per k (I_0 reads k = 0, 1/R); its Jacobi
+side reassembles R^(-1) (D^(-1))^r 2^r.  The two routes share only R and D,
+never each other's results.  ``closed_form_series`` and ``jacobi_generating``
+are one-shot wrappers around the same cores (``_closed_core``,
+``_jacobi_core``) that raise D with ``pow_int``.  The ledger compares
+amplitudes as integers: each simulator mantissa against a Horner numerator
+N(k, r, s) = 2^k J_k^{(r,s)}(0) of ``jacobi``, e.g. psi_R(2m+1, 2t+1)
+= 2^(-m-1/2) N(t-m, 2m, 0) / 2^(t-m) = N(t-m, 2m, 0) sqrt(2)^(-(2t+1)), so
+the mantissa is N(t-m, 2m, 0); the closed-form amplitudes ``psi_closed_r/l``
+return mantissas too.  Nothing is kept between calls.
 
 Also here: the Jacobi generating function with exact coefficient extraction,
 Lagrange inversion, and the implicit-series (Srivastava-Singhal style)
@@ -87,14 +87,13 @@ def _d_exponent(family: Family, m: int) -> int:
     return 2 * m
 
 
-def _closed_core(family: Family, m: int, root: RationalSeries,
-                 d_power: RationalSeries, one_plus_z: RationalSeries) -> RationalSeries:
-    """Closed form of ``family``'s m-th series from R, D^k with
+def _closed_core(family: Family, m: int, body: RationalSeries,
+                 one_plus_z: RationalSeries) -> RationalSeries:
+    """Closed form of ``family``'s m-th series from body = 1/(R D^k) with
     k = ``_d_exponent(family, m)``, and 1+z."""
     if family == "I" and m == 0:
-        half = RationalSeries.polynomial([Fraction(1, 2)], root.order)
-        return half + one_plus_z * root.reciprocal() / 2
-    body = (root * d_power).reciprocal()
+        half = RationalSeries.polynomial([Fraction(1, 2)], body.order)
+        return half + one_plus_z * body / 2
     # 2^(m-1/2) = sqrt(2)^(2m-1) and 2^(m-1) = sqrt(2)^(2m-2)
     if family == "F":
         return body.shift(m).scaled(1, 2 * m - 1)
@@ -112,8 +111,8 @@ def closed_form_series(family: Family, m: int, order: int) -> RationalSeries:
     _check_series(family, m, order)
     root = _sqrt_one_plus_z2(order)
     big_d = RationalSeries.polynomial([1, -1], order) + root
-    return _closed_core(family, m, root, big_d.pow_int(_d_exponent(family, m)),
-                        RationalSeries.polynomial([1, 1], order))
+    body = (root * big_d.pow_int(_d_exponent(family, m))).reciprocal()
+    return _closed_core(family, m, body, RationalSeries.polynomial([1, 1], order))
 
 
 def _stepped_powers(base: RationalSeries, top: int) -> list:
@@ -301,8 +300,9 @@ def equivalence_ledger(walk: WalkCache, m_max: int = 10, order: int = 40
 
     One basis per call: R, D, 1/R and 1/D are built once, and D^k, D^(-k)
     for k <= 2 m_max + 1 are stepped by one product each.  The closed side
-    inverts R D^k once per family and m; the Jacobi side is
-    R^(-1) (D^(-1))^r 2^r.  The two share only R and D.
+    inverts R D^k once per k, and the families with the same k read the same
+    1/(R D^k); the Jacobi side is R^(-1) (D^(-1))^r 2^r with its own 1/R.
+    The two share only R and D.
 
     The amplitude checks are integer comparisons of each mantissa with
     N(k, r, s) = 2^k J_k^{(r,s)}(0), the Horner numerator of ``jacobi`` over
@@ -322,12 +322,12 @@ def equivalence_ledger(walk: WalkCache, m_max: int = 10, order: int = 40
     root = _sqrt_one_plus_z2(order)
     big_d = RationalSeries.polynomial([1, -1], order) + root
     inv_root = root.reciprocal()
-    d_up = _stepped_powers(big_d, 2 * m_max + 1)
+    bodies = [(root * d).reciprocal() for d in _stepped_powers(big_d, 2 * m_max + 1)]
     d_down = _stepped_powers(big_d.reciprocal(), 2 * m_max + 1)
     for m in range(m_max + 1):
         for fam in "FGHI":
             k = _d_exponent(fam, m)
-            closed = _closed_core(fam, m, root, d_up[k], one_plus_z)
+            closed = _closed_core(fam, m, bodies[k], one_plus_z)
             rep.record(f"{fam}: definitional == closed", (fam, m),
                        definitional_series(fam, m, order, walk) == closed)
             alt = _reassembly(fam, m, _jacobi_core(inv_root, d_down[k], None, k, 0),

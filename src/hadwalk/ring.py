@@ -11,11 +11,12 @@ product's digits are read back, over the product of the denominators.  A sum
 cross-multiplies, and scaling by q sqrt(2)^k multiplies through.  The
 reciprocal runs its recurrence over one common denominator that each step
 extends only by the factor its new term needs, so the integers stay near the
-size of the reduced result; the square root and rational power run theirs over
-powers of the constant term's numerator.  Each operation ends with one pass
-that absorbs any power of 2 out of sqrt(2)^grade, (sqrt 2)^(2e + b) = 2^e
-(sqrt 2)^b, and one gcd pass, which keeps gcd(den, *nums) == 1, so equal series
-have equal parts.
+size of the reduced result.  The rational power runs its recurrence over
+powers of the constant term's numerator, and the square root is the power 1/2
+of the series over its constant term.  Each operation ends with one pass that
+absorbs any power of 2 out of sqrt(2)^grade, (sqrt 2)^(2e + b) = 2^e
+(sqrt 2)^b, and one gcd pass, which keeps gcd(den, *nums) == 1, so equal
+series have equal parts.
 
 Series keep an explicit truncation order.  Binary operations on series of
 different orders raise instead of silently truncating, because silent
@@ -302,20 +303,12 @@ class RationalSeries:
     def sqrt(self) -> "RationalSeries":
         """Series square root; the constant term must be a square in the ring.
 
-        self = c0 * (1 + u) with u_m = a_m / a0 (a = nums), and the root is
-        root(c0) * sum r_m z^m with r_0 = 1 and r_m = 2 t_m / (4 a0)^m, where
-        t_m = a_m (4 a0)^(m-1) - sum_{i=1..m-1} t_i t_(m-i), all in integers.
+        self = c0 (1 + u) with c0 rational, and the root is
+        root(c0) (1 + u)^(1/2), the binomial power of ``pow_rational``.
         """
-        root0, k = _constant_root(self.coefficient(0), self.grade)
-        a = self.nums
-        n = self.order
-        pw = _powers(4 * a[0], n)
-        t = [0]
-        for m in range(1, n + 1):
-            t.append(a[m] * pw[m - 1] - sum(map(operator.mul, t[1:m], t[m - 1:0:-1])))
-        p, q = root0.numerator, root0.denominator
-        nums = [pw[n] * p] + [2 * t[m] * pw[n - m] * p for m in range(1, n + 1)]
-        return _canonical(nums, pw[n] * q, n, k)
+        c0 = self.coefficient(0)
+        root0, k = _constant_root(c0, self.grade)
+        return self.scaled(1 / c0).pow_rational(Fraction(1, 2)).scaled(root0, k)
 
     def pow_int(self, n: int) -> "RationalSeries":
         """Integer power; negative exponents go through the reciprocal."""

@@ -143,12 +143,9 @@ def test_ac09_growth_rates():
     line.ok()
 
 
-def test_ac10_contour_shift():
+def test_ac10_contour_shift(cache400):
     line = _Line("AC-10", "shifted contour == real line to 1e-8 at (14,18), (160,200)")
-    for n, t in [(14, 18), (160, 200)]:
-        rep = asymptotics.contour_shift_check(n, t, tol=1e-8)
-        if not rep.passed:
-            line.fail(f"difference {rep.difference:.2e} at (n={n}, t={t})")
+    line.check(asymptotics.check_contour_shift(cache400, [(14, 18), (160, 200)], tol=1e-8))
     line.ok()
 
 

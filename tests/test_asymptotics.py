@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from hadwalk import asymptotics
-from hadwalk.asymptotics import (ARCSINH1, BranchCutError, ContourReport,
-                                 ValidityError, b_pathintegral, btilde,
-                                 contour_shift_check, growth_check, omega,
-                                 psi_asymptotic, quadrature_psi, saddle)
+from hadwalk.asymptotics import (ARCSINH1, BranchCutError, ValidityError,
+                                 b_pathintegral, btilde, check_contour_shift,
+                                 growth_check, omega, psi_asymptotic,
+                                 quadrature_psi, saddle)
 from hadwalk.walk import WalkCache, mantissa_to_float
 
 SQRT2 = math.sqrt(2.0)
@@ -117,7 +117,7 @@ class TestOmega:
     def test_odd_at_complex_saddles(self):
         # the phase difference changes sign between the paired saddles
         for alpha in (0.3, 0.8):
-            th = saddle(alpha).theta_alpha
+            th = saddle(alpha)
             f_plus = omega(th) - th * alpha
             f_minus = omega(-th) - (-th) * alpha
             assert abs(f_plus + f_minus) < 1e-14
@@ -151,22 +151,22 @@ class TestGrowth:
 
 class TestSaddle:
     def test_oscillatory_at_zero(self):
-        sd = saddle(0.0)
-        assert sd.region == "oscillatory"
-        assert abs(sd.theta_alpha - math.pi / 2) < 1e-15
+        theta = saddle(0.0)
+        assert theta.imag == 0
+        assert abs(theta - math.pi / 2) < 1e-15
 
     def test_decay_location_and_exponential(self):
-        sd = saddle(0.8)
+        theta = saddle(0.8)
+        assert theta.imag > 0
         want = 1j * math.acosh((4 / 3))
-        assert abs(sd.theta_alpha - want) < 1e-14
+        assert abs(theta - want) < 1e-14
         # e^{i theta_alpha} = sqrt(1-a^2)/(a + sqrt(2a^2-1))
-        got = cmath.exp(1j * sd.theta_alpha)
+        got = cmath.exp(1j * theta)
         assert abs(got - 0.6 / (0.8 + math.sqrt(0.28))) < 1e-14
 
     def test_negative_alpha_saddle_upper_half(self):
-        sd = saddle(-0.8)
-        assert sd.theta_alpha.imag > 0
-        assert sd.region == "decay"
+        assert saddle(-0.8).imag > 0
+        assert saddle(-0.5).imag == 0
 
     def test_exclusion_zones(self):
         with pytest.raises(ValidityError):
@@ -177,12 +177,12 @@ class TestSaddle:
     def test_stationarity_residual_both_regions(self):
         for alpha in list(np.arange(0.1, 0.66, 0.05)) + list(np.arange(0.75, 0.96, 0.02)):
             a = float(alpha)
-            assert abs(omega_prime(saddle(a).theta_alpha) - a) < 1e-12, a
+            assert abs(omega_prime(saddle(a)) - a) < 1e-12, a
 
     def test_second_derivative_in_decay_region(self):
         for alpha in np.arange(0.75, 0.99, 0.02):
             a = float(alpha)
-            got = omega_second(saddle(a).theta_alpha)
+            got = omega_second(saddle(a))
             want = -1j * (1 - a * a) * math.sqrt(2 * a * a - 1)
             assert abs(got - want) < 1e-10, a
 
@@ -350,29 +350,57 @@ class TestQuadratureRow:
 
 
 class TestContourShift:
-    @pytest.mark.parametrize("n, t", [(14, 18), (160, 200)])
-    def test_routes_agree(self, n, t):
-        rep = contour_shift_check(n, t, tol=1e-8)
-        assert isinstance(rep, ContourReport)
-        assert rep.passed, rep
-        assert rep.difference <= 1e-8
-        assert rep.symmetry_difference <= 1e-8
+    ITEMS = ("shifted contour == real line", "reflected position == real line",
+             "shifted contour == simulator")
 
-    def test_matches_exact_amplitude(self, walk400):
-        rep = contour_shift_check(14, 18, tol=1e-8)
-        assert abs(rep.shifted_value - exact(walk400, 14, 18)[0]) < 1e-8
+    @pytest.mark.parametrize("n, t", [(14, 18), (160, 200)])
+    def test_routes_agree(self, walk400, n, t):
+        ledger = check_contour_shift(walk400, [(n, t)], tol=1e-8)
+        assert ledger.passed, ledger.failures
+        assert ledger.checked == 3
+        assert ledger.tol == 1e-8 and 0 <= ledger.worst <= 1e-8
+
+    def test_matches_exact_amplitude(self, walk400, monkeypatch):
+        # every record carries (n, t, deviation), the simulator's included
+        witnesses = []
+        record = asymptotics.Ledger.record
+
+        def keep(self, item, witness, ok):
+            witnesses.append((item, witness))
+            record(self, item, witness, ok)
+
+        monkeypatch.setattr(asymptotics.Ledger, "record", keep)
+        ledger = check_contour_shift(walk400, [(14, 18)], tol=1e-8)
+        assert [item for item, _ in witnesses] == list(self.ITEMS)
+        assert all(w[:2] == (14, 18) and 0 <= w[2] < 1e-8 for _, w in witnesses)
+        assert ledger.worst == max(w[2] for _, w in witnesses)
 
     def test_sweep_across_decay_region(self, walk400):
         # includes saddles above the branch-point height arcsinh(1)
-        for n in (74, 86, 94, 98):
-            rep = contour_shift_check(n, 100, tol=1e-8)
-            assert rep.passed, (n, rep.difference)
-            assert abs(rep.shifted_value - exact(walk400, n, 100)[0]) < 1e-8
+        points = [(74, 100), (86, 100), (94, 100), (98, 100)]
+        assert saddle(0.98).imag > ARCSINH1
+        ledger = check_contour_shift(walk400, points, tol=1e-8)
+        assert ledger.passed, ledger.failures
+        assert ledger.checked == 12
 
     def test_waypoints_below_branch_points(self):
-        rep = contour_shift_check(14, 18)
-        assert rep.waypoint_height < ARCSINH1
+        assert 0 < asymptotics._WAYPOINT_HEIGHT < ARCSINH1
 
-    def test_oscillatory_alpha_rejected(self):
+    def test_oscillatory_alpha_rejected(self, walk400):
         with pytest.raises(ValidityError):
-            contour_shift_check(6, 18)
+            check_contour_shift(walk400, [(6, 18)])
+
+    @pytest.mark.parametrize("n, t", [(14, 18), (86, 100)])
+    def test_dropping_one_over_q_fails_reflection_and_simulator(self, walk400,
+                                                                 monkeypatch, n, t):
+        # negative control: both contours integrate the same wrong kernel, so
+        # they still agree with each other; the two independent routes do not
+        def without_q(theta, alpha, t):
+            om = cmath.asin(cmath.sin(theta) * INV_SQRT2)
+            return cmath.exp(-1j * theta) * cmath.exp(-1j * (om - theta * alpha) * t)
+
+        monkeypatch.setattr(asymptotics, "_reflected_kernel", without_q)
+        ledger = check_contour_shift(walk400, [(n, t)], tol=1e-8)
+        assert ledger.checked == 3
+        assert [item for item, _ in ledger.failures] == list(self.ITEMS[1:])
+        assert all(w[:2] == (n, t) and w[2] > 1e-8 for _, w in ledger.failures)

@@ -82,6 +82,12 @@ class TestSimulate:
         assert text.startswith("<svg")
         assert "rect" in text
 
+    def test_svg_plot_pinned(self, tmp_path):
+        out = tmp_path / "walk.csv"
+        svg = tmp_path / "walk.svg"
+        assert main(["simulate", "--t", "40", "--out", str(out), "--plot", str(svg)]) == 0
+        assert svg.read_bytes() == (DATA / "simulate-t40.svg").read_bytes()
+
     def test_unwritable_path_exits_2(self, tmp_path):
         code = main(["simulate", "--t", "2", "--out",
                      str(tmp_path / "missing" / "walk.csv")])
