@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .ledger import Ledger
 from .walk import WalkCache, mantissa_to_float
@@ -265,10 +265,8 @@ def _refine(f, a: float, b: float, tol: float, panels0: int,
         prev = cur
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
-    value: complex
-    node_count: int
+class QuadratureResult(namedtuple("QuadratureResult", "value node_count")):
+    __slots__ = ()
 
     @property
     def real(self) -> float:

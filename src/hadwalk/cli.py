@@ -17,7 +17,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import asymptotics, genfun, jacobi, walk
 
@@ -106,17 +106,13 @@ def _write_svg_bars(path: str, pairs, title: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class VerifyConfig:
-    t_max: int = 40
-    order: int = 24
-    m_max: int = 6
-    quad_t_max: int = 24
-    tol: float = 1e-9
-    seed: int = 0
-    inject_fault: bool = False
+class VerifyConfig(namedtuple("VerifyConfig",
+                              "t_max order m_max quad_t_max tol seed inject_fault",
+                              defaults=(40, 24, 6, 24, 1e-9, 0, False))):
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for flag, size in (("--t-max", self.t_max), ("--order", self.order),
                            ("--m-max", self.m_max), ("--quad-t-max", self.quad_t_max)):
             if size < 0:
@@ -127,6 +123,7 @@ class VerifyConfig:
                              f"--order {self.order} and --m-max {self.m_max}")
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ValueError(f"verify needs a finite --tol > 0, got {self.tol}")
+        return self
 
 
 # Each suite maps the config to its checks' sizes and the checks' ledgers to
@@ -267,9 +264,7 @@ def run_verify(cfg: VerifyConfig) -> tuple:
         entries[name], ledgers[name] = _SUITES[name](cfg, cache)
         seconds[name] = time.perf_counter() - start
     report = {
-        "config": {"t_max": cfg.t_max, "order": cfg.order, "m_max": cfg.m_max,
-                   "quad_t_max": cfg.quad_t_max, "tol": cfg.tol, "seed": cfg.seed,
-                   "inject_fault": cfg.inject_fault},
+        "config": cfg._asdict(),
         "suites": entries,
         "all_passed": all(e["passed"] for e in entries.values()),
     }
@@ -284,9 +279,7 @@ def _ledger_summary(ledgers: list) -> str:
 
 
 def cmd_verify(args) -> int:
-    cfg = VerifyConfig(t_max=args.t_max, order=args.order, m_max=args.m_max,
-                       quad_t_max=args.quad_t_max, tol=args.tol, seed=args.seed,
-                       inject_fault=args.inject_fault)
+    cfg = VerifyConfig(**{name: getattr(args, name) for name in VerifyConfig._fields})
     report, ledgers, seconds = run_verify(cfg)
     payload = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if args.report == "-":
@@ -384,12 +377,10 @@ def build_parser() -> argparse.ArgumentParser:
     sim.set_defaults(func=cmd_simulate)
 
     ver = sub.add_parser("verify", help="run the exact verification suites")
-    ver.add_argument("--t-max", type=int, default=40)
-    ver.add_argument("--order", type=int, default=24)
-    ver.add_argument("--m-max", type=int, default=6)
-    ver.add_argument("--quad-t-max", type=int, default=24)
-    ver.add_argument("--tol", type=float, default=1e-9)
-    ver.add_argument("--seed", type=int, default=0)
+    # one flag per VerifyConfig field, typed by its default; inject_fault is a switch
+    for name in VerifyConfig._fields[:-1]:
+        default = VerifyConfig._field_defaults[name]
+        ver.add_argument("--" + name.replace("_", "-"), type=type(default), default=default)
     ver.add_argument("--inject-fault", action="store_true",
                      help="flip one mantissa to exercise failure reporting")
     ver.add_argument("--report", required=True, help="JSON report path, - for stdout")

@@ -42,7 +42,6 @@ import math
 import operator
 import random
 from fractions import Fraction
-from typing import Literal
 
 from .jacobi import _numerator_table, _sign, jacobi_at, psi_closed_l, psi_closed_r
 from .ledger import Ledger
@@ -61,7 +60,7 @@ __all__ = [
     "check_lagrange",
 ]
 
-Family = Literal["F", "G", "H", "I"]
+Family = str  # one of "F", "G", "H", "I"; _check_series rejects any other
 
 
 def _check_series(family: Family, m: int, order: int) -> None:

@@ -2,12 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 __all__ = ["Ledger"]
 
 
-@dataclass
 class Ledger:
     """What a check examined and what failed.
 
@@ -16,11 +13,14 @@ class Ledger:
     are set only by checks that compare against a tolerance.
     """
 
-    name: str
-    checked: int = 0
-    failures: list = field(default_factory=list)
-    worst: float | None = None
-    tol: float | None = None
+    __slots__ = ("name", "checked", "failures", "worst", "tol")
+
+    def __init__(self, name: str, worst: float | None = None, tol: float | None = None):
+        self.name = name
+        self.checked = 0
+        self.failures = []
+        self.worst = worst
+        self.tol = tol
 
     @property
     def passed(self) -> bool:

@@ -29,10 +29,10 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
 
-RationalLike = Union[int, Fraction]
+RationalLike = int | Fraction
 
 __all__ = [
     "RationalSeries",

@@ -27,7 +27,7 @@ against the printed recursion
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 __all__ = [
@@ -48,21 +48,19 @@ ORIENTATIONS = ("canonical", "as-printed")
 _SQRT2 = math.sqrt(2.0)
 
 
-@dataclass(frozen=True)
-class WalkState:
+class WalkState(namedtuple("WalkState", "t psi_r psi_l")):
     """Amplitude pair over positions -t..t at time t, as integer mantissas.
 
     psi_r[i] and psi_l[i] hold the mantissas at position n = i - t; the
     amplitude value is mantissa * sqrt(2)**(-t).
     """
 
-    t: int
-    psi_r: tuple
-    psi_l: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.psi_r) != 2 * self.t + 1 or len(self.psi_l) != 2 * self.t + 1:
+    def __new__(cls, t: int, psi_r: tuple, psi_l: tuple):
+        if len(psi_r) != 2 * t + 1 or len(psi_l) != 2 * t + 1:
             raise ValueError("mantissa arrays must cover positions -t..t")
+        return super().__new__(cls, t, psi_r, psi_l)
 
     def _index(self, n: int) -> int:
         if abs(n) > self.t:

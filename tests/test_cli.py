@@ -148,6 +148,15 @@ class TestVerify:
     def test_default_config_report(self, tmp_path):
         code, data = run_pinned_verify(tmp_path, "verify-default.json", [])
         assert code == 0 and data["all_passed"]
+        # the library's defaults and the flags' defaults are the pinned config,
+        # value and type
+        def typed(config):
+            return {name: (type(value), value) for name, value in config.items()}
+
+        args = cli.build_parser().parse_args(["verify", "--report", "-"])
+        assert typed(VerifyConfig()._asdict()) == typed(data["config"])
+        assert typed({name: getattr(args, name) for name in VerifyConfig._fields}) == \
+            typed(data["config"])
 
     def test_ledger_scale_report(self, tmp_path):
         # the 2,820-check equivalence ledger at order 40, m_max 10
@@ -362,6 +371,19 @@ class TestPackage:
         assert out.splitlines()[-1] == "False"
         assert report.read_bytes() == (DATA / "verify-default.json").read_bytes()
         assert table.read_bytes() == (DATA / "asymptotics-grid.csv").read_bytes()
+
+    def test_import_generates_no_code(self):
+        # the records are namedtuples and plain classes, and annotations stay
+        # strings, so importing the package and its CLI needs none of these
+        src = str(Path(hadwalk.__file__).parents[1])
+        code = ("import sys\n"
+                "sys.path.insert(0, sys.argv[1])\n"
+                "import hadwalk, hadwalk.cli\n"
+                "print(sorted({'dataclasses', 'inspect', 'typing', 'numpy'} & set(sys.modules)))\n")
+        # -S: no site, whose .pth files may load typing themselves
+        out = subprocess.run([sys.executable, "-E", "-S", "-c", code, src],
+                             check=True, capture_output=True, text=True).stdout
+        assert out.splitlines() == ["[]"]
 
 
 # Every token below is one argparse accepts, so each vector reaches the command.

@@ -52,6 +52,25 @@ class TestSingleSteps:
         assert s.mantissa_r(0) == 1  # value 1/2 at t = 2
 
 
+class TestRecord:
+    def test_repr_and_hash(self):
+        s = initial_state()
+        assert repr(s) == "WalkState(t=0, psi_r=(0,), psi_l=(1,))"
+        twin = WalkState(t=0, psi_r=(0,), psi_l=(1,))
+        assert twin == s and hash(twin) == hash(s) and len({s, twin}) == 1
+
+    @pytest.mark.parametrize("name", ["t", "psi_r", "extra"])
+    def test_immutable(self, name):
+        with pytest.raises(AttributeError):
+            setattr(initial_state(), name, 1)
+
+    @pytest.mark.parametrize("t, psi_r, psi_l", [
+        (0, (), (1,)), (0, (0,), (1, 0)), (1, (0, 0, 1), (1,)), (1, (0,), (1,))])
+    def test_bad_lengths(self, t, psi_r, psi_l):
+        with pytest.raises(ValueError, match="positions -t..t"):
+            WalkState(t, psi_r, psi_l)
+
+
 class TestInvariants:
     def test_unitarity_and_parity(self):
         s = initial_state()
