@@ -125,6 +125,11 @@ class VerifyConfig(namedtuple("VerifyConfig",
             raise ValueError(f"verify needs a finite --tol > 0, got {self.tol}")
         return self
 
+    @classmethod
+    def _make(cls, iterable):
+        # through __new__, so that _make and _replace run its checks too
+        return cls(*iterable)
+
 
 # Each suite maps the config to its checks' sizes and the checks' ledgers to
 # the suite's report entry; it returns (entry, ledgers).

@@ -25,8 +25,8 @@ side reassembles R^(-1) (D^(-1))^r 2^r.  The two routes share only R and D,
 never each other's results.  ``closed_form_series`` and ``jacobi_generating``
 are one-shot wrappers around the same cores (``_closed_core``,
 ``_jacobi_core``) that raise D with ``pow_int``.  The ledger compares
-amplitudes as integers: each simulator mantissa against a Horner numerator
-N(k, r, s) = 2^k J_k^{(r,s)}(0) of ``jacobi``, e.g. psi_R(2m+1, 2t+1)
+amplitudes as integers: each simulator mantissa against an explicit-sum
+numerator N(k, r, s) = 2^k J_k^{(r,s)}(0) of ``jacobi``, e.g. psi_R(2m+1, 2t+1)
 = 2^(-m-1/2) N(t-m, 2m, 0) / 2^(t-m) = N(t-m, 2m, 0) sqrt(2)^(-(2t+1)), so
 the mantissa is N(t-m, 2m, 0); the closed-form amplitudes ``psi_closed_r/l``
 return mantissas too.  Nothing is kept between calls.
@@ -243,9 +243,9 @@ def check_jacobi_generating(k_max: int, rs_max: int) -> Ledger:
     are stepped by one product each.
 
     The comparison is in integers: with N(k, r, s) = 2^k J_k^{(r,s)}(0), the
-    explicit sum of ``jacobi`` over binomial rows built once per call, each
-    coefficient must have nums[k] 2^k == N(k, r, s) den, and be 0 unless the
-    series has grade 0.  Witnesses are (k, r, s).
+    explicit sum of ``jacobi`` over weighted binomial rows built once per
+    call, each coefficient must have nums[k] 2^k == N(k, r, s) den, and be 0
+    unless the series has grade 0.  Witnesses are (k, r, s).
     """
     ledger = Ledger("Jacobi generating coefficients")
     root = _sqrt_one_plus_z2(k_max)
@@ -254,7 +254,7 @@ def check_jacobi_generating(k_max: int, rs_max: int) -> Ledger:
                             rs_max)
     plus = _stepped_powers((RationalSeries.polynomial([1, 1], k_max) + root).reciprocal(),
                            rs_max)
-    numerator = _numerator_table(k_max + rs_max, k_max)
+    numerator = _numerator_table(k_max + rs_max, k_max, 0, 1)
     for r in range(rs_max + 1):
         for s in range(rs_max + 1):
             series = _jacobi_core(inv_root, minus[r], plus[s], r, s)
@@ -304,9 +304,9 @@ def equivalence_ledger(walk: WalkCache, m_max: int = 10, order: int = 40
     The two share only R and D.
 
     The amplitude checks are integer comparisons of each mantissa with
-    N(k, r, s) = 2^k J_k^{(r,s)}(0), the Horner numerator of ``jacobi`` over
-    binomial rows built once per call (0 for k < 0).  For example
-    psi_R(2m+1, 2t+1) = 2^(-m-1/2) J_(t-m)^(2m,0)(0)
+    N(k, r, s) = 2^k J_k^{(r,s)}(0), the explicit sum of ``jacobi`` as one dot
+    product of weighted binomial rows built once per call (0 for k < 0).  For
+    example psi_R(2m+1, 2t+1) = 2^(-m-1/2) J_(t-m)^(2m,0)(0)
     = 2^(-m-1/2) N(t-m, 2m, 0) / 2^(t-m) = N(t-m, 2m, 0) sqrt(2)^(-(2t+1)),
     and the simulator holds it as mantissa * sqrt(2)^(-(2t+1)), so the
     mantissa must equal N(t-m, 2m, 0).  Nothing is kept between calls.
@@ -334,7 +334,7 @@ def equivalence_ledger(walk: WalkCache, m_max: int = 10, order: int = 40
             rep.record(f"{fam}: closed == Jacobi generating reassembly",
                        (fam, m), closed == alt)
 
-    numerator = _numerator_table(order + m_max, order)
+    numerator = _numerator_table(order + m_max, order, 0, 1)
     for m in range(m_max + 1):
         for t in range(m, order + 1):
             odd, even = walk.state(2 * t + 1), walk.state(2 * t)

@@ -9,17 +9,19 @@ covered by the same formula and the three-term relations can be *tested*
 against it rather than used as definitions.  J with negative degree is 0.
 
 The sum is evaluated in integers: with x = p/q in lowest terms, each term is
-C(k+r, j) C(k+s, k-j) (p-q)^{k-j} (p+q)^j / (2q)^k.  Both binomial rows are
-built as ints by c_{i+1} = c_i (a-i) // (i+1), a division that is exact for
-every integer a.  The integer numerator N = (2q)^k J_k^{(r,s)}(p/q) is summed
-in Horner order, N <- N (p-q) + C(k+r, j) C(k+s, k-j) (p+q)^j for j = 0..k,
-carrying the power of (p+q) along; one core, ``_horner_numerator``, does this
-for every caller.  ``jacobi_at`` divides N by (2q)^k once;
-``check_jacobi_identities`` never divides, but compares each identity
-multiplied through by (2q)^k as integers.  The sweep builds each binomial row
-once per call and each N of its (k, u, v) box once per point; nothing
-persists between calls.  ``genfun.equivalence_ledger`` reads its x = 0
-numerators from the same kind of per-call row table, ``_numerator_table``.
+C(k+r, j) (p+q)^j C(k+s, k-j) (p-q)^(k-j) / (2q)^k.  Each factor is an entry
+of a weighted binomial row [C(a, i) w^i], built as ints by
+c_{i+1} = c_i (a-i) w // (i+1), a division that is exact for every integer a
+and w.  The integer numerator N = (2q)^k J_k^{(r,s)}(p/q) is then one C-level
+dot product, the plus row of a = k+r (w = p+q) against the reversed minus row
+of a = k+s (w = p-q); one kernel, ``_explicit_sum``, does this for every
+caller.  ``jacobi_at`` divides N by (2q)^k once; ``check_jacobi_identities``
+never divides, but compares each identity multiplied through by (2q)^k as
+integers.  A table, ``_numerator_table``, builds the rows of every a it
+serves once for its point; ``_numerator``, behind ``jacobi_at`` and the
+closed forms, builds the two rows of its one sum per call.  The identity
+sweep and ``genfun``'s generating-coefficient sweep and equivalence ledger
+read their numerators from tables.  Nothing persists between calls.
 
 The closed forms here are written for the canonical walk orientation (the one
 matching the momentum-integral representations).  They return the walk's own
@@ -44,6 +46,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 
 from .ledger import Ledger
 from .ring import _as_fraction
@@ -72,44 +75,46 @@ def binomial(a, k: int) -> Fraction:
     return num / math.factorial(k)
 
 
-def _binomial_row(a: int, k: int) -> list:
-    """[C(a, 0), ..., C(a, k)] as ints for integer a (negative a too)."""
+def _binomial_row(a: int, k: int, w: int) -> list:
+    """[C(a, 0), C(a, 1) w, ..., C(a, k) w^k] as ints for integer a (negative a
+    too) and any integer weight w."""
     row = [1]
     for i in range(k):
-        row.append(row[-1] * (a - i) // (i + 1))
+        row.append(row[-1] * ((a - i) * w) // (i + 1))
     return row
 
 
-def _horner_numerator(k: int, left: list, right: list, p: int, q: int) -> int:
-    """sum_j left[j] right[k-j] (p-q)^(k-j) (p+q)^j over j = 0..k, in Horner
-    order; 0 for k < 0 (empty sum).  With rows starting C(k+r, .) and
-    C(k+s, .) this is (2q)^k J_k^{(r,s)}(p/q); longer rows are read as prefixes.
+def _explicit_sum(k: int, plus: list, minus: list) -> int:
+    """sum_j plus[j] minus[k-j] over j = 0..k as one C-level dot product; 0 for
+    k < 0 (empty sum).  With the weighted rows C(k+r, .) (p+q)^. and
+    C(k+s, .) (p-q)^. this is (2q)^k J_k^{(r,s)}(p/q); longer rows are read as
+    prefixes.
     """
-    minus, plus = p - q, p + q
-    total, power = 0, 1
-    for j in range(k + 1):
-        total = total * minus + left[j] * right[k - j] * power
-        power *= plus
-    return total
+    if k < 0:
+        return 0
+    return sum(map(mul, plus, minus[k::-1]))
 
 
-def _numerator_table(a_max: int, length: int):
-    """N(k, r, s; p, q) = (2q)^k J_k^{(r,s)}(p/q) as a function reading the rows
-    C(a, 0..length), -1 <= a <= a_max, each built once here; valid for
-    k <= length and -1 <= k+r, k+s <= a_max.  The caller drops it with its call.
+def _numerator_table(a_max: int, length: int, p: int, q: int):
+    """N(k, r, s) = (2q)^k J_k^{(r,s)}(p/q) at one point p/q, as a function
+    reading the weighted rows C(a, 0..length) (p+q)^. and C(a, 0..length) (p-q)^.,
+    -1 <= a <= a_max, each built once here; valid for k <= length and
+    -1 <= k+r, k+s <= a_max.  The caller drops it with its point.
     """
-    rows = {a: _binomial_row(a, length) for a in range(-1, a_max + 1)}
+    plus = {a: _binomial_row(a, length, p + q) for a in range(-1, a_max + 1)}
+    minus = {a: _binomial_row(a, length, p - q) for a in range(-1, a_max + 1)}
 
-    def numerator(k, r, s, p=0, q=1):
-        return _horner_numerator(k, rows[k + r], rows[k + s], p, q)
+    def numerator(k, r, s):
+        return _explicit_sum(k, plus[k + r], minus[k + s])
 
     return numerator
 
 
 def _numerator(k: int, r: int, s: int, p: int = 0, q: int = 1) -> int:
-    """N(k, r, s; p, q) = (2q)^k J_k^{(r,s)}(p/q), the explicit sum over rows
-    built for this call; 0 for k < 0."""
-    return _horner_numerator(k, _binomial_row(k + r, k), _binomial_row(k + s, k), p, q)
+    """N(k, r, s; p, q) = (2q)^k J_k^{(r,s)}(p/q), the explicit sum over the two
+    weighted rows built for this call; 0 for k < 0."""
+    return _explicit_sum(k, _binomial_row(k + r, k, p + q),
+                         _binomial_row(k + s, k, p - q))
 
 
 def jacobi_at(k: int, r: int, s: int, x=Fraction(0)) -> Fraction:
@@ -231,44 +236,50 @@ def check_jacobi_identities(m_max: int = 20, uv_max: int = 6,
     contiguous:          (u+v+2k) J_k^{(u,v-1)}(x)
                            == (u+v+k) J_k^{(u,v)}(x) + (u+k) J_{k-1}^{(u,v)}(x)
 
-    With x = p/q and N(k,r,s; p) = (2q)^k J_k^{(r,s)}(p/q), the Horner-order
-    integer sum (0 for k < 0), each is compared times (2q)^(top degree):
+    With x = p/q and N(k,r,s; p) = (2q)^k J_k^{(r,s)}(p/q), the explicit sum
+    as one dot product of weighted rows (0 for k < 0), each is compared times
+    (2q)^(top degree):
 
         C(m,l) N(m,u,-l; p) == C(m+u,l) (p+q)^l N(m-l,u,l; p)
         N(n,r,s; -p) == (-1)^n N(n,s,r; p)
         (u+v+2k) N(k,u,v-1; p) == (u+v+k) N(k,u,v; p) + (u+k) 2q N(k-1,u,v; p)
 
-    Each binomial row C(a, 0..m_max), -1 <= a <= m_max + uv_max, is built
-    once per call.  Per point, the box N(k,u,v; p) for 0 <= k <= m_max,
-    0 <= u <= uv_max, -1 <= v <= uv_max (with zeros at k = -1) is summed once
-    and dropped when the point is done; the contiguous relation, the
-    reflection right side and the parameter-lowering right side for
-    l <= uv_max read it.  The reflection left side N(n,r,s; -p), the
-    parameter-lowering left side N(m,u,-l; p) and its right side for
-    l > uv_max are summed directly.  Nothing persists between calls.
-    Witnesses keep x as a Fraction.
+    Per point, one table builds each weighted row C(a, 0..m_max) (p±q)^.,
+    -1 <= a <= m_max + uv_max, once.  The box N(k,u,v; p) for
+    0 <= k <= m_max, 0 <= u <= uv_max, -1 <= v <= uv_max (with zeros at
+    k = -1) is summed once from it; the contiguous relation, the reflection
+    right side and the parameter-lowering right side for l <= uv_max read it.
+    The parameter-lowering left side N(m,u,-l; p) and its right side for
+    l > uv_max are summed directly on the table.  The reflection left side
+    N(n,r,s; -p) is read from the box at x = 0, where -x = x, and elsewhere
+    summed on a second table built for -x, never derived from the first.
+    Tables and box are dropped when the point is done; nothing persists
+    between calls.  Witnesses keep x as a Fraction.
     """
     report = Ledger("Jacobi identities")
     xs = tuple(_as_fraction(x) for x in xs)
-    numerator = _numerator_table(m_max + uv_max, m_max)
+    a_max = m_max + uv_max
     for x in xs:
         p, q = x.numerator, x.denominator
+        numerator = _numerator_table(a_max, m_max, p, q)
         # k = -1 (zeros) and v = -1 sit last in their lists, where index -1 finds them
-        box = [[[numerator(k, u, v, p, q) for v in (*range(uv_max + 1), -1)]
+        box = [[[numerator(k, u, v) for v in (*range(uv_max + 1), -1)]
                 for u in range(uv_max + 1)] for k in range(m_max + 1)]
         box.append([[0] * (uv_max + 2) for _ in range(uv_max + 1)])
         for m in range(m_max + 1):
             for u in range(uv_max + 1):
                 for ell in range(m + 1):
-                    lhs = math.comb(m, ell) * numerator(m, u, -ell, p, q)
+                    lhs = math.comb(m, ell) * numerator(m, u, -ell)
                     lowered = (box[m - ell][u][ell] if ell <= uv_max
-                               else numerator(m - ell, u, ell, p, q))
+                               else numerator(m - ell, u, ell))
                     rhs = math.comb(m + u, ell) * (p + q) ** ell * lowered
                     report.record("parameter-lowering", (m, u, ell, x), lhs == rhs)
+        # the x table is done; off zero the -x table takes its place
+        numerator = _numerator_table(a_max, m_max, -p, q) if p else None
         for n in range(m_max + 1):
             for r in range(uv_max + 1):
                 for s in range(uv_max + 1):
-                    lhs = numerator(n, r, s, -p, q)
+                    lhs = numerator(n, r, s) if p else box[n][r][s]
                     rhs = _sign(n) * box[n][s][r]
                     report.record("reflection", (n, r, s, x), lhs == rhs)
         for k in range(m_max + 1):
@@ -278,5 +289,5 @@ def check_jacobi_identities(m_max: int = 20, uv_max: int = 6,
                     rhs = ((u + v + k) * box[k][u][v]
                            + (u + k) * 2 * q * box[k - 1][u][v])
                     report.record("contiguous", (k, u, v, x), lhs == rhs)
-        del box
+        del numerator, box
     return report

@@ -62,6 +62,11 @@ class WalkState(namedtuple("WalkState", "t psi_r psi_l")):
             raise ValueError("mantissa arrays must cover positions -t..t")
         return super().__new__(cls, t, psi_r, psi_l)
 
+    @classmethod
+    def _make(cls, iterable):
+        # through __new__, so that _make and _replace run its checks too
+        return cls(*iterable)
+
     def _index(self, n: int) -> int:
         if abs(n) > self.t:
             raise ValueError(f"position {n} outside [-{self.t}, {self.t}]")

@@ -188,6 +188,14 @@ class TestVerify:
         with pytest.raises(ValueError, match="--order .* --m-max"):
             VerifyConfig(order=4)
 
+    def test_make_and_replace_run_the_checks(self):
+        # namedtuple builds these without __new__ unless _make goes through it
+        with pytest.raises(ValueError, match="--order .* --m-max"):
+            VerifyConfig()._replace(order=4)
+        with pytest.raises(ValueError, match="--t-max"):
+            VerifyConfig._make((-1, 24, 6, 24, 1e-9, 0, False))
+        assert VerifyConfig()._replace(order=30).order == 30
+
     def test_deterministic_report(self, tmp_path):
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"
@@ -287,6 +295,15 @@ class TestAsymptoticsCmd:
             assert code == 0
             assert out.read_bytes() == (DATA / pinned).read_bytes()
 
+    def test_benchmark_grid_pinned(self, tmp_path):
+        # the asymptotics-t2000 benchmark's table, byte for byte: psi_closed_r
+        # at degrees up to 280 (alpha 0.72, t = 2000)
+        out = tmp_path / "decay.csv"
+        code = main(["asymptotics", "--alpha-start", "0.72", "--alpha-stop", "0.98",
+                     "--alpha-step", "0.02", "--t", "500,1000,2000", "--out", str(out)])
+        assert code == 0
+        assert out.read_bytes() == (DATA / "asymptotics-t2000.csv").read_bytes()
+
     def test_exact_column_matches_simulator(self, tmp_path):
         # the simulator stays the ground truth for the closed form the command
         # reads: on the benchmark grid both agree exactly at every row
@@ -380,8 +397,9 @@ class TestPackage:
                 "sys.path.insert(0, sys.argv[1])\n"
                 "import hadwalk, hadwalk.cli\n"
                 "print(sorted({'dataclasses', 'inspect', 'typing', 'numpy'} & set(sys.modules)))\n")
-        # -S: no site, whose .pth files may load typing themselves
-        out = subprocess.run([sys.executable, "-E", "-S", "-c", code, src],
+        # -S: no site, whose .pth files may load typing themselves; -B: -E drops
+        # PYTHONDONTWRITEBYTECODE, and the test must leave no .pyc in src
+        out = subprocess.run([sys.executable, "-B", "-E", "-S", "-c", code, src],
                              check=True, capture_output=True, text=True).stdout
         assert out.splitlines() == ["[]"]
 

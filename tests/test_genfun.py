@@ -259,8 +259,11 @@ class TestEquivalenceLedger:
         assert calls["reciprocal"] == 24
         assert calls["__mul__"] <= 320
         assert calls["pow_int"] == 0
-        # the ledger's own rows are ~50; the rest come from psi_closed_r/l
-        assert calls["_binomial_row"] <= 1700
+        # two weighted rows (p+q and p-q) per a in -1..50 for the ledger's own
+        # table, and two per summed numerator: 396 psi_closed_r and 395
+        # psi_closed_l calls (psi_L(0, 0) is the edge value) and 21 boundary
+        # jacobi_at calls of degree 0 (the 21 of degree -1 sum nothing)
+        assert calls["_binomial_row"] == 2 * 52 + 2 * (396 + 395 + 21)
 
     def test_memory_bounded_by_one_call(self):
         # in a fresh interpreter, so that a table kept between calls is filled

@@ -45,7 +45,15 @@ class TestBinomial:
 
         for a in range(-8, 30):
             for k in range(25):
-                assert jacobi._binomial_row(a, k) == comb_row(a, k), (a, k)
+                assert jacobi._binomial_row(a, k, 1) == comb_row(a, k), (a, k)
+
+    def test_weighted_row_matches_binomial(self):
+        # [C(a, i) w^i]: the step c (a-i) w // (i+1) stays exact for negative
+        # a and for weights of either sign and any size
+        for a in (-9, -2, -1, 0, 3, 17):
+            for w in (-7, -3, -1, 0, 1, 2, 10):
+                row = jacobi._binomial_row(a, 20, w)
+                assert row == [binomial(a, i) * w**i for i in range(21)], (a, w)
 
 
 def reference_jacobi(k, r, s, x):
@@ -76,6 +84,69 @@ def _reference_triples():
 REFERENCE_TRIPLES = _reference_triples()
 REFERENCE_XS = [Fraction(0), Fraction(1, 2), Fraction(-1, 2), Fraction(1),
                 Fraction(-1), Fraction(3, 7), Fraction(-5, 3), Fraction(2)]
+
+
+def _scaled_reference(k, r, s, p, q):
+    """(2q)^k times the Fraction explicit sum at x = p/q: the integer N that
+    the kernel must return."""
+    return (2 * q) ** k * reference_jacobi(k, r, s, Fraction(p, q))
+
+
+def _kernel_cases():
+    """Seeded (k, r, s, p, q) with -1 <= k + r, k + s, as the tables need:
+    p of both signs, q up to 9, and k + r = -1 in a fixed share."""
+    rng = random.Random(20)
+    cases = [(5, -6, 2, -3, 7), (7, 0, -8, 4, 9), (0, -1, -1, -1, 2), (-1, 3, 3, 5, 3)]
+    while len(cases) < 60:
+        k = rng.randint(0, 30)
+        r = -k - 1 if rng.random() < 0.25 else rng.randint(-k - 1, 12)
+        p, q = rng.randint(-9, 9), rng.randint(1, 9)
+        if math.gcd(p, q) == 1:
+            cases.append((k, r, rng.randint(-k - 1, 12), p, q))
+    return cases
+
+
+class TestKernel:
+    """``_explicit_sum`` over weighted rows, against the Fraction explicit sum
+    built from ``binomial``."""
+
+    def test_cases_cover_the_edges(self):
+        cases = _kernel_cases()
+        assert any(k + r == -1 for k, r, s, p, q in cases if k > 0)
+        assert any(p < 0 for k, r, s, p, q in cases)
+        assert any(q > 1 for k, r, s, p, q in cases)
+
+    def test_per_call_rows_match_reference(self):
+        for k, r, s, p, q in _kernel_cases():
+            assert jacobi._numerator(k, r, s, p, q) == _scaled_reference(k, r, s, p, q), \
+                (k, r, s, p, q)
+
+    def test_table_matches_reference(self):
+        # each table serves every case at its point, longer rows read as prefixes
+        cases = _kernel_cases()
+        for p, q in {(p, q) for k, r, s, p, q in cases}:
+            numerator = jacobi._numerator_table(42, 30, p, q)
+            for k, r, s, p_, q_ in cases:
+                if (p_, q_) == (p, q):
+                    assert numerator(k, r, s) == _scaled_reference(k, r, s, p, q), \
+                        (k, r, s, p, q)
+
+    @pytest.mark.parametrize("p, q", [(0, 1), (3, 7)])
+    def test_degree_1000(self, p, q, row_minus_one):
+        # k + r = k + s = -1, so every term is nonzero and both factors read
+        # the one reference row
+        k, r, row = 1000, -1001, row_minus_one
+        reference = sum(row[j] * row[k - j] * (p + q) ** j * (p - q) ** (k - j)
+                        for j in range(k + 1))
+        assert jacobi._numerator(k, r, r, p, q) == reference
+        assert jacobi._numerator_table(-1, k, p, q)(k, r, r) == reference
+
+
+@pytest.fixture(scope="module")
+def row_minus_one():
+    """C(-1, j) for j <= 1000 from ``binomial``, built once for both points
+    (~1.7 s in Fractions)."""
+    return [binomial(-1, j) for j in range(1001)]
 
 
 class TestJacobiAt:
@@ -295,19 +366,20 @@ def _families_per_point(m_max, uv_max):
 
 
 def wrong_numerator(monkeypatch, k, a_left, a_right, x):
-    """Make the shared Horner core return N + 1 for one numerator: degree k,
-    rows C(a_left, .) and C(a_right, .), at the point x.  The sweep and
-    ``jacobi_at`` (hence ``reference_sweep``) both see the wrong value."""
-    exact = jacobi._horner_numerator
-    left, right = jacobi._binomial_row(a_left, k), jacobi._binomial_row(a_right, k)
+    """Make the shared kernel return N + 1 for one numerator: degree k, rows
+    C(a_left, .) (p+q)^. and C(a_right, .) (p-q)^., at the point x = p/q.  The
+    sweep and ``jacobi_at`` (hence ``reference_sweep``) both see the wrong value."""
+    exact = jacobi._explicit_sum
+    p, q = x.numerator, x.denominator
+    plus = jacobi._binomial_row(a_left, k, p + q)
+    minus = jacobi._binomial_row(a_right, k, p - q)
 
-    def off_by_one(k_, left_, right_, p, q):
-        value = exact(k_, left_, right_, p, q)
-        hit = (k_ == k and left_[:k + 1] == left and right_[:k + 1] == right
-               and Fraction(p, q) == x)
+    def off_by_one(k_, plus_, minus_):
+        value = exact(k_, plus_, minus_)
+        hit = k_ == k and plus_[:k + 1] == plus and minus_[:k + 1] == minus
         return value + 1 if hit else value
 
-    monkeypatch.setattr(jacobi, "_horner_numerator", off_by_one)
+    monkeypatch.setattr(jacobi, "_explicit_sum", off_by_one)
 
 
 class TestIntegerSweep:
@@ -349,6 +421,18 @@ class TestIntegerSweep:
         assert ("contiguous", (5, 2, 0, Fraction(0))) in new.failures
         assert ("parameter-lowering", (5, 2, 1, Fraction(0))) in new.failures
 
+    def test_same_failures_when_a_box_value_at_zero_is_wrong(self, monkeypatch):
+        # N(4, 1, 3) at x = 0: the reflection reads both sides from the box
+        # there, so the wrong value fails (4, 1, 3) as the left side and
+        # (4, 3, 1) as the right side, as in the Fraction sweep
+        wrong_numerator(monkeypatch, 4, 5, 7, Fraction(0))
+        new = check_jacobi_identities(m_max=6, uv_max=4)
+        ref = reference_sweep(6, 4, DEFAULT_XS)
+        assert new.checked == ref.checked
+        assert new.failures == ref.failures
+        assert ("reflection", (4, 1, 3, Fraction(0))) in new.failures
+        assert ("reflection", (4, 3, 1, Fraction(0))) in new.failures
+
     def test_same_failures_when_a_value_outside_the_box_is_wrong(self, monkeypatch):
         # N(4, 1, 3) at x = 1/2 with uv_max = 2: only the parameter-lowering
         # right side at (m, u, l) = (7, 1, 3) needs it, summed outside the box
@@ -361,29 +445,32 @@ class TestIntegerSweep:
 
     def test_rows_once_per_call_and_numerators_once_per_point(self, monkeypatch):
         # counts, not timings: at the defaults (20, 6) the sweep sums each
-        # numerator of the (k, u, v) box once per point and builds each row
-        # once per call (13,671 sums and 28 rows, against 25,137 and 50,274
-        # when every numerator was summed afresh from its own rows)
-        calls = {"horner": 0, "row": 0}
-        horner, row = jacobi._horner_numerator, jacobi._binomial_row
+        # numerator of the (k, u, v) box once per point and builds each
+        # weighted row once per table: two rows (p+q, p-q) per a in -1..26,
+        # one table at x = 0 and two (x and -x) at x = +-1/2.  12,642 sums:
+        # 13,671 less the 1,029 reflection left sides read from the x = 0 box
+        # (25,137 sums and 50,274 rows when every numerator was summed afresh
+        # from its own rows)
+        calls = {"sum": 0, "row": 0}
+        explicit_sum, row = jacobi._explicit_sum, jacobi._binomial_row
 
-        def counted_horner(*args):
-            calls["horner"] += 1
-            return horner(*args)
+        def counted_sum(*args):
+            calls["sum"] += 1
+            return explicit_sum(*args)
 
         def counted_row(*args):
             calls["row"] += 1
             return row(*args)
 
-        monkeypatch.setattr(jacobi, "_horner_numerator", counted_horner)
+        monkeypatch.setattr(jacobi, "_explicit_sum", counted_sum)
         monkeypatch.setattr(jacobi, "_binomial_row", counted_row)
         assert check_jacobi_identities(20, 6).passed
-        assert calls["horner"] <= 13_700
-        assert calls["row"] <= 20 + 6 + 2
+        assert calls["sum"] == 13_671 - 1_029
+        assert calls["row"] == 2 * (20 + 6 + 2) * (1 + 2 + 2)
 
     def test_memory_bounded_by_one_box(self):
-        # one point's box is ~70 KB traced; a memo table kept over the whole
-        # sweep takes ~1.4 MB
+        # one point's box and table are ~120 KB traced; a memo table kept over
+        # the whole sweep takes ~1.4 MB
         tracemalloc.start()
         try:
             check_jacobi_identities(20, 6)

@@ -70,6 +70,14 @@ class TestRecord:
         with pytest.raises(ValueError, match="positions -t..t"):
             WalkState(t, psi_r, psi_l)
 
+    def test_make_and_replace_run_the_checks(self):
+        # namedtuple builds these without __new__ unless _make goes through it
+        with pytest.raises(ValueError, match="positions -t..t"):
+            WalkState._make((1, (0,), (1,)))
+        with pytest.raises(ValueError, match="positions -t..t"):
+            initial_state()._replace(t=1)
+        assert WalkState._make((0, (0,), (1,))) == initial_state()
+
 
 class TestInvariants:
     def test_unitarity_and_parity(self):
