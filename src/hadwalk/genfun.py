@@ -19,17 +19,19 @@ Closed forms, with R = sqrt(1+z^2) and D = 1 - z + R:
     I_m = 2^(m-1) (1+z) z^m / (R D^(2m)),  m >= 1;   I_0 = 1/2 + (1+z)/(2R)
 
 The equivalence ledger builds one basis per call: R, D, 1/R and 1/D once,
-and the powers D^k and D^(-k) stepped by one product each as m grows.  Its
-closed side inverts R D^k once per k (I_0 reads k = 0, 1/R); its Jacobi
-side reassembles R^(-1) (D^(-1))^r 2^r.  The two routes share only R and D,
-never each other's results.  ``closed_form_series`` and ``jacobi_generating``
-are one-shot wrappers around the same cores (``_closed_core``,
-``_jacobi_core``) that raise D with ``pow_int``.  The ledger compares
-amplitudes as integers: each simulator mantissa against an explicit-sum
-numerator N(k, r, s) = 2^k J_k^{(r,s)}(0) of ``jacobi``, e.g. psi_R(2m+1, 2t+1)
-= 2^(-m-1/2) N(t-m, 2m, 0) / 2^(t-m) = N(t-m, 2m, 0) sqrt(2)^(-(2t+1)), so
-the mantissa is N(t-m, 2m, 0); the closed-form amplitudes ``psi_closed_r/l``
-return mantissas too.  Nothing is kept between calls.
+and R D^k and D^(-k) stepped by one product each as k grows.  Its closed
+side inverts R D^k once per k (I_0 reads k = 0, 1/R); its Jacobi side builds
+R^(-1) (D^(-1))^k 2^k once per k.  Every family with exponent k reads the
+same two series.  The two routes share only R and D, never each other's
+results.  ``closed_form_series`` and ``jacobi_generating`` are one-shot
+wrappers around the same cores (``_closed_core``, ``_jacobi_core``) that
+raise D with ``pow_int``.  The ledger compares amplitudes as integers: each
+simulator mantissa against an explicit-sum numerator N(k, r, s) =
+2^k J_k^{(r,s)}(0) of ``jacobi``, e.g. psi_R(2m+1, 2t+1) = 2^(-m-1/2)
+N(t-m, 2m, 0) / 2^(t-m) = N(t-m, 2m, 0) sqrt(2)^(-(2t+1)), so the mantissa
+is N(t-m, 2m, 0); the closed-form amplitudes of ``jacobi`` return mantissas
+too, here read from the ledger's numerator table.  Nothing is kept between
+calls.
 
 Also here: the Jacobi generating function with exact coefficient extraction,
 Lagrange inversion, and the implicit-series (Srivastava-Singhal style)
@@ -43,7 +45,7 @@ import operator
 import random
 from fractions import Fraction
 
-from .jacobi import _numerator_table, _sign, jacobi_at, psi_closed_l, psi_closed_r
+from .jacobi import _closed_l, _closed_r, _numerator_table, _sign, jacobi_at
 from .ledger import Ledger
 from .ring import RationalSeries, _as_fraction, _canonical, random_rational_series
 from .walk import WalkCache
@@ -114,9 +116,11 @@ def closed_form_series(family: Family, m: int, order: int) -> RationalSeries:
     return _closed_core(family, m, body, RationalSeries.polynomial([1, 1], order))
 
 
-def _stepped_powers(base: RationalSeries, top: int) -> list:
-    """[base^0, ..., base^top], each power one product from the last."""
-    powers = [RationalSeries.one(base.order)]
+def _stepped_powers(base: RationalSeries, top: int, first: RationalSeries | None = None
+                    ) -> list:
+    """[first, first base, ..., first base^top] (first defaults to 1), each one
+    product from the last."""
+    powers = [RationalSeries.one(base.order) if first is None else first]
     for _ in range(top):
         powers.append(powers[-1] * base)
     return powers
@@ -294,14 +298,15 @@ def equivalence_ledger(walk: WalkCache, m_max: int = 10, order: int = 40
     For every m <= m_max and m <= t <= order the simulator mantissas equal
     the Jacobi-polynomial expressions for the amplitudes (both the raw
     generating-function extraction and the reduced single-J forms), and equal
-    the ints that the closed-form amplitude routines ``psi_closed_r/l``
-    return, each summing its own N per call.
+    the ints of the closed-form amplitudes of ``psi_closed_r/l``, written
+    once in ``jacobi`` and here reading the ledger's numerator table.
 
-    One basis per call: R, D, 1/R and 1/D are built once, and D^k, D^(-k)
-    for k <= 2 m_max + 1 are stepped by one product each.  The closed side
-    inverts R D^k once per k, and the families with the same k read the same
-    1/(R D^k); the Jacobi side is R^(-1) (D^(-1))^r 2^r with its own 1/R.
-    The two share only R and D.
+    One basis per call: R, D, 1/R and 1/D are built once, and R D^k, D^(-k)
+    for k <= 2 m_max + 1 are stepped by one product each; D^k alone is never
+    built.  The closed side inverts R D^k once per k, and the Jacobi side
+    builds R^(-1) (D^(-1))^k 2^k with its own 1/R once per k.  The families
+    with the same k (F_m and I_m at 2m, G_m and H_(m-1) at 2m-1) read the same
+    two series.  The two sides share only R and D.
 
     The amplitude checks are integer comparisons of each mantissa with
     N(k, r, s) = 2^k J_k^{(r,s)}(0), the explicit sum of ``jacobi`` as one dot
@@ -321,16 +326,17 @@ def equivalence_ledger(walk: WalkCache, m_max: int = 10, order: int = 40
     root = _sqrt_one_plus_z2(order)
     big_d = RationalSeries.polynomial([1, -1], order) + root
     inv_root = root.reciprocal()
-    bodies = [(root * d).reciprocal() for d in _stepped_powers(big_d, 2 * m_max + 1)]
-    d_down = _stepped_powers(big_d.reciprocal(), 2 * m_max + 1)
+    top = 2 * m_max + 1
+    bodies = [rd.reciprocal() for rd in _stepped_powers(big_d, top, root)]
+    generating = [_jacobi_core(inv_root, d_down, None, k, 0)
+                  for k, d_down in enumerate(_stepped_powers(big_d.reciprocal(), top))]
     for m in range(m_max + 1):
         for fam in "FGHI":
             k = _d_exponent(fam, m)
             closed = _closed_core(fam, m, bodies[k], one_plus_z)
             rep.record(f"{fam}: definitional == closed", (fam, m),
                        definitional_series(fam, m, order, walk) == closed)
-            alt = _reassembly(fam, m, _jacobi_core(inv_root, d_down[k], None, k, 0),
-                              one_plus_z)
+            alt = _reassembly(fam, m, generating[k], one_plus_z)
             rep.record(f"{fam}: closed == Jacobi generating reassembly",
                        (fam, m), closed == alt)
 
@@ -364,9 +370,9 @@ def equivalence_ledger(walk: WalkCache, m_max: int = 10, order: int = 40
 
             # tie the chain back to the closed-form amplitude routines
             rep.record("psi_R odd == closed amplitude", (m, t),
-                       mantissa == psi_closed_r(2 * m + 1, 2 * t + 1))
+                       mantissa == _closed_r(numerator, 2 * m + 1, 2 * t + 1))
             rep.record("psi_L even == closed amplitude", (m, t),
-                       even.mantissa_l(2 * m) == psi_closed_l(2 * m, 2 * t))
+                       even.mantissa_l(2 * m) == _closed_l(numerator, 2 * m, 2 * t))
 
     rep.record("psi_R(0,0) == 0", (0, 0), walk.state(0).mantissa_r(0) == 0)
     return rep

@@ -19,9 +19,10 @@ caller.  ``jacobi_at`` divides N by (2q)^k once; ``check_jacobi_identities``
 never divides, but compares each identity multiplied through by (2q)^k as
 integers.  A table, ``_numerator_table``, builds the rows of every a it
 serves once for its point; ``_numerator``, behind ``jacobi_at`` and the
-closed forms, builds the two rows of its one sum per call.  The identity
-sweep and ``genfun``'s generating-coefficient sweep and equivalence ledger
-read their numerators from tables.  Nothing persists between calls.
+public closed forms, builds the two rows of its one sum per call.  The
+identity sweep, ``check_closed_forms`` and ``genfun``'s generating-coefficient
+sweep and equivalence ledger read their numerators from tables.  Nothing
+persists between calls.
 
 The closed forms here are written for the canonical walk orientation (the one
 matching the momentum-integral representations).  They return the walk's own
@@ -39,7 +40,10 @@ and at n = 0, even t, psi_R = N(t/2-1, 1, 0) and psi_L = N(t/2, 0, 0) +
 N(t/2-1, 1, 0).  The one division, (t-n)/(t+n), is exact on ints and is
 checked to leave no remainder.  Note the left-amplitude sign convention: both
 chirality branches carry the factor (-1)^(n+1), and the left edge value is
-psi_L(-t, t) = +2^(-t/2).
+psi_L(-t, t) = +2^(-t/2).  These forms are written once, in ``_closed_r``,
+``_closed_l``, ``_center_r`` and ``_center_l``, which read N from a source
+numerator(k, r, s): ``_numerator`` for the public functions, a table for the
+checks.
 """
 
 from __future__ import annotations
@@ -139,65 +143,91 @@ def _require_valid(n: int, t: int) -> None:
         raise ValueError(f"parity violation: n={n}, t={t}")
 
 
-def psi_closed_r(n: int, t: int) -> int:
-    """Mantissa of the right-chirality amplitude at (n, t), from the Jacobi
-    closed forms: the int m with psi_R(n, t) = m sqrt(2)^(-t)."""
-    _require_valid(n, t)
+def _closed_r(numerator, n: int, t: int) -> int:
+    """psi_R mantissa at a valid (n, t) from a source numerator(k, r, s) of
+    N(k, r, s) = 2^k J_k^{(r,s)}(0)."""
     if t == 0:
         return 0
     if n >= 0:
         k = (t - n) // 2
-        return _sign(k + n + 1) * _numerator(k, 0, n - 1)
+        return _sign(k + n + 1) * numerator(k, 0, n - 1)
     k = (t + n) // 2 - 1
-    return _sign(k) * _numerator(k, 0, 1 - n)
+    return _sign(k) * numerator(k, 0, 1 - n)
+
+
+def _closed_l(numerator, n: int, t: int) -> int:
+    """psi_L mantissa at a valid (n, t) from a numerator source, as ``_closed_r``."""
+    if n == -t:
+        return 1
+    if n >= 0:
+        k = (t - n) // 2 - 1
+        return _sign(k + n + 2) * numerator(k, 1, n)
+    k = (t + n) // 2 - 1
+    mantissa, remainder = divmod((t - n) * numerator(k, 1, -n), t + n)
+    if remainder:
+        raise ArithmeticError(f"(t-n)/(t+n) left a remainder at n={n}, t={t}")
+    return _sign(k) * mantissa
+
+
+def _center_r(numerator, t: int) -> int:
+    """psi_R(0, t) mantissa at even t from a numerator source."""
+    return numerator(t // 2 - 1, 1, 0)
+
+
+def _center_l(numerator, t: int) -> int:
+    """psi_L(0, t) mantissa at even t from a numerator source."""
+    return numerator(t // 2, 0, 0) + numerator(t // 2 - 1, 1, 0)
+
+
+def psi_closed_r(n: int, t: int) -> int:
+    """Mantissa of the right-chirality amplitude at (n, t), from the Jacobi
+    closed forms: the int m with psi_R(n, t) = m sqrt(2)^(-t)."""
+    _require_valid(n, t)
+    return _closed_r(_numerator, n, t)
 
 
 def psi_closed_l(n: int, t: int) -> int:
     """Mantissa of the left-chirality amplitude at (n, t), from the Jacobi
     closed forms: the int m with psi_L(n, t) = m sqrt(2)^(-t)."""
     _require_valid(n, t)
-    if n == -t:
-        return 1
-    if n >= 0:
-        k = (t - n) // 2 - 1
-        return _sign(k + n + 2) * _numerator(k, 1, n)
-    k = (t + n) // 2 - 1
-    mantissa, remainder = divmod((t - n) * _numerator(k, 1, -n), t + n)
-    if remainder:
-        raise ArithmeticError(f"(t-n)/(t+n) left a remainder at n={n}, t={t}")
-    return _sign(k) * mantissa
+    return _closed_l(_numerator, n, t)
 
 
 def psi_center_r(t: int) -> int:
     """Mantissa of psi_R(0, t) for even t, from the degree-(t/2 - 1) J^(1,0) value."""
     if t % 2:
         raise ValueError("center amplitudes need even t")
-    return _numerator(t // 2 - 1, 1, 0)
+    return _center_r(_numerator, t)
 
 
 def psi_center_l(t: int) -> int:
     """Mantissa of psi_L(0, t) for even t, a Legendre-plus-Jacobi combination."""
     if t % 2:
         raise ValueError("center amplitudes need even t")
-    return _numerator(t // 2, 0, 0) + _numerator(t // 2 - 1, 1, 0)
+    return _center_l(_numerator, t)
 
 
 def check_closed_forms(walk: WalkCache, t_max: int) -> Ledger:
     """Exact check of the closed forms against simulator values: both
     chiralities at every reachable (n, t) with t <= t_max, and the center
     forms at every even t > 0.  Witnesses are (n, t).
+
+    The closed forms read one numerator table at x = 0, built for this call
+    over the exact reach of t <= t_max: rows C(a, 0..t_max/2) for
+    -1 <= a <= t_max.  It is dropped when the call returns.
     """
     ledger = Ledger("closed forms == simulator")
+    numerator = _numerator_table(t_max, t_max // 2, 0, 1)
     for t in range(t_max + 1):
         st = walk.state(t)
         for n in range(-t, t + 1, 2):
             ledger.record("closed form", (n, t),
-                          st.mantissa_r(n) == psi_closed_r(n, t)
-                          and st.mantissa_l(n) == psi_closed_l(n, t))
+                          st.mantissa_r(n) == _closed_r(numerator, n, t)
+                          and st.mantissa_l(n) == _closed_l(numerator, n, t))
         if t and t % 2 == 0:
             ledger.record("center closed form", (0, t),
-                          st.mantissa_r(0) == psi_center_r(t)
-                          and st.mantissa_l(0) == psi_center_l(t))
+                          st.mantissa_r(0) == _center_r(numerator, t)
+                          and st.mantissa_l(0) == _center_l(numerator, t))
     return ledger
 
 

@@ -165,6 +165,15 @@ class TestVerify:
         assert code == 0 and data["all_passed"]
         assert data["suites"]["generating-function"]["detail"] == "2820 equivalence checks exact"
 
+    def test_closed_form_sweep_report(self, tmp_path, capsys):
+        # exact-equivalence over the 13,121 positions and centers of t <= 160,
+        # pinned from the closed forms that summed every numerator per call
+        code, data = run_pinned_verify(tmp_path, "verify-t160.json",
+                                       ["--t-max", "160", "--quad-t-max", "0"])
+        assert code == 0 and data["all_passed"]
+        assert capsys.readouterr().out.splitlines()[0] == (
+            "PASS exact-equivalence: all amplitudes equal through t=160; checked=13121")
+
     @pytest.mark.parametrize("flag, value", [
         ("--t-max", "-1"), ("--order", "-1"), ("--m-max", "-3"),
         ("--quad-t-max", "-1"), ("--tol", "nan"), ("--tol", "inf"), ("--tol", "-inf"),

@@ -225,6 +225,31 @@ class TestEquivalenceLedger:
         assert rep.failures == [("H: closed == Jacobi generating reassembly", ("H", 1)),
                                 ("G: closed == Jacobi generating reassembly", ("G", 2))]
 
+    # the closed amplitudes read the ledger's own table: psi_R(2m+1, 2t+1)
+    # reads N(t-m, 0, 2m), as the reflected-parameter form does, and
+    # psi_L(2m, 2t) reads N(t-m-1, 1, 2m), as the psi_L even Jacobi form does;
+    # the psi_R even Jacobi form reads N(t-1, 1, 0) at m = 0 and at m = 1
+    @pytest.mark.parametrize("key, failures", [
+        ((3, 0, 4), [("psi_R odd reflected-parameter form", (2, 5)),
+                     ("psi_R odd == closed amplitude", (2, 5))]),
+        ((3, 1, 4), [("psi_L even == Jacobi form", (2, 6)),
+                     ("psi_L even == closed amplitude", (2, 6))]),
+        ((3, 1, 0), [("psi_R even == Jacobi form", (0, 4)),
+                     ("psi_L even == closed amplitude", (0, 4)),
+                     ("psi_R even == Jacobi form", (1, 4))]),
+    ])
+    def test_one_wrong_table_value(self, walk, monkeypatch, key, failures):
+        build = genfun._numerator_table
+
+        def wrong(*args):
+            numerator = build(*args)
+            return lambda *k_r_s: numerator(*k_r_s) + (k_r_s == key)
+
+        monkeypatch.setattr(genfun, "_numerator_table", wrong)
+        rep = equivalence_ledger(walk, m_max=4, order=12)
+        assert rep.checked == 413
+        assert rep.failures == failures
+
     @pytest.mark.parametrize("m_max, order", [(0, 0), (0, 1), (1, 1), (5, 4)])
     def test_domain(self, walk, m_max, order):
         with pytest.raises(ValueError, match=f"order={order} and m_max={m_max}"):
@@ -235,10 +260,10 @@ class TestEquivalenceLedger:
         assert rep.passed, rep.failures[:5]
 
     def test_one_basis_per_call(self, walk81, monkeypatch):
-        # counts, not timings, at (10, 40): one sqrt(1+z^2), D^k and D^-k
-        # stepped by one product each, rows built once per call (the Fraction
-        # ledger made 88 square roots, 130 reciprocals, 703 products,
-        # 172 pow_int calls and 5,438 rows)
+        # counts, not timings, at (10, 40): one sqrt(1+z^2), R D^k and D^-k
+        # stepped by one product each, one Jacobi series per k, rows built
+        # once per call (the Fraction ledger made 88 square roots,
+        # 130 reciprocals, 703 products, 172 pow_int calls and 5,438 rows)
         calls = Counter()
 
         def counted(owner, name):
@@ -253,17 +278,25 @@ class TestEquivalenceLedger:
         for name in ("sqrt", "reciprocal", "__mul__", "pow_int"):
             counted(RationalSeries, name)
         counted(jacobi, "_binomial_row")
+        counted(genfun, "_jacobi_core")
         assert equivalence_ledger(walk81, m_max=10, order=40).checked == 2820
         assert calls["sqrt"] == 1
         # 1/(R D^k) once per k <= 21, then 1/R and 1/D for the Jacobi side
         assert calls["reciprocal"] == 24
-        assert calls["__mul__"] <= 320
+        # one Jacobi series per D-exponent k = 0..21, read by every family
+        # with that k (F_m and I_m share 2m, G_m and H_(m-1) share 2m-1)
+        assert calls["_jacobi_core"] == 2 * 10 + 2
+        # R D^k for k = 1..21 (21) and D^-k (21), each from the last; in the
+        # 22 Jacobi series 1/R D^-k for k >= 1 (21) and the 2^k scaling (22);
+        # (1+z) times the body of H_m and I_m (22) and times their Jacobi
+        # series in the reassembly (22)
+        assert calls["__mul__"] == 21 + 21 + (21 + 22) + 22 + 22
         assert calls["pow_int"] == 0
         # two weighted rows (p+q and p-q) per a in -1..50 for the ledger's own
-        # table, and two per summed numerator: 396 psi_closed_r and 395
-        # psi_closed_l calls (psi_L(0, 0) is the edge value) and 21 boundary
-        # jacobi_at calls of degree 0 (the 21 of degree -1 sum nothing)
-        assert calls["_binomial_row"] == 2 * 52 + 2 * (396 + 395 + 21)
+        # table, which the closed amplitudes read too, and two for each of the
+        # 21 boundary jacobi_at calls of degree 0 (the 21 of degree -1 sum
+        # nothing)
+        assert calls["_binomial_row"] == 2 * 52 + 2 * 21
 
     def test_memory_bounded_by_one_call(self):
         # in a fresh interpreter, so that a table kept between calls is filled

@@ -263,6 +263,83 @@ class TestClosedForms:
             psi_center_r(3)
 
 
+def closed_form_table(walk, t_max):
+    """The numerator table that ``check_closed_forms(walk, t_max)`` builds,
+    kept by a spy on ``_numerator_table``; the check must pass."""
+    tables = []
+    build = jacobi._numerator_table
+
+    def spy(*args):
+        tables.append(build(*args))
+        return tables[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(jacobi, "_numerator_table", spy)
+        assert jacobi.check_closed_forms(walk, t_max).passed
+    (table,) = tables
+    return table
+
+
+def wrong_table(monkeypatch, key):
+    """Tables whose numerator(k, r, s) is N + 1 at the one key (k, r, s)."""
+    build = jacobi._numerator_table
+
+    def wrong(*args):
+        numerator = build(*args)
+        return lambda *k_r_s: numerator(*k_r_s) + (k_r_s == key)
+
+    monkeypatch.setattr(jacobi, "_numerator_table", wrong)
+
+
+@pytest.fixture(scope="module")
+def walk200():
+    cache = WalkCache()
+    cache.state(200)
+    return cache
+
+
+class TestClosedFormTable:
+    """``check_closed_forms`` reads the closed forms from one table per call."""
+
+    # the table of t_max reaches t_max exactly: its smallest ranges are at
+    # t_max 0..3, and t_max - 1 is read from a table one size too large
+    @pytest.mark.parametrize("t_max", [*range(61), 199, 200])
+    def test_map_matches_per_call_forms(self, walk200, t_max):
+        table = closed_form_table(walk200, t_max)
+        for t in {max(t_max - 1, 0), t_max}:
+            for n in range(-t, t + 1, 2):
+                assert jacobi._closed_r(table, n, t) == psi_closed_r(n, t), (n, t)
+                assert jacobi._closed_l(table, n, t) == psi_closed_l(n, t), (n, t)
+            if t % 2 == 0:
+                assert jacobi._center_r(table, t) == psi_center_r(t), t
+                assert jacobi._center_l(table, t) == psi_center_l(t), t
+
+    # the sign and degree logic, solved by hand for the positions that read
+    # each key: psi_R reads N((t-n)/2, 0, n-1) at n >= 0 and
+    # N((t+n)/2-1, 0, 1-n) at n < 0; psi_L reads N((t-n)/2-1, 1, n) at n >= 0;
+    # the center forms read N(t/2-1, 1, 0) (both) and N(t/2, 0, 0) (left);
+    # N(k, 1, s) with s > 0 is also read by psi_L(-s, t) (next test)
+    @pytest.mark.parametrize("key, failures", [
+        ((3, 0, 4), [("closed form", (-3, 11)), ("closed form", (5, 11))]),
+        ((2, 0, -1), [("closed form", (0, 4))]),
+        ((4, 1, 0), [("closed form", (0, 10)), ("center closed form", (0, 10))]),
+        ((5, 0, 0), [("center closed form", (0, 10)), ("closed form", (1, 11))]),
+        ((3, 0, 1), [("closed form", (2, 8))]),
+    ])
+    def test_one_wrong_table_value(self, walk60, monkeypatch, key, failures):
+        wrong_table(monkeypatch, key)
+        ledger = jacobi.check_closed_forms(walk60, 16)
+        assert ledger.checked == sum(t + 1 for t in range(17)) + 8
+        assert ledger.failures == failures
+
+    def test_wrong_left_value_below_zero_raises(self, walk60, monkeypatch):
+        # psi_L(-2, 10) reads N(3, 1, 2): (t-n)(N+1)/(t+n) = 12 (N+1)/8 is
+        # no int, and the division raises rather than round
+        wrong_table(monkeypatch, (3, 1, 2))
+        with pytest.raises(ArithmeticError, match="n=-2, t=10"):
+            jacobi.check_closed_forms(walk60, 16)
+
+
 class TestSymmetry:
     def test_all_positions_through_t60(self, walk60):
         rep = check_reflections(walk60.state(t) for t in range(61))
