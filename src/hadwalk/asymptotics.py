@@ -27,9 +27,10 @@ rule converges geometrically for integrands analytic in a strip, here
 FFT is the module's own radix-2 transform (Cooley & Tukey, Math. Comp. 19,
 1965) on lists of complex numbers; when N doubles it transforms only the new
 midpoint samples and merges them with the previous level's transform.  The
-contour shift uses a 16-point Gauss-Legendre rule whose table is computed at
-import by Newton's method, so the module needs nothing beyond the standard
-library.
+contour shift integrates the real line and each straight leg of the shifted
+path with one composite 16-point Gauss-Legendre rule, which takes real or
+complex endpoints alike; its table is computed at import by Newton's method,
+so the module needs nothing beyond the standard library.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import math
 from collections import namedtuple
 
 from .ledger import Ledger
-from .walk import WalkCache, mantissa_to_float
+from .walk import WalkCache, _require_position, mantissa_to_float
 
 __all__ = [
     "ARCSINH1",
@@ -236,8 +237,9 @@ def _gauss_legendre(n: int) -> tuple:
 _GL_NODES, _GL_WEIGHTS = _gauss_legendre(16)
 
 
-def _panel_integrate(f, a: float, b: float, panels: int) -> complex:
-    """Composite 16-point Gauss-Legendre on [a, b] for a scalar integrand."""
+def _panel_integrate(f, a: complex, b: complex, panels: int) -> complex:
+    """Composite 16-point Gauss-Legendre along the straight segment a -> b,
+    real or complex, for a scalar integrand."""
     half = 0.5 * (b - a) / panels
     total = 0j
     for p in range(panels):
@@ -246,7 +248,7 @@ def _panel_integrate(f, a: float, b: float, panels: int) -> complex:
     return half * total
 
 
-def _refine(f, a: float, b: float, tol: float, panels0: int,
+def _refine(f, a: complex, b: complex, tol: float, panels0: int,
             max_nodes: int = 1 << 22) -> complex:
     """Panel-doubling until two refinements agree; returns the last value."""
     panels = panels0
@@ -389,10 +391,7 @@ def quadrature_psi(n: int, t: int, tol: float = 1e-10) -> tuple:
     budget runs out first, QuadratureBudgetError carries the achieved
     estimate.
     """
-    if abs(n) > t:
-        raise ValueError(f"position {n} outside [-{t}, {t}]")
-    if (n - t) % 2:
-        raise ValueError(f"parity violation: n={n}, t={t}")
+    _require_position(n, t)
     return _quadrature_row(t, tol)[(n + t) // 2]
 
 
@@ -439,16 +438,6 @@ def _reflected_kernel(theta, alpha: float, t: int):
     return cmath.exp(-1j * theta) / q * cmath.exp(-1j * (om - theta * alpha) * t)
 
 
-def _segment_integrate(f, za: complex, zb: complex, tol: float) -> complex:
-    """Adaptive composite GL along the straight segment za -> zb."""
-    direction = zb - za
-
-    def g(s):
-        return f(za + direction * s) * direction
-
-    return _refine(g, 0.0, 1.0, tol, 16)
-
-
 def check_contour_shift(walk: WalkCache, points, tol: float = 1e-8) -> Ledger:
     """The right amplitude by the shifted contour == real line == simulator.
 
@@ -485,7 +474,7 @@ def check_contour_shift(walk: WalkCache, points, tol: float = 1e-8) -> Ledger:
         h = _WAYPOINT_HEIGHT
         waypoints = [complex(-math.pi, v_top), complex(-math.pi / 2, h), theta_alpha,
                      complex(math.pi / 2, h), complex(math.pi, v_top)]
-        total = sum(_segment_integrate(f, za, zb, tol * 0.05)
+        total = sum(_refine(f, za, zb, tol * 0.05, 16)
                     for za, zb in zip(waypoints[:-1], waypoints[1:]))
         shifted = sign * total.real / (2.0 * math.pi)
         # independent symmetry route: quadrature at the reflected position

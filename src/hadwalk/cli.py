@@ -354,7 +354,11 @@ def cmd_asymptotics(args) -> int:
                     asym_r, _ = asymptotics.psi_asymptotic(n, t, eps=args.eps)
                     a_eff = abs(n) / t
                     row["asymptotic"] = _fmt(asym_r)
-                    row["rel_error"] = _fmt(abs(asym_r / exact - 1.0)) if exact else "inf"
+                    # an amplitude below the normal floats has lost its digits
+                    if min(abs(exact), abs(asym_r)) < sys.float_info.min:
+                        row["status"] = "underflow"
+                    else:
+                        row["rel_error"] = _fmt(abs(asym_r / exact - 1.0))
                     row["btilde"] = _fmt(asymptotics.btilde(a_eff))
                     row["b"] = _fmt(asymptotics.b_pathintegral(a_eff))
                 except asymptotics.ValidityError:

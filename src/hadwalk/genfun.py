@@ -18,20 +18,22 @@ Closed forms, with R = sqrt(1+z^2) and D = 1 - z + R:
     H_m = -2^(m-1/2) (1+z) z^m / (R D^(2m+1))
     I_m = 2^(m-1) (1+z) z^m / (R D^(2m)),  m >= 1;   I_0 = 1/2 + (1+z)/(2R)
 
-The equivalence ledger builds one basis per call: R, D, 1/R and 1/D once,
-and R D^k and D^(-k) stepped by one product each as k grows.  Its closed
-side inverts R D^k once per k (I_0 reads k = 0, 1/R); its Jacobi side builds
-R^(-1) (D^(-1))^k 2^k once per k.  Every family with exponent k reads the
-same two series.  The two routes share only R and D, never each other's
-results.  ``closed_form_series`` and ``jacobi_generating`` are one-shot
-wrappers around the same cores (``_closed_core``, ``_jacobi_core``) that
-raise D with ``pow_int``.  The ledger compares amplitudes as integers: each
-simulator mantissa against an explicit-sum numerator N(k, r, s) =
-2^k J_k^{(r,s)}(0) of ``jacobi``, e.g. psi_R(2m+1, 2t+1) = 2^(-m-1/2)
-N(t-m, 2m, 0) / 2^(t-m) = N(t-m, 2m, 0) sqrt(2)^(-(2t+1)), so the mantissa
-is N(t-m, 2m, 0); the closed-form amplitudes of ``jacobi`` return mantissas
-too, here read from the ledger's numerator table.  Nothing is kept between
-calls.
+The family map above is written once, in ``_closed_core``, which reads a
+body 1/(R D^k).  The equivalence ledger builds one basis per call: R, D, 1/R
+and 1/D once, and R D^k and D^(-k) stepped by one product each as k grows.
+Its closed side inverts R D^k once per k (I_0 reads k = 0, 1/R); its Jacobi
+side builds the generating series R^(-1) (D^(-1))^k 2^k once per k and reads
+2^(-k) times it as the body of the same map, the reassembly.  Every family
+with exponent k reads the same two bodies.  The two routes share R, D and
+the map, never each other's bodies.  ``closed_form_series`` and
+``jacobi_generating`` are one-shot wrappers around the same cores
+(``_closed_core``, ``_jacobi_core``) that raise D with ``pow_int``.  The
+ledger compares amplitudes as integers: each simulator mantissa against an
+explicit-sum numerator N(k, r, s) = 2^k J_k^{(r,s)}(0) of ``jacobi``, e.g.
+psi_R(2m+1, 2t+1) = 2^(-m-1/2) N(t-m, 2m, 0) / 2^(t-m) = N(t-m, 2m, 0)
+sqrt(2)^(-(2t+1)), so the mantissa is N(t-m, 2m, 0); the closed-form
+amplitudes of ``jacobi`` return mantissas too, here read from the ledger's
+numerator table.  Nothing is kept between calls.
 
 Also here: the Jacobi generating function with exact coefficient extraction,
 Lagrange inversion, and the implicit-series (Srivastava-Singhal style)
@@ -47,7 +49,8 @@ from fractions import Fraction
 
 from .jacobi import _closed_l, _closed_r, _numerator_table, _sign, jacobi_at
 from .ledger import Ledger
-from .ring import RationalSeries, _as_fraction, _canonical, random_rational_series
+from .ring import (RationalSeries, _as_fraction, _canonical, _powers,
+                   random_rational_series)
 from .walk import WalkCache
 
 __all__ = [
@@ -80,7 +83,8 @@ def _sqrt_one_plus_z2(order: int) -> RationalSeries:
 
 def _d_exponent(family: Family, m: int) -> int:
     """k in the D^k of the closed form of ``family``'s m-th series, which is
-    also the r of its Jacobi reassembly; 0 for I_0, whose closed form has no D."""
+    also the r of the Jacobi series its reassembly reads; 0 for I_0, whose
+    closed form has no D."""
     if family == "G":
         return max(2 * m - 1, 1)
     if family == "H":
@@ -114,16 +118,6 @@ def closed_form_series(family: Family, m: int, order: int) -> RationalSeries:
     big_d = RationalSeries.polynomial([1, -1], order) + root
     body = (root * big_d.pow_int(_d_exponent(family, m))).reciprocal()
     return _closed_core(family, m, body, RationalSeries.polynomial([1, 1], order))
-
-
-def _stepped_powers(base: RationalSeries, top: int, first: RationalSeries | None = None
-                    ) -> list:
-    """[first, first base, ..., first base^top] (first defaults to 1), each one
-    product from the last."""
-    powers = [RationalSeries.one(base.order) if first is None else first]
-    for _ in range(top):
-        powers.append(powers[-1] * base)
-    return powers
 
 
 def _h_boundary(m: int) -> Fraction:
@@ -254,10 +248,8 @@ def check_jacobi_generating(k_max: int, rs_max: int) -> Ledger:
     ledger = Ledger("Jacobi generating coefficients")
     root = _sqrt_one_plus_z2(k_max)
     inv_root = root.reciprocal()
-    minus = _stepped_powers((RationalSeries.polynomial([1, -1], k_max) + root).reciprocal(),
-                            rs_max)
-    plus = _stepped_powers((RationalSeries.polynomial([1, 1], k_max) + root).reciprocal(),
-                           rs_max)
+    minus = _powers((RationalSeries.polynomial([1, -1], k_max) + root).reciprocal(), rs_max)
+    plus = _powers((RationalSeries.polynomial([1, 1], k_max) + root).reciprocal(), rs_max)
     numerator = _numerator_table(k_max + rs_max, k_max, 0, 1)
     for r in range(rs_max + 1):
         for s in range(rs_max + 1):
@@ -268,25 +260,6 @@ def check_jacobi_generating(k_max: int, rs_max: int) -> Ledger:
                               (rational or not nums[k])
                               and nums[k] * 2**k == numerator(k, r, s) * den)
     return ledger
-
-
-def _reassembly(family: Family, m: int, generating: RationalSeries,
-                one_plus_z: RationalSeries) -> RationalSeries:
-    """Closed form of ``family``'s m-th series rebuilt from the x = 0 Jacobi
-    generating series with r = ``_d_exponent(family, m)`` and s = 0."""
-    # the factors as powers of sqrt(2), e.g. 2^(-m-1) sqrt(2) = sqrt(2)^(-2m-1)
-    if family == "F":
-        return generating.shift(m).scaled(1, -2 * m - 1)
-    if family == "G":
-        if m == 0:
-            return generating.shift(1).scaled(1, -2)
-        return generating.shift(m).scaled(-1, -2 * m)
-    if family == "H":
-        return (one_plus_z * generating).shift(m).scaled(-1, -2 * m - 3)
-    if m == 0:
-        half = RationalSeries.polynomial([Fraction(1, 2)], generating.order)
-        return half + (one_plus_z * generating) / 2
-    return (one_plus_z * generating).shift(m).scaled(1, -2 * m - 2)
 
 
 def equivalence_ledger(walk: WalkCache, m_max: int = 10, order: int = 40
@@ -304,9 +277,11 @@ def equivalence_ledger(walk: WalkCache, m_max: int = 10, order: int = 40
     One basis per call: R, D, 1/R and 1/D are built once, and R D^k, D^(-k)
     for k <= 2 m_max + 1 are stepped by one product each; D^k alone is never
     built.  The closed side inverts R D^k once per k, and the Jacobi side
-    builds R^(-1) (D^(-1))^k 2^k with its own 1/R once per k.  The families
-    with the same k (F_m and I_m at 2m, G_m and H_(m-1) at 2m-1) read the same
-    two series.  The two sides share only R and D.
+    builds R^(-1) (D^(-1))^k 2^k with its own 1/R once per k.  The
+    reassembly is the closed map ``_closed_core`` read on 2^(-k) times that
+    Jacobi series in place of 1/(R D^k).  The families with the same k (F_m
+    and I_m at 2m, G_m and H_(m-1) at 2m-1) read the same two bodies.  The
+    two sides share R, D and the map, never each other's bodies.
 
     The amplitude checks are integer comparisons of each mantissa with
     N(k, r, s) = 2^k J_k^{(r,s)}(0), the explicit sum of ``jacobi`` as one dot
@@ -327,18 +302,19 @@ def equivalence_ledger(walk: WalkCache, m_max: int = 10, order: int = 40
     big_d = RationalSeries.polynomial([1, -1], order) + root
     inv_root = root.reciprocal()
     top = 2 * m_max + 1
-    bodies = [rd.reciprocal() for rd in _stepped_powers(big_d, top, root)]
-    generating = [_jacobi_core(inv_root, d_down, None, k, 0)
-                  for k, d_down in enumerate(_stepped_powers(big_d.reciprocal(), top))]
+    bodies = [rd.reciprocal() for rd in _powers(big_d, top, root)]
+    # 2^(-k) times the Jacobi series of r = k, s = 0 is 1/(R D^k), a body for
+    # the same closed map; D^0 = 1 is never read
+    generating = [_jacobi_core(inv_root, d_down, None, k, 0).scaled(1, -2 * k)
+                  for k, d_down in enumerate(_powers(big_d.reciprocal(), top))]
     for m in range(m_max + 1):
         for fam in "FGHI":
             k = _d_exponent(fam, m)
             closed = _closed_core(fam, m, bodies[k], one_plus_z)
             rep.record(f"{fam}: definitional == closed", (fam, m),
                        definitional_series(fam, m, order, walk) == closed)
-            alt = _reassembly(fam, m, generating[k], one_plus_z)
-            rep.record(f"{fam}: closed == Jacobi generating reassembly",
-                       (fam, m), closed == alt)
+            rep.record(f"{fam}: closed == Jacobi generating reassembly", (fam, m),
+                       closed == _closed_core(fam, m, generating[k], one_plus_z))
 
     numerator = _numerator_table(order + m_max, order, 0, 1)
     for m in range(m_max + 1):

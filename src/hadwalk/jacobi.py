@@ -54,7 +54,7 @@ from operator import mul
 
 from .ledger import Ledger
 from .ring import _as_fraction
-from .walk import WalkCache
+from .walk import WalkCache, _require_position
 
 __all__ = [
     "binomial",
@@ -136,13 +136,6 @@ def _sign(exponent: int) -> int:
     return -1 if exponent % 2 else 1
 
 
-def _require_valid(n: int, t: int) -> None:
-    if abs(n) > t:
-        raise ValueError(f"position {n} outside [-{t}, {t}]")
-    if (n - t) % 2:
-        raise ValueError(f"parity violation: n={n}, t={t}")
-
-
 def _closed_r(numerator, n: int, t: int) -> int:
     """psi_R mantissa at a valid (n, t) from a source numerator(k, r, s) of
     N(k, r, s) = 2^k J_k^{(r,s)}(0)."""
@@ -182,14 +175,14 @@ def _center_l(numerator, t: int) -> int:
 def psi_closed_r(n: int, t: int) -> int:
     """Mantissa of the right-chirality amplitude at (n, t), from the Jacobi
     closed forms: the int m with psi_R(n, t) = m sqrt(2)^(-t)."""
-    _require_valid(n, t)
+    _require_position(n, t)
     return _closed_r(_numerator, n, t)
 
 
 def psi_closed_l(n: int, t: int) -> int:
     """Mantissa of the left-chirality amplitude at (n, t), from the Jacobi
     closed forms: the int m with psi_L(n, t) = m sqrt(2)^(-t)."""
-    _require_valid(n, t)
+    _require_position(n, t)
     return _closed_l(_numerator, n, t)
 
 

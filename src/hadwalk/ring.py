@@ -89,9 +89,10 @@ def _constant_root(c0: Fraction, grade: int) -> tuple:
     raise ValueError("series has no square root in ring")
 
 
-def _powers(base: int, top: int) -> list:
-    """[base**0, ..., base**top]."""
-    out = [1]
+def _powers(base, top: int, first=1) -> list:
+    """[first, first base, ..., first base**top], each one product from the
+    last; base and first are ints or series."""
+    out = [first]
     for _ in range(top):
         out.append(out[-1] * base)
     return out

@@ -136,11 +136,18 @@ class WalkCache:
         return self._states[t]
 
 
+def _require_position(n: int, t: int) -> None:
+    """Raise ValueError unless (n, t) is reachable: |n| <= t and n = t (mod 2)."""
+    if abs(n) > t:
+        raise ValueError(f"position {n} outside [-{t}, {t}]")
+    if (n - t) % 2:
+        raise ValueError(f"parity violation: n={n}, t={t}")
+
+
 def mantissa_to_float(mantissa: int, t: int) -> float:
-    """mantissa * sqrt(2)**(-t) without overflowing intermediate floats."""
-    if mantissa == 0:
-        return 0.0
-    val = float(Fraction(mantissa, 1 << (t // 2)))
+    """mantissa * sqrt(2)**(-t) without overflowing intermediate floats: int
+    true division is correctly rounded, subnormal results included."""
+    val = mantissa / (1 << (t // 2))
     if t % 2:
         val /= _SQRT2
     return val

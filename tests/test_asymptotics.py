@@ -297,6 +297,14 @@ class TestQuadrature:
         assert excinfo.value.achieved > 1e-12
 
 
+class TestPanelIntegrator:
+    def test_complex_segment(self):
+        # the contour legs pass complex endpoints straight to the integrator
+        za, zb = complex(-math.pi, 2.5), complex(-math.pi / 2, 0.8 * ARCSINH1)
+        got = asymptotics._refine(cmath.exp, za, zb, 1e-14, 16)
+        assert abs(got - (cmath.exp(zb) - cmath.exp(za))) <= 1e-13
+
+
 class TestGaussLegendre:
     def test_table_matches_numpy(self):
         nodes, weights = np.polynomial.legendre.leggauss(16)

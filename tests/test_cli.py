@@ -261,6 +261,22 @@ class TestAsymptoticsCmd:
         assert rows[0]["status"] == "excluded"
         assert rows[0]["asymptotic"] == ""
 
+    def test_underflow_rows_compare_nothing(self, tmp_path):
+        # at alpha 0.9, t = 8000 both amplitudes are below the normal floats
+        # (~3e-536): the row reads underflow with no rel_error, not an ok inf
+        out = tmp_path / "asym.csv"
+        code = main(["asymptotics", "--alpha-start", "0.8", "--alpha-stop", "0.9",
+                     "--alpha-step", "0.1", "--t", "4000,8000", "--out", str(out)])
+        assert code == 0
+        rows = {(r["alpha"][:3], r["t"]): r for r in read_csv(out)}
+        assert len(rows) == 4
+        low = rows.pop(("0.9", "8000"))
+        assert low["status"] == "underflow" and low["rel_error"] == ""
+        assert abs(float(low["exact"])) < sys.float_info.min
+        for r in rows.values():
+            assert r["status"] == "ok"
+            assert 0 < float(r["rel_error"]) < 1e-3
+
     def test_bad_t_list_exits_2(self, tmp_path):
         code = main(["asymptotics", "--alpha-start", "0.8", "--alpha-stop",
                      "0.8", "--alpha-step", "1.0", "--t", "0",

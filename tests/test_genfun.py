@@ -275,7 +275,7 @@ class TestEquivalenceLedger:
 
             monkeypatch.setattr(owner, name, wrapper)
 
-        for name in ("sqrt", "reciprocal", "__mul__", "pow_int"):
+        for name in ("sqrt", "reciprocal", "__mul__", "__rmul__", "pow_int"):
             counted(RationalSeries, name)
         counted(jacobi, "_binomial_row")
         counted(genfun, "_jacobi_core")
@@ -286,11 +286,14 @@ class TestEquivalenceLedger:
         # one Jacobi series per D-exponent k = 0..21, read by every family
         # with that k (F_m and I_m share 2m, G_m and H_(m-1) share 2m-1)
         assert calls["_jacobi_core"] == 2 * 10 + 2
-        # R D^k for k = 1..21 (21) and D^-k (21), each from the last; in the
-        # 22 Jacobi series 1/R D^-k for k >= 1 (21) and the 2^k scaling (22);
-        # (1+z) times the body of H_m and I_m (22) and times their Jacobi
-        # series in the reassembly (22)
-        assert calls["__mul__"] == 21 + 21 + (21 + 22) + 22 + 22
+        # R D^k for k = 1..21 (21) and D^-k for k = 2..21 (20), each from the
+        # last; in the 22 Jacobi series 1/R D^-k for k >= 1 (21) and the 2^k
+        # scaling (22); (1+z) times the body of H_m and I_m (22) and times
+        # 2^-k times their Jacobi series, read by the same closed map (22)
+        assert calls["__mul__"] == 21 + 20 + (21 + 22) + 22 + 22
+        # D^-1 is the int 1 times 1/D: the stepper's first term is 1, so that
+        # one product goes through the reflected operator
+        assert calls["__rmul__"] == 1
         assert calls["pow_int"] == 0
         # two weighted rows (p+q and p-q) per a in -1..50 for the ledger's own
         # table, which the closed amplitudes read too, and two for each of the

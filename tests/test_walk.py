@@ -1,9 +1,12 @@
+import math
+import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 from hadwalk.walk import (WalkCache, WalkState, as_printed, evolve, initial_state,
-                          norm_squared_mantissas, probability, step)
+                          mantissa_to_float, norm_squared_mantissas, probability, step)
 
 
 def printed_step(state):
@@ -137,3 +140,31 @@ class TestProbability:
     def test_domain_error(self):
         with pytest.raises(ValueError, match="outside"):
             probability(initial_state(), 1)
+
+
+class TestMantissaToFloat:
+    @staticmethod
+    def fraction_route(mantissa, t):
+        """The exact value rounded through Fraction, then divided by sqrt(2) at odd t."""
+        if mantissa == 0:
+            return 0.0
+        val = float(Fraction(mantissa, 1 << (t // 2)))
+        return val / math.sqrt(2.0) if t % 2 else val
+
+    def test_equals_the_fraction_route(self):
+        rng = random.Random(2024)
+        cases = [(0, 0), (0, 7), (1, 0), (-1, 1), (3, 2000), (-3, 2001)]
+        for _ in range(4000):
+            bits = rng.randint(0, 1200)
+            mantissa = rng.choice((-1, 1)) * rng.getrandbits(bits) if bits else 0
+            # results from ~2^60 down through the subnormals to a signed zero
+            t = 2 * (bits + rng.randint(-60, 1120)) + rng.randint(0, 1)
+            cases.append((mantissa, max(t, 0)))
+        subnormal = signed_zero = 0
+        for mantissa, t in cases:
+            got = mantissa_to_float(mantissa, t)
+            # hex() tells the sign of zero and every bit of the significand apart
+            assert got.hex() == self.fraction_route(mantissa, t).hex(), (mantissa, t)
+            subnormal += 0 < abs(got) < sys.float_info.min
+            signed_zero += got == 0 and math.copysign(1.0, got) < 0
+        assert subnormal > 50 and signed_zero > 50
