@@ -19,13 +19,14 @@ Closed forms, with R = sqrt(1+z^2) and D = 1 - z + R:
     I_m = 2^(m-1) (1+z) z^m / (R D^(2m)),  m >= 1;   I_0 = 1/2 + (1+z)/(2R)
 
 The family map above is written once, in ``_closed_core``, which reads a
-body 1/(R D^k).  The equivalence ledger builds one basis per call: R, D, 1/R
-and 1/D once, and R D^k and D^(-k) stepped by one product each as k grows.
-Its closed side inverts R D^k once per k (I_0 reads k = 0, 1/R); its Jacobi
-side builds the generating series R^(-1) (D^(-1))^k 2^k once per k and reads
-2^(-k) times it as the body of the same map, the reassembly.  Every family
-with exponent k reads the same two bodies.  The two routes share R, D and
-the map, never each other's bodies.  ``closed_form_series`` and
+body 1/(R D^k) times sqrt(2)^grade in one pass over its integers.  The
+equivalence ledger builds one basis per call: R, D, 1/R and 1/D once.  Its
+closed side inverts R D^(2 m_max + 1) once and steps down, 1/(R D^k) =
+1/(R D^(k+1)) times D (I_0 reads k = 0, 1/R); its Jacobi side steps D^(-k)
+by one product each and builds the generating series R^(-1) (D^(-1))^k 2^k
+once per k, which the same map reads at grade -2k, the reassembly.  Every
+family with exponent k reads the same two bodies.  The two routes share R, D
+and the map, never each other's bodies.  ``closed_form_series`` and
 ``jacobi_generating`` are one-shot wrappers around the same cores
 (``_closed_core``, ``_jacobi_core``) that raise D with ``pow_int``.  The
 ledger compares amplitudes as integers: each simulator mantissa against an
@@ -42,6 +43,7 @@ generating function that ties the two together.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import random
@@ -93,22 +95,37 @@ def _d_exponent(family: Family, m: int) -> int:
 
 
 def _closed_core(family: Family, m: int, body: RationalSeries,
-                 one_plus_z: RationalSeries) -> RationalSeries:
-    """Closed form of ``family``'s m-th series from body = 1/(R D^k) with
-    k = ``_d_exponent(family, m)``, and 1+z."""
+                 grade: int = 0) -> RationalSeries:
+    """Closed form of ``family``'s m-th series from body sqrt(2)^grade, where
+    body = 1/(R D^k) with k = ``_d_exponent(family, m)``.
+
+    One pass on the body's integers: (1+z) body is nums[i] + nums[i-1], and
+    the shift by z^m, the sign and the sqrt(2) exponent of the family all go
+    into one ``_canonical`` call, the sign through the denominator's.  I_0 adds
+    1/2, which needs an even total grade; an odd one raises ValueError.
+    """
+    nums, den, order = body.nums, body.den, body.order
+    grade += body.grade
+    if family in ("H", "I"):
+        nums = (nums[0], *map(operator.add, nums[1:], nums))
     if family == "I" and m == 0:
-        half = RationalSeries.polynomial([Fraction(1, 2)], body.order)
-        return half + one_plus_z * body / 2
-    # 2^(m-1/2) = sqrt(2)^(2m-1) and 2^(m-1) = sqrt(2)^(2m-2)
-    if family == "F":
-        return body.shift(m).scaled(1, 2 * m - 1)
-    if family == "G":
-        if m == 0:
-            return body.shift(1)
-        return body.shift(m).scaled(-1, 2 * m - 2)
-    if family == "H":
-        return (one_plus_z * body).shift(m).scaled(-1, 2 * m - 1)
-    return (one_plus_z * body).shift(m).scaled(1, 2 * m - 2)
+        # 1/2 + (1+z) body sqrt(2)^grade / 2, with sqrt(2)^grade = 2^e
+        if grade % 2:
+            raise ValueError("cannot combine series of mixed sqrt(2) grade")
+        e = grade // 2
+        if e >= 0:
+            nums = [a << e for a in nums]
+        else:
+            den <<= -e
+        return _canonical([nums[0] + den, *nums[1:]], 2 * den, order, 0)
+    # 2^(m-1/2) = sqrt(2)^(2m-1) and 2^(m-1) = sqrt(2)^(2m-2); G_0 = z body
+    if family == "G" and m == 0:
+        sign, exponent, m = 1, 0, 1
+    else:
+        sign = -1 if family in ("G", "H") else 1
+        exponent = 2 * m - 1 if family in ("F", "H") else 2 * m - 2
+    nums = (0,) * m + nums[:order + 1 - m]
+    return _canonical(nums, sign * den, order, grade + exponent)
 
 
 def closed_form_series(family: Family, m: int, order: int) -> RationalSeries:
@@ -117,7 +134,7 @@ def closed_form_series(family: Family, m: int, order: int) -> RationalSeries:
     root = _sqrt_one_plus_z2(order)
     big_d = RationalSeries.polynomial([1, -1], order) + root
     body = (root * big_d.pow_int(_d_exponent(family, m))).reciprocal()
-    return _closed_core(family, m, body, RationalSeries.polynomial([1, 1], order))
+    return _closed_core(family, m, body)
 
 
 def _h_boundary(m: int) -> Fraction:
@@ -250,7 +267,7 @@ def check_jacobi_generating(k_max: int, rs_max: int) -> Ledger:
     inv_root = root.reciprocal()
     minus = _powers((RationalSeries.polynomial([1, -1], k_max) + root).reciprocal(), rs_max)
     plus = _powers((RationalSeries.polynomial([1, 1], k_max) + root).reciprocal(), rs_max)
-    numerator = _numerator_table(k_max + rs_max, k_max, 0, 1)
+    numerator = _numerator_table(k_max + rs_max, k_max + rs_max, k_max, 0, 1)
     for r in range(rs_max + 1):
         for s in range(rs_max + 1):
             series = _jacobi_core(inv_root, minus[r], plus[s], r, s)
@@ -274,18 +291,24 @@ def equivalence_ledger(walk: WalkCache, m_max: int = 10, order: int = 40
     the ints of the closed-form amplitudes of ``psi_closed_r/l``, written
     once in ``jacobi`` and here reading the ledger's numerator table.
 
-    One basis per call: R, D, 1/R and 1/D are built once, and R D^k, D^(-k)
-    for k <= 2 m_max + 1 are stepped by one product each; D^k alone is never
-    built.  The closed side inverts R D^k once per k, and the Jacobi side
-    builds R^(-1) (D^(-1))^k 2^k with its own 1/R once per k.  The
-    reassembly is the closed map ``_closed_core`` read on 2^(-k) times that
-    Jacobi series in place of 1/(R D^k).  The families with the same k (F_m
-    and I_m at 2m, G_m and H_(m-1) at 2m-1) read the same two bodies.  The
-    two sides share R, D and the map, never each other's bodies.
+    One basis per call: R, D, 1/R and 1/D are built once.  With
+    K = 2 m_max + 1, the closed side inverts R D^K once (D^K by ``pow_int``)
+    and steps down by one product with D each, 1/(R D^k) = 1/(R D^(k+1)) D,
+    so three reciprocals serve the whole call.  The Jacobi side steps D^(-k)
+    for k <= K by one product each and builds R^(-1) (D^(-1))^k 2^k with its
+    own 1/R once per k.  The reassembly is the closed map ``_closed_core``
+    read on that Jacobi series at grade -2k in place of 1/(R D^k), so the
+    check compares (R D^K)^(-1) D^(K-k) with R^(-1) (D^(-1))^k.  The families
+    with the same k (F_m and I_m at 2m, G_m and H_(m-1) at 2m-1) read the
+    same two bodies.  The two sides share R, D and the map, never each
+    other's bodies.
 
     The amplitude checks are integer comparisons of each mantissa with
     N(k, r, s) = 2^k J_k^{(r,s)}(0), the explicit sum of ``jacobi`` as one dot
-    product of weighted binomial rows built once per call (0 for k < 0).  For
+    product of weighted binomial rows built once per call (0 for k < 0),
+    behind an ``lru_cache`` of 8 entries, more than the five distinct reads of
+    each (m, t), so the closed amplitudes' two repeated reads are not summed
+    again.  For
     example psi_R(2m+1, 2t+1) = 2^(-m-1/2) J_(t-m)^(2m,0)(0)
     = 2^(-m-1/2) N(t-m, 2m, 0) / 2^(t-m) = N(t-m, 2m, 0) sqrt(2)^(-(2t+1)),
     and the simulator holds it as mantissa * sqrt(2)^(-(2t+1)), so the
@@ -297,26 +320,29 @@ def equivalence_ledger(walk: WalkCache, m_max: int = 10, order: int = 40
         raise ValueError(f"equivalence_ledger needs order >= max(2, m_max), "
                          f"got order={order} and m_max={m_max}")
     rep = Ledger("equivalence chain")
-    one_plus_z = RationalSeries.polynomial([1, 1], order)
     root = _sqrt_one_plus_z2(order)
     big_d = RationalSeries.polynomial([1, -1], order) + root
     inv_root = root.reciprocal()
     top = 2 * m_max + 1
-    bodies = [rd.reciprocal() for rd in _powers(big_d, top, root)]
-    # 2^(-k) times the Jacobi series of r = k, s = 0 is 1/(R D^k), a body for
-    # the same closed map; D^0 = 1 is never read
-    generating = [_jacobi_core(inv_root, d_down, None, k, 0).scaled(1, -2 * k)
+    # 1/(R D^k) for k = top, top-1, ..., 0: one inverse, then one product by D
+    # per step down, reversed so that bodies[k] = 1/(R D^k)
+    bodies = _powers(big_d, top, (root * big_d.pow_int(top)).reciprocal())[::-1]
+    # the Jacobi series of r = k, s = 0 is 2^k/(R D^k), read by the same
+    # closed map at grade -2k; D^0 = 1 is never read
+    generating = [_jacobi_core(inv_root, d_down, None, k, 0)
                   for k, d_down in enumerate(_powers(big_d.reciprocal(), top))]
     for m in range(m_max + 1):
         for fam in "FGHI":
             k = _d_exponent(fam, m)
-            closed = _closed_core(fam, m, bodies[k], one_plus_z)
+            closed = _closed_core(fam, m, bodies[k])
             rep.record(f"{fam}: definitional == closed", (fam, m),
                        definitional_series(fam, m, order, walk) == closed)
             rep.record(f"{fam}: closed == Jacobi generating reassembly", (fam, m),
-                       closed == _closed_core(fam, m, generating[k], one_plus_z))
+                       closed == _closed_core(fam, m, generating[k], -2 * k))
 
-    numerator = _numerator_table(order + m_max, order, 0, 1)
+    # bounded: an unbounded cache about doubles the call's peak memory
+    numerator = functools.lru_cache(8)(
+        _numerator_table(order + m_max, order + m_max, order, 0, 1))
     for m in range(m_max + 1):
         for t in range(m, order + 1):
             odd, even = walk.state(2 * t + 1), walk.state(2 * t)

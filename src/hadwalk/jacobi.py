@@ -99,14 +99,15 @@ def _explicit_sum(k: int, plus: list, minus: list) -> int:
     return sum(map(mul, plus, minus[k::-1]))
 
 
-def _numerator_table(a_max: int, length: int, p: int, q: int):
+def _numerator_table(plus_max: int, minus_max: int, length: int, p: int, q: int):
     """N(k, r, s) = (2q)^k J_k^{(r,s)}(p/q) at one point p/q, as a function
-    reading the weighted rows C(a, 0..length) (p+q)^. and C(a, 0..length) (p-q)^.,
-    -1 <= a <= a_max, each built once here; valid for k <= length and
-    -1 <= k+r, k+s <= a_max.  The caller drops it with its point.
+    reading the weighted rows C(a, 0..length) (p+q)^. for -1 <= a <= plus_max
+    and C(a, 0..length) (p-q)^. for -1 <= a <= minus_max, each built once
+    here; valid for k <= length, -1 <= k+r <= plus_max and
+    -1 <= k+s <= minus_max.  The caller drops it with its point.
     """
-    plus = {a: _binomial_row(a, length, p + q) for a in range(-1, a_max + 1)}
-    minus = {a: _binomial_row(a, length, p - q) for a in range(-1, a_max + 1)}
+    plus = {a: _binomial_row(a, length, p + q) for a in range(-1, plus_max + 1)}
+    minus = {a: _binomial_row(a, length, p - q) for a in range(-1, minus_max + 1)}
 
     def numerator(k, r, s):
         return _explicit_sum(k, plus[k + r], minus[k + s])
@@ -206,11 +207,12 @@ def check_closed_forms(walk: WalkCache, t_max: int) -> Ledger:
     forms at every even t > 0.  Witnesses are (n, t).
 
     The closed forms read one numerator table at x = 0, built for this call
-    over the exact reach of t <= t_max: rows C(a, 0..t_max/2) for
-    -1 <= a <= t_max.  It is dropped when the call returns.
+    over the exact reach of t <= t_max: rows C(a, 0..t_max/2), plus rows for
+    -1 <= a <= t_max/2 (every plus index k + r is at most t/2) and minus rows
+    for -1 <= a <= t_max.  It is dropped when the call returns.
     """
     ledger = Ledger("closed forms == simulator")
-    numerator = _numerator_table(t_max, t_max // 2, 0, 1)
+    numerator = _numerator_table(t_max // 2, t_max, t_max // 2, 0, 1)
     for t in range(t_max + 1):
         st = walk.state(t)
         for n in range(-t, t + 1, 2):
@@ -284,7 +286,7 @@ def check_jacobi_identities(m_max: int = 20, uv_max: int = 6,
     a_max = m_max + uv_max
     for x in xs:
         p, q = x.numerator, x.denominator
-        numerator = _numerator_table(a_max, m_max, p, q)
+        numerator = _numerator_table(a_max, a_max, m_max, p, q)
         # k = -1 (zeros) and v = -1 sit last in their lists, where index -1 finds them
         box = [[[numerator(k, u, v) for v in (*range(uv_max + 1), -1)]
                 for u in range(uv_max + 1)] for k in range(m_max + 1)]
@@ -298,7 +300,7 @@ def check_jacobi_identities(m_max: int = 20, uv_max: int = 6,
                     rhs = math.comb(m + u, ell) * (p + q) ** ell * lowered
                     report.record("parameter-lowering", (m, u, ell, x), lhs == rhs)
         # the x table is done; off zero the -x table takes its place
-        numerator = _numerator_table(a_max, m_max, -p, q) if p else None
+        numerator = _numerator_table(a_max, a_max, m_max, -p, q) if p else None
         for n in range(m_max + 1):
             for r in range(uv_max + 1):
                 for s in range(uv_max + 1):

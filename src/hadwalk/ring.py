@@ -252,7 +252,8 @@ class RationalSeries:
     def scaled(self, q: RationalLike = 1, k: int = 0) -> "RationalSeries":
         """self * q * sqrt(2)**k for a rational q and any integer k."""
         q = _as_fraction(q)
-        return _canonical([a * q.numerator for a in self.nums], self.den * q.denominator,
+        num = q.numerator  # a Python-level property: read once, not per coefficient
+        return _canonical([a * num for a in self.nums], self.den * q.denominator,
                           self.order, self.grade + k)
 
     def __mul__(self, other) -> "RationalSeries":

@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
+from operator import add, sub
 
 __all__ = [
     "WalkState",
@@ -85,21 +86,15 @@ def initial_state() -> WalkState:
 
 
 def step(state: WalkState) -> WalkState:
-    """One time step; the 1/sqrt(2) is carried by the halftime exponent."""
-    t = state.t
-    size = 2 * t + 3
-    new_r = [0] * size
-    new_l = [0] * size
-    old_r = state.psi_r
-    old_l = state.psi_l
-    # contribution view: site p sends (l - r) to R(p+1) and (r + l) to L(p-1)
-    for i in range(2 * t + 1):
-        r = old_r[i]
-        l = old_l[i]
-        if r or l:
-            new_r[i + 2] += l - r
-            new_l[i] += r + l
-    return WalkState(t + 1, tuple(new_r), tuple(new_l))
+    """One time step; the 1/sqrt(2) is carried by the halftime exponent.
+
+    Site p sends (l - r) to R(p+1) and (r + l) to L(p-1), and each new site
+    receives exactly one of these, so the step is two elementwise maps: R
+    shifted two indices up, L left in place, each padded with two zeros.
+    """
+    old_r, old_l = state.psi_r, state.psi_l
+    return WalkState(state.t + 1, (0, 0, *map(sub, old_l, old_r)),
+                     (*map(add, old_r, old_l), 0, 0))
 
 
 def evolve(state: WalkState, steps: int) -> WalkState:

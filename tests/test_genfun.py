@@ -59,6 +59,57 @@ class TestClosedForms:
             definitional_series("Q", 0, 3, WalkCache())
 
 
+def composed_map(family, m, body, grade):
+    """The family map as series operations: multiply by 1+z, shift by z^m,
+    scale by the sign and power of sqrt(2), and add 1/2 for I_0."""
+    one_plus_z = RationalSeries.polynomial([1, 1], body.order)
+    body = body.scaled(1, grade)
+    if family == "I" and m == 0:
+        return RationalSeries.polynomial([Fraction(1, 2)], body.order) + one_plus_z * body / 2
+    if family == "F":
+        return body.shift(m).scaled(1, 2 * m - 1)
+    if family == "G":
+        return body.shift(1) if m == 0 else body.shift(m).scaled(-1, 2 * m - 2)
+    if family == "H":
+        return (one_plus_z * body).shift(m).scaled(-1, 2 * m - 1)
+    return (one_plus_z * body).shift(m).scaled(1, 2 * m - 2)
+
+
+class TestClosedMap:
+    @pytest.mark.parametrize("family", "FGHI")
+    def test_one_pass_equals_the_composition(self, family):
+        rng = random.Random(26)
+        order = 12
+        root = RationalSeries.polynomial([1, 0, 1], order).sqrt()
+        bodies = [random_rational_series(rng, order, constant=Fraction(3, 5)) for _ in range(3)]
+        bodies.append((root * (RationalSeries.polynomial([1, -1], order) + root)
+                       .pow_int(5)).reciprocal())
+        for body in bodies + [b.scaled(1, 1) for b in bodies]:
+            for m in range(11):
+                k = genfun._d_exponent(family, m)
+                for grade in (0, -2 * k):
+                    if family == "I" and m == 0 and body.grade:
+                        with pytest.raises(ValueError):
+                            composed_map(family, m, body, grade)
+                        with pytest.raises(ValueError, match="grade"):
+                            genfun._closed_core(family, m, body, grade)
+                        continue
+                    assert (genfun._closed_core(family, m, body, grade)
+                            == composed_map(family, m, body, grade)), (body, m, grade)
+
+    # I_0 adds 1/2, so the power of sqrt(2) must be one of 2
+    @pytest.mark.parametrize("grade", [-4, -2, 2, 1, -1, 3])
+    def test_i0_needs_an_even_grade(self, grade):
+        body = RationalSeries.polynomial([1, 2], 4)
+        if grade % 2 == 0:
+            assert genfun._closed_core("I", 0, body, grade) == composed_map("I", 0, body, grade)
+            return
+        with pytest.raises(ValueError, match="grade"):
+            genfun._closed_core("I", 0, body, grade)
+        with pytest.raises(ValueError):
+            composed_map("I", 0, body, grade)
+
+
 class TestDefinitionalVsClosed:
     @pytest.mark.parametrize("family", "FGHI")
     @pytest.mark.parametrize("m", [0, 1, 2, 4])
@@ -281,25 +332,47 @@ class TestEquivalenceLedger:
         counted(genfun, "_jacobi_core")
         assert equivalence_ledger(walk81, m_max=10, order=40).checked == 2820
         assert calls["sqrt"] == 1
-        # 1/(R D^k) once per k <= 21, then 1/R and 1/D for the Jacobi side
-        assert calls["reciprocal"] == 24
+        # one inverse for every closed body, 1/(R D^21); then 1/R and 1/D for
+        # the Jacobi side
+        assert calls["reciprocal"] == 3
         # one Jacobi series per D-exponent k = 0..21, read by every family
         # with that k (F_m and I_m share 2m, G_m and H_(m-1) share 2m-1)
         assert calls["_jacobi_core"] == 2 * 10 + 2
-        # R D^k for k = 1..21 (21) and D^-k for k = 2..21 (20), each from the
-        # last; in the 22 Jacobi series 1/R D^-k for k >= 1 (21) and the 2^k
-        # scaling (22); (1+z) times the body of H_m and I_m (22) and times
-        # 2^-k times their Jacobi series, read by the same closed map (22)
-        assert calls["__mul__"] == 21 + 20 + (21 + 22) + 22 + 22
+        # D^21 by pow_int (21 = 0b10101: three products into the result and
+        # four squarings) and R times it (1); the bodies 1/(R D^k) for
+        # k = 20..0, each the last times D (21); D^-k for k = 2..21, each from
+        # the last (20); in the 22 Jacobi series 1/R D^-k for k >= 1 (21) and
+        # the 2^k scaling (22).  The family map multiplies by 1+z on the
+        # body's integers, with no series product
+        assert calls["__mul__"] == (3 + 4) + 1 + 21 + 20 + (21 + 22)
         # D^-1 is the int 1 times 1/D: the stepper's first term is 1, so that
         # one product goes through the reflected operator
         assert calls["__rmul__"] == 1
-        assert calls["pow_int"] == 0
+        assert calls["pow_int"] == 1
         # two weighted rows (p+q and p-q) per a in -1..50 for the ledger's own
         # table, which the closed amplitudes read too, and two for each of the
         # 21 boundary jacobi_at calls of degree 0 (the 21 of degree -1 sum
         # nothing)
         assert calls["_binomial_row"] == 2 * 52 + 2 * 21
+
+    def test_bodies_are_the_inverses_of_r_d_k(self, walk81, monkeypatch):
+        # the closed side reads bodies[k] as the one body of every family
+        # with exponent k; the reassembly passes its grade, the closed side not
+        bodies = {}
+        core = genfun._closed_core
+
+        def spy(family, m, body, *grade):
+            if not grade:
+                bodies.setdefault(genfun._d_exponent(family, m), body)
+            return core(family, m, body, *grade)
+
+        monkeypatch.setattr(genfun, "_closed_core", spy)
+        assert equivalence_ledger(walk81, m_max=10, order=40).passed
+        assert sorted(bodies) == list(range(22))
+        root = RationalSeries.polynomial([1, 0, 1], 40).sqrt()
+        big_d = RationalSeries.polynomial([1, -1], 40) + root
+        for k, body in bodies.items():
+            assert body == (root * big_d.pow_int(k)).reciprocal(), k
 
     def test_memory_bounded_by_one_call(self):
         # in a fresh interpreter, so that a table kept between calls is filled

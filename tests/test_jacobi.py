@@ -125,7 +125,7 @@ class TestKernel:
         # each table serves every case at its point, longer rows read as prefixes
         cases = _kernel_cases()
         for p, q in {(p, q) for k, r, s, p, q in cases}:
-            numerator = jacobi._numerator_table(42, 30, p, q)
+            numerator = jacobi._numerator_table(42, 42, 30, p, q)
             for k, r, s, p_, q_ in cases:
                 if (p_, q_) == (p, q):
                     assert numerator(k, r, s) == _scaled_reference(k, r, s, p, q), \
@@ -139,7 +139,7 @@ class TestKernel:
         reference = sum(row[j] * row[k - j] * (p + q) ** j * (p - q) ** (k - j)
                         for j in range(k + 1))
         assert jacobi._numerator(k, r, r, p, q) == reference
-        assert jacobi._numerator_table(-1, k, p, q)(k, r, r) == reference
+        assert jacobi._numerator_table(-1, -1, k, p, q)(k, r, r) == reference
 
 
 @pytest.fixture(scope="module")
@@ -331,6 +331,24 @@ class TestClosedFormTable:
         ledger = jacobi.check_closed_forms(walk60, 16)
         assert ledger.checked == sum(t + 1 for t in range(17)) + 8
         assert ledger.failures == failures
+
+    # every plus index k + r of the closed and center forms is at most t/2,
+    # every minus index k + s at most t
+    @pytest.mark.parametrize("t_max", [1, 2, 3, 7, 8, 33, 40])
+    def test_plus_rows_only_to_half_t_max(self, walk60, monkeypatch, t_max):
+        rows = []
+        build = jacobi._binomial_row
+
+        def spy(a, k, w):
+            rows.append((a, k, w))
+            return build(a, k, w)
+
+        monkeypatch.setattr(jacobi, "_binomial_row", spy)
+        assert jacobi.check_closed_forms(walk60, t_max).passed
+        # at x = 0 the plus rows weigh by p + q = 1 and the minus rows by p - q = -1
+        assert sorted(a for a, k, w in rows if w == 1) == list(range(-1, t_max // 2 + 1))
+        assert sorted(a for a, k, w in rows if w == -1) == list(range(-1, t_max + 1))
+        assert {k for a, k, w in rows} == {t_max // 2}
 
     def test_wrong_left_value_below_zero_raises(self, walk60, monkeypatch):
         # psi_L(-2, 10) reads N(3, 1, 2): (t-n)(N+1)/(t+n) = 12 (N+1)/8 is

@@ -54,6 +54,25 @@ class TestSingleSteps:
         s = evolve(initial_state(), 2)
         assert s.mantissa_r(0) == 1  # value 1/2 at t = 2
 
+    def test_step_is_the_per_site_rule(self):
+        # the rule of the module docstring, read through the accessors, with
+        # 0 outside -t..t:
+        #   psi_R(n, t+1) = psi_L(n-1, t) - psi_R(n-1, t)
+        #   psi_L(n, t+1) = psi_R(n+1, t) + psi_L(n+1, t)
+        state = initial_state()
+        for t in range(120):
+            def at(mantissa, n):
+                return mantissa(n) if abs(n) <= t else 0
+
+            nxt = step(state)
+            assert nxt.t == t + 1
+            for n in range(-t - 1, t + 2):
+                assert nxt.mantissa_r(n) == (at(state.mantissa_l, n - 1)
+                                             - at(state.mantissa_r, n - 1)), (n, t)
+                assert nxt.mantissa_l(n) == (at(state.mantissa_r, n + 1)
+                                             + at(state.mantissa_l, n + 1)), (n, t)
+            state = nxt
+
 
 class TestRecord:
     def test_repr_and_hash(self):
