@@ -19,6 +19,7 @@ positive imaginary axis and the per-step decay base is
 the sqrt(2)-denominator form: it is the unique choice with Btilde -> 1 at the
 oscillatory boundary, it matches the exact simulator, and it is the form for
 which the path-integral base b_pathintegral is provably identical.
+``_decay_row`` is the one comparison of this law with an exact amplitude.
 
 The quadrature oracle reads every position at time t from one FFT of the
 momentum integrands sampled at N equispaced nodes: the periodic trapezoid
@@ -37,6 +38,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from collections import namedtuple
 
 from .ledger import Ledger
@@ -204,6 +206,23 @@ def psi_asymptotic(n: int, t: int, eps: float = 1e-3) -> tuple:
     psi_r = (-1.0) ** (p + 1) * psi_r_pos
     psi_l = (-1.0) ** p * (t + p) / (t - p) * psi_l_pos
     return psi_r, psi_l
+
+
+def _decay_row(n: int, t: int, mantissa: int, eps: float) -> tuple:
+    """(exact, asymptotic, rel_error, btilde, b, status) of the right amplitude
+    at (n, t), exact = mantissa * 2^(-t/2) from the caller's oracle (0 outside
+    the light cone); None where the row has no value.  status is ``excluded``
+    where psi_asymptotic does not hold, ``underflow`` where either amplitude
+    is below the normal floats and so has lost its digits, else ``ok``."""
+    exact = mantissa_to_float(mantissa, t)
+    try:
+        asym, _ = psi_asymptotic(n, t, eps=eps)
+    except ValidityError:
+        return exact, None, None, None, None, "excluded"
+    a = abs(n) / t
+    if min(abs(exact), abs(asym)) < sys.float_info.min:
+        return exact, asym, None, btilde(a), b_pathintegral(a), "underflow"
+    return exact, asym, abs(asym / exact - 1.0), btilde(a), b_pathintegral(a), "ok"
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,8 @@ from collections import namedtuple
 from . import asymptotics, genfun, jacobi, walk
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
+def _fmt(x: float | None) -> str:
+    return "" if x is None else format(x, ".17g")
 
 
 def _exact_str(mantissa: int, t: int) -> str:
@@ -40,9 +40,7 @@ def cmd_simulate(args) -> int:
     if args.orientation == "as-printed":
         state = walk.as_printed(state)
     rows, probs = [], []
-    for n in range(-state.t, state.t + 1):
-        if (n - state.t) % 2:
-            continue
+    for n in range(-state.t, state.t + 1, 2):
         mr = state.mantissa_r(n)
         ml = state.mantissa_l(n)
         prob = walk.probability(state, n)
@@ -69,8 +67,6 @@ def cmd_simulate(args) -> int:
 
 def _write_svg_bars(path: str, pairs, title: str) -> None:
     width, height, margin = 800, 400, 45
-    if not pairs:
-        pairs = [(0, 0.0)]
     xs = [p[0] for p in pairs]
     ymax = max(p[1] for p in pairs) or 1.0
     span = max(xs) - min(xs) or 1
@@ -333,37 +329,22 @@ def cmd_asymptotics(args) -> int:
               "finite floats", file=sys.stderr)
         return 2
     count = int(round(span)) + 1
-    fields = ["alpha", "t", "exact", "asymptotic", "rel_error", "btilde", "b",
-              "n", "status"]
     with open(args.out, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields, lineterminator="\n")
-        writer.writeheader()
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["alpha", "t", "exact", "asymptotic", "rel_error", "btilde", "b",
+                         "n", "status"])
         for t in ts:
             for i in range(count):
                 alpha = args.alpha_start + i * args.alpha_step
                 n = int(round(alpha * t))
                 if (n - t) % 2:
                     n += 1 if alpha * t >= n else -1
-                row = {"alpha": _fmt(alpha), "t": t, "exact": "", "asymptotic": "",
-                       "rel_error": "", "btilde": "", "b": "", "n": n, "status": "ok"}
-                inside = abs(n) <= t  # |alpha| > 1 puts n outside the light cone
-                exact = (walk.mantissa_to_float(jacobi.psi_closed_r(n, t), t)
-                         if inside else 0.0)
-                row["exact"] = _fmt(exact)
-                try:
-                    asym_r, _ = asymptotics.psi_asymptotic(n, t, eps=args.eps)
-                    a_eff = abs(n) / t
-                    row["asymptotic"] = _fmt(asym_r)
-                    # an amplitude below the normal floats has lost its digits
-                    if min(abs(exact), abs(asym_r)) < sys.float_info.min:
-                        row["status"] = "underflow"
-                    else:
-                        row["rel_error"] = _fmt(abs(asym_r / exact - 1.0))
-                    row["btilde"] = _fmt(asymptotics.btilde(a_eff))
-                    row["b"] = _fmt(asymptotics.b_pathintegral(a_eff))
-                except asymptotics.ValidityError:
-                    row["status"] = "excluded"
-                writer.writerow(row)
+                # |alpha| > 1 puts n outside the light cone
+                mantissa = jacobi.psi_closed_r(n, t) if abs(n) <= t else 0
+                exact, asym, rel_error, btilde, b, status = asymptotics._decay_row(
+                    n, t, mantissa, args.eps)
+                writer.writerow([_fmt(alpha), t, _fmt(exact), _fmt(asym), _fmt(rel_error),
+                                 _fmt(btilde), _fmt(b), n, status])
     return 0
 
 

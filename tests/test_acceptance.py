@@ -113,16 +113,17 @@ def test_ac07_decay_base_equivalence():
 
 def test_ac08_decay_asymptotics(cache400):
     line = _Line("AC-08", "steepest-descent error <= 0.1 at t=200 and O(1/t)")
-    asym_r, _ = asymptotics.psi_asymptotic(160, 200)
-    exact200 = walk.mantissa_to_float(cache400.state(200).mantissa_r(160), 200)
-    err200 = abs(asym_r / exact200 - 1.0)
+    # the decay-law rows of the one comparison, on the simulator's mantissas
+    rows = {t: asymptotics._decay_row(n, t, cache400.state(t).mantissa_r(n), 1e-3)
+            for n, t in ((160, 200), (320, 400))}
+    if [row[5] for row in rows.values()] != ["ok", "ok"]:
+        line.fail(f"rows not compared: {rows}")
+    exact200, asym200, err200 = rows[200][:3]
     if err200 > 0.1:
         line.fail(f"relative error {err200:.3f} at (160, 200)")
-    if asym_r * exact200 <= 0:
+    if asym200 * exact200 <= 0:
         line.fail("sign mismatch at (160, 200)")
-    asym_r400, _ = asymptotics.psi_asymptotic(320, 400)
-    exact400 = walk.mantissa_to_float(cache400.state(400).mantissa_r(320), 400)
-    err400 = abs(asym_r400 / exact400 - 1.0)
+    err400 = rows[400][2]
     ratio = err400 / err200
     if not 0.3 <= ratio <= 0.8:
         line.fail(f"error ratio {ratio:.3f} outside [0.3, 0.8]")

@@ -144,9 +144,9 @@ class TestKernel:
 
 @pytest.fixture(scope="module")
 def row_minus_one():
-    """C(-1, j) for j <= 1000 from ``binomial``, built once for both points
-    (~1.7 s in Fractions)."""
-    return [binomial(-1, j) for j in range(1001)]
+    """C(-1, j) for j <= 1000 by upper negation, C(-1, j) = (-1)^j C(j, j),
+    independent of ``_binomial_row``'s step."""
+    return [(-1) ** j * math.comb(j, j) for j in range(1001)]
 
 
 class TestJacobiAt:
