@@ -452,9 +452,8 @@ def _reflected_kernel(theta, alpha: float, t: int):
                  * e^{-i (omega - theta alpha) t} d theta,
     analytic on the cut strip; usable on complex paths.
     """
-    om = cmath.asin(cmath.sin(theta) * _INV_SQRT2)
     q = cmath.sqrt(1.0 + cmath.cos(theta) ** 2)
-    return cmath.exp(-1j * theta) / q * cmath.exp(-1j * (om - theta * alpha) * t)
+    return cmath.exp(-1j * theta) / q * cmath.exp(-1j * (omega(theta) - theta * alpha) * t)
 
 
 def check_contour_shift(walk: WalkCache, points, tol: float = 1e-8) -> Ledger:

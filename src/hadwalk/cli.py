@@ -4,9 +4,13 @@ Outputs are deterministic: identical configurations produce byte-identical
 CSV/JSON (fixed field order, floats at 17 significant digits, no timestamps).
 Exact amplitudes are emitted as mantissa/half-exponent strings of the form
 ``m*2^(-t/2)`` so downstream tools can reconstruct exactness; decimal columns
-are a convenience.
+are a convenience.  Tables are written row by row as each row is made, and
+the ``simulate`` plot is drawn in one pass over its bars.
 
 Exit codes: 0 success, 1 verification failure, 2 I/O or configuration error.
+Every command checks its input by raising ``ValueError`` before it opens an
+output file; ``main`` prints each such error as one ``configuration error: ...``
+line on stderr.
 """
 
 from __future__ import annotations
@@ -39,37 +43,29 @@ def cmd_simulate(args) -> int:
     state = walk.evolve(walk.initial_state(), args.t)
     if args.orientation == "as-printed":
         state = walk.as_printed(state)
-    rows, probs = [], []
-    for n in range(-state.t, state.t + 1, 2):
-        mr = state.mantissa_r(n)
-        ml = state.mantissa_l(n)
-        prob = walk.probability(state, n)
-        probs.append((n, float(prob)))
-        rows.append({
-            "n": n,
-            "t": state.t,
-            "psiL": _exact_str(ml, state.t),
-            "psiR": _exact_str(mr, state.t),
-            "psiL_dec": _fmt(walk.mantissa_to_float(ml, state.t)),
-            "psiR_dec": _fmt(walk.mantissa_to_float(mr, state.t)),
-            "prob": f"{prob.numerator}/{prob.denominator}",
-            "prob_dec": _fmt(float(prob)),
-        })
-    fields = ["n", "t", "psiL", "psiR", "psiL_dec", "psiR_dec", "prob", "prob_dec"]
+    t, probs = state.t, []
     with open(args.out, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields, lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["n", "t", "psiL", "psiR", "psiL_dec", "psiR_dec", "prob", "prob_dec"])
+        for n in range(-t, t + 1, 2):
+            ml, mr = state.mantissa_l(n), state.mantissa_r(n)
+            prob = walk.probability(state, n)
+            prob_dec = float(prob)
+            probs.append((n, prob_dec))  # only the plot reads these back
+            writer.writerow([n, t, _exact_str(ml, t), _exact_str(mr, t),
+                             _fmt(walk.mantissa_to_float(ml, t)),
+                             _fmt(walk.mantissa_to_float(mr, t)),
+                             f"{prob.numerator}/{prob.denominator}", _fmt(prob_dec)])
     if args.plot:
-        _write_svg_bars(args.plot, probs, f"occupation probability at t={state.t}")
+        _write_svg_bars(args.plot, probs, f"occupation probability at t={t}")
     return 0
 
 
 def _write_svg_bars(path: str, pairs, title: str) -> None:
     width, height, margin = 800, 400, 45
-    xs = [p[0] for p in pairs]
-    ymax = max(p[1] for p in pairs) or 1.0
-    span = max(xs) - min(xs) or 1
+    lo, hi = min(n for n, _ in pairs), max(n for n, _ in pairs)
+    ymax = max(p for _, p in pairs) or 1.0
+    span = hi - lo or 1
     bar_w = max(1.0, (width - 2 * margin) / (len(pairs) * 1.5))
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
@@ -81,13 +77,12 @@ def _write_svg_bars(path: str, pairs, title: str) -> None:
         f'y2="{height - margin}" stroke="black"/>',
     ]
     for n, p in pairs:
-        frac = (n - min(xs)) / span
+        frac = (n - lo) / span
         x = margin + frac * (width - 2 * margin) - bar_w / 2
         h = (height - 2 * margin) * (p / ymax)
         y = height - margin - h
         parts.append(f'<rect x="{x:.2f}" y="{y:.2f}" width="{bar_w:.2f}" '
                      f'height="{h:.2f}" fill="steelblue"/>')
-    lo, hi = min(xs), max(xs)
     parts.append(f'<text x="{margin}" y="{height - margin + 18}" '
                  f'font-family="monospace" font-size="12">{lo}</text>')
     parts.append(f'<text x="{width - margin}" y="{height - margin + 18}" '
@@ -308,26 +303,21 @@ def cmd_verify(args) -> int:
 def cmd_asymptotics(args) -> int:
     ts = sorted({int(x) for x in args.t.split(",") if x.strip()})
     if not ts or ts[0] <= 0 or ts[-1] > sys.float_info.max:
-        print("asymptotics needs positive --t values within the float range",
-              file=sys.stderr)
-        return 2
+        raise ValueError("asymptotics needs positive --t values within the float range")
     grid = (args.alpha_start, args.alpha_stop, args.alpha_step)
     if not (all(map(math.isfinite, grid)) and args.alpha_step > 0
             and args.alpha_stop >= args.alpha_start):
-        print("asymptotics needs finite --alpha-start, --alpha-stop and --alpha-step, "
-              "--alpha-step > 0 and --alpha-stop >= --alpha-start", file=sys.stderr)
-        return 2
+        raise ValueError("asymptotics needs finite --alpha-start, --alpha-stop and "
+                         "--alpha-step, --alpha-step > 0 and --alpha-stop >= --alpha-start")
     if not (math.isfinite(args.eps) and args.eps >= 0):
-        print(f"asymptotics needs a finite --eps >= 0, got {args.eps}", file=sys.stderr)
-        return 2
+        raise ValueError(f"asymptotics needs a finite --eps >= 0, got {args.eps}")
     span = (args.alpha_stop - args.alpha_start) / args.alpha_step
     # alpha is monotone in the row index, so its extremes are the first and last rows
     last = (args.alpha_start + round(span) * args.alpha_step if math.isfinite(span)
             else math.inf)
     if not all(math.isfinite(a * ts[-1]) for a in (args.alpha_start, last)):
-        print("asymptotics needs an alpha grid whose row count and alpha * t are "
-              "finite floats", file=sys.stderr)
-        return 2
+        raise ValueError("asymptotics needs an alpha grid whose row count and alpha * t "
+                         "are finite floats")
     count = int(round(span)) + 1
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")

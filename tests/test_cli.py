@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -96,6 +97,14 @@ class TestSimulate:
     def test_negative_t_exits_2(self, tmp_path):
         code = main(["simulate", "--t", "-3", "--out", str(tmp_path / "x.csv")])
         assert code == 2
+
+    def test_svg_plot_is_linear(self, tmp_path):
+        # the extremes are read once, not once per bar; a rescan per bar makes
+        # 40,001 bars take over 20 s on a 2-vCPU VM
+        pairs = [(n, 1.0 / (1 + abs(n))) for n in range(-40_000, 40_001, 2)]
+        start = time.perf_counter()
+        cli._write_svg_bars(str(tmp_path / "wide.svg"), pairs, "wide")
+        assert time.perf_counter() - start < 2.0
 
 
 def run_pinned_verify(tmp_path, pinned, args):
@@ -498,3 +507,30 @@ class TestExitCodes:
         assert code in (0, 1, 2)
         if code == 2:
             assert len(err.getvalue().splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--t=-1", "--out", "{out}"],
+    ["verify", "--tol", "0", "--report", "{out}"],
+    ["verify", "--order", "3", "--m-max", "6", "--report", "{out}"],
+    ["asymptotics", "--alpha-start", "0.8", "--alpha-stop", "0.9", "--alpha-step", "0.1",
+     "--t", "0", "--out", "{out}"],
+    ["asymptotics", "--alpha-start", "0.8", "--alpha-stop", "0.9", "--alpha-step", "0.1",
+     "--t", "abc", "--out", "{out}"],
+    ["asymptotics", "--alpha-start", "0.9", "--alpha-stop", "0.8", "--alpha-step", "0.1",
+     "--t", "10", "--out", "{out}"],
+    ["asymptotics", "--alpha-start", "0.8", "--alpha-stop", "0.9", "--alpha-step", "0.1",
+     "--t", "10", "--eps=nan", "--out", "{out}"],
+    ["asymptotics", "--alpha-start", "1e308", "--alpha-stop", "1e308", "--alpha-step", "1",
+     "--t", "10", "--out", "{out}"]],
+    ids=["simulate-negative-t", "verify-tol-zero", "verify-order-below-m-max",
+         "asymptotics-t-zero", "asymptotics-t-not-int", "asymptotics-reversed-grid",
+         "asymptotics-eps-nan", "asymptotics-grid-overflows"])
+def test_config_error_takes_one_path(tmp_path, capsys, argv):
+    # every command checks its input by raising ValueError; main turns that
+    # into one line and exit code 2 before any output file is opened
+    out = tmp_path / "out"
+    code = main([token.format(out=out) for token in argv])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2 and not out.exists()
+    assert len(err) == 1 and err[0].startswith("configuration error: ")
