@@ -10,7 +10,8 @@ the ``simulate`` plot is drawn in one pass over its bars.
 Exit codes: 0 success, 1 verification failure, 2 I/O or configuration error.
 Every command checks its input by raising ``ValueError`` before it opens an
 output file; ``main`` prints each such error as one ``configuration error: ...``
-line on stderr.
+line on stderr.  If ``simulate`` cannot write its plot, it removes the table
+that the run created, so an I/O error on either path leaves no new file.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 import time
 from collections import namedtuple
@@ -44,6 +46,7 @@ def cmd_simulate(args) -> int:
     if args.orientation == "as-printed":
         state = walk.as_printed(state)
     t, probs = state.t, []
+    created = not os.path.lexists(args.out)
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["n", "t", "psiL", "psiR", "psiL_dec", "psiR_dec", "prob", "prob_dec"])
@@ -57,7 +60,12 @@ def cmd_simulate(args) -> int:
                              _fmt(walk.mantissa_to_float(mr, t)),
                              f"{prob.numerator}/{prob.denominator}", _fmt(prob_dec)])
     if args.plot:
-        _write_svg_bars(args.plot, probs, f"occupation probability at t={t}")
+        try:
+            _write_svg_bars(args.plot, probs, f"occupation probability at t={t}")
+        except OSError:
+            if created:  # exit 2 leaves no table that this run made
+                os.remove(args.out)
+            raise
     return 0
 
 
@@ -301,7 +309,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_asymptotics(args) -> int:
-    ts = sorted({int(x) for x in args.t.split(",") if x.strip()})
+    try:
+        ts = sorted({int(x) for x in args.t.split(",") if x.strip()})
+    except ValueError:
+        raise ValueError(f"asymptotics needs --t as comma-separated integers, "
+                         f"got {args.t!r}") from None
     if not ts or ts[0] <= 0 or ts[-1] > sys.float_info.max:
         raise ValueError("asymptotics needs positive --t values within the float range")
     grid = (args.alpha_start, args.alpha_stop, args.alpha_step)

@@ -20,6 +20,8 @@ Closed forms, with R = sqrt(1+z^2) and D = 1 - z + R:
 
 The family map above is written once, in ``_closed_core``, which reads a
 body 1/(R D^k) times sqrt(2)^grade in one pass over its integers.  The
+basis is written once too: ``_basis`` returns R, D and D+ = 1 + z + R (with
+R = sqrt(1 - 2xz + z^2) off x = 0), and every caller here reads it.  The
 equivalence ledger builds one basis per call: R, D, 1/R and 1/D once.  Its
 closed side inverts R D^(2 m_max + 1) once and steps down, 1/(R D^k) =
 1/(R D^(k+1)) times D (I_0 reads k = 0, 1/R); its Jacobi side steps D^(-k)
@@ -79,8 +81,12 @@ def _check_series(family: Family, m: int, order: int) -> None:
         raise ValueError("order must be at least m")
 
 
-def _sqrt_one_plus_z2(order: int) -> RationalSeries:
-    return RationalSeries.polynomial([1, 0, 1], order).sqrt()
+def _basis(order: int, x=0) -> tuple:
+    """(R, D-, D+) = (sqrt(1 - 2xz + z^2), 1 - z + R, 1 + z + R) at an exact
+    rational x."""
+    root = RationalSeries.polynomial([1, -2 * x, 1], order).sqrt()
+    return (root, RationalSeries.polynomial([1, -1], order) + root,
+            RationalSeries.polynomial([1, 1], order) + root)
 
 
 def _d_exponent(family: Family, m: int) -> int:
@@ -131,8 +137,7 @@ def _closed_core(family: Family, m: int, body: RationalSeries,
 def closed_form_series(family: Family, m: int, order: int) -> RationalSeries:
     """Exact truncated series of the closed form of ``family``'s m-th series."""
     _check_series(family, m, order)
-    root = _sqrt_one_plus_z2(order)
-    big_d = RationalSeries.polynomial([1, -1], order) + root
+    root, big_d, _ = _basis(order)
     body = (root * big_d.pow_int(_d_exponent(family, m))).reciprocal()
     return _closed_core(family, m, body)
 
@@ -244,10 +249,7 @@ def jacobi_generating(x, r: int, s: int, order: int) -> RationalSeries:
     Coefficient k equals jacobi_at(k, r, s, x); negative r or s go through
     reciprocal powers.
     """
-    x = _as_fraction(x)
-    root = RationalSeries.polynomial([1, -2 * x, 1], order).sqrt()
-    d_minus = RationalSeries.polynomial([1, -1], order) + root
-    d_plus = RationalSeries.polynomial([1, 1], order) + root
+    root, d_minus, d_plus = _basis(order, _as_fraction(x))
     return _jacobi_core(root.reciprocal(), d_minus.pow_int(-r), d_plus.pow_int(-s), r, s)
 
 
@@ -263,10 +265,10 @@ def check_jacobi_generating(k_max: int, rs_max: int) -> Ledger:
     unless the series has grade 0.  Witnesses are (k, r, s).
     """
     ledger = Ledger("Jacobi generating coefficients")
-    root = _sqrt_one_plus_z2(k_max)
+    root, d_minus, d_plus = _basis(k_max)
     inv_root = root.reciprocal()
-    minus = _powers((RationalSeries.polynomial([1, -1], k_max) + root).reciprocal(), rs_max)
-    plus = _powers((RationalSeries.polynomial([1, 1], k_max) + root).reciprocal(), rs_max)
+    minus = _powers(d_minus.reciprocal(), rs_max)
+    plus = _powers(d_plus.reciprocal(), rs_max)
     numerator = _numerator_table(k_max + rs_max, k_max + rs_max, k_max, 0, 1)
     for r in range(rs_max + 1):
         for s in range(rs_max + 1):
@@ -320,8 +322,7 @@ def equivalence_ledger(walk: WalkCache, m_max: int = 10, order: int = 40
         raise ValueError(f"equivalence_ledger needs order >= max(2, m_max), "
                          f"got order={order} and m_max={m_max}")
     rep = Ledger("equivalence chain")
-    root = _sqrt_one_plus_z2(order)
-    big_d = RationalSeries.polynomial([1, -1], order) + root
+    root, big_d, _ = _basis(order)
     inv_root = root.reciprocal()
     top = 2 * m_max + 1
     # 1/(R D^k) for k = top, top-1, ..., 0: one inverse, then one product by D

@@ -43,7 +43,9 @@ chirality branches carry the factor (-1)^(n+1), and the left edge value is
 psi_L(-t, t) = +2^(-t/2).  These forms are written once, in ``_closed_r``,
 ``_closed_l``, ``_center_r`` and ``_center_l``, which read N from a source
 numerator(k, r, s): ``_numerator`` for the public functions, a table for the
-checks.
+checks.  The public center amplitudes are ``psi_closed_r/l(0, t)``; the
+center forms are ``check_closed_forms``' second route at n = 0.  The
+polynomials' generating series build their basis in ``genfun._basis``.
 """
 
 from __future__ import annotations
@@ -61,8 +63,6 @@ __all__ = [
     "jacobi_at",
     "psi_closed_r",
     "psi_closed_l",
-    "psi_center_r",
-    "psi_center_l",
     "check_closed_forms",
     "check_reflections",
     "check_jacobi_identities",
@@ -185,20 +185,6 @@ def psi_closed_l(n: int, t: int) -> int:
     closed forms: the int m with psi_L(n, t) = m sqrt(2)^(-t)."""
     _require_position(n, t)
     return _closed_l(_numerator, n, t)
-
-
-def psi_center_r(t: int) -> int:
-    """Mantissa of psi_R(0, t) for even t, from the degree-(t/2 - 1) J^(1,0) value."""
-    if t % 2:
-        raise ValueError("center amplitudes need even t")
-    return _center_r(_numerator, t)
-
-
-def psi_center_l(t: int) -> int:
-    """Mantissa of psi_L(0, t) for even t, a Legendre-plus-Jacobi combination."""
-    if t % 2:
-        raise ValueError("center amplitudes need even t")
-    return _center_l(_numerator, t)
 
 
 def check_closed_forms(walk: WalkCache, t_max: int) -> Ledger:

@@ -403,12 +403,12 @@ class RationalSeries:
                 f"order={self.order}, grade={self.grade})")
 
 
-def random_rational_series(rng, order: int, max_num: int = 9,
-                           max_den: int = 9, constant: RationalLike | None = None
+def random_rational_series(rng, order: int, constant: RationalLike | None = None
                            ) -> RationalSeries:
-    """Deterministic (given rng) random series, for property checks."""
-    coeffs = [Fraction(rng.randint(-max_num, max_num), rng.randint(1, max_den))
-              for _ in range(order + 1)]
+    """Deterministic (given rng) random series with coefficients a/b,
+    |a| <= 9 and 1 <= b <= 9, for property checks; ``constant`` replaces the
+    constant term."""
+    coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(order + 1)]
     if constant is not None:
         coeffs[0] = _as_fraction(constant)
     return RationalSeries(coeffs, order)

@@ -38,7 +38,6 @@ __all__ = [
     "step",
     "evolve",
     "probability",
-    "norm_squared_mantissas",
     "mantissa_to_float",
     "as_printed",
     "ORIENTATIONS",
@@ -103,11 +102,6 @@ def evolve(state: WalkState, steps: int) -> WalkState:
     for _ in range(steps):
         state = step(state)
     return state
-
-
-def norm_squared_mantissas(state: WalkState) -> int:
-    """Exactly 2**t for a unitary evolution."""
-    return sum(m * m for m in state.psi_r) + sum(m * m for m in state.psi_l)
 
 
 def probability(state: WalkState, n: int) -> Fraction:

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import csv
 import io
@@ -7,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -93,6 +95,25 @@ class TestSimulate:
         code = main(["simulate", "--t", "2", "--out",
                      str(tmp_path / "missing" / "walk.csv")])
         assert code == 2
+
+    @pytest.mark.parametrize("bad", ["--out", "--plot"])
+    def test_unwritable_path_leaves_no_file(self, tmp_path, capsys, bad):
+        # either path failing exits 2 and leaves neither file
+        paths = {"--out": tmp_path / "walk.csv", "--plot": tmp_path / "walk.svg"}
+        paths[bad] = tmp_path / "missing" / "walk"
+        code = main(["simulate", "--t", "4", "--out", str(paths["--out"]),
+                     "--plot", str(paths["--plot"])])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2 and len(err) == 1 and err[0].startswith("I/O error: ")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unwritable_plot_keeps_an_existing_table(self, tmp_path):
+        # only a table that the failed run created is removed
+        table = tmp_path / "walk.csv"
+        table.write_text("kept\n")
+        code = main(["simulate", "--t", "4", "--out", str(table),
+                     "--plot", str(tmp_path / "missing" / "walk.svg")])
+        assert code == 2 and table.exists()
 
     def test_negative_t_exits_2(self, tmp_path):
         code = main(["simulate", "--t", "-3", "--out", str(tmp_path / "x.csv")])
@@ -437,6 +458,44 @@ class TestPackage:
                              check=True, capture_output=True, text=True).stdout
         assert out.splitlines() == ["[]"]
 
+    # public names that only tests call, each kept for a stated reason
+    TEST_ONLY = {
+        "binomial": "a per-layer span of perfbench/tracer.py",
+        "closed_form_series": "a per-layer span of perfbench/tracer.py",
+        "psi_closed_l": "psi_closed_r's other chirality at every (n, t); a tracer span",
+        "growth_check": "waits for verify to check the steepest-descent law",
+        "check_contour_shift": "waits for verify to check the steepest-descent law",
+    }
+
+    def test_every_public_name_has_a_caller(self):
+        # a name in a module's __all__ must be read somewhere in src/hadwalk
+        # besides its own definition, its __all__ entry and the package's
+        # re-export (the last two are a string and an import, not reads)
+        trees = [ast.parse(path.read_text())
+                 for path in Path(hadwalk.__file__).parent.glob("*.py")
+                 if path.name != "__init__.py"]
+
+        def reads(node):
+            return Counter(sub.id if isinstance(sub, ast.Name) else sub.attr
+                           for sub in ast.walk(node)
+                           if isinstance(sub, ast.Attribute)
+                           or isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load))
+
+        everywhere = sum(map(reads, trees), Counter())
+        uncalled = set()
+        for tree in trees:
+            defs = {node.name: node for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+            for node in tree.body:
+                if (isinstance(node, ast.Assign)
+                        and getattr(node.targets[0], "id", None) == "__all__"):
+                    for name in ast.literal_eval(node.value):
+                        own = reads(defs[name])[name] if name in defs else 0
+                        if everywhere[name] == own:
+                            uncalled.add(name)
+        assert sorted(uncalled - set(self.TEST_ONLY)) == []
+        assert set(self.TEST_ONLY) <= uncalled  # a name that gains a caller leaves the list
+
 
 # Every token below is one argparse accepts, so each vector reaches the command.
 # Per subcommand: flag -> (valid values, special values); None omits the flag.
@@ -509,24 +568,26 @@ class TestExitCodes:
             assert len(err.getvalue().splitlines()) == 1
 
 
-@pytest.mark.parametrize("argv", [
-    ["simulate", "--t=-1", "--out", "{out}"],
-    ["verify", "--tol", "0", "--report", "{out}"],
-    ["verify", "--order", "3", "--m-max", "6", "--report", "{out}"],
-    ["asymptotics", "--alpha-start", "0.8", "--alpha-stop", "0.9", "--alpha-step", "0.1",
-     "--t", "0", "--out", "{out}"],
-    ["asymptotics", "--alpha-start", "0.8", "--alpha-stop", "0.9", "--alpha-step", "0.1",
-     "--t", "abc", "--out", "{out}"],
-    ["asymptotics", "--alpha-start", "0.9", "--alpha-stop", "0.8", "--alpha-step", "0.1",
-     "--t", "10", "--out", "{out}"],
-    ["asymptotics", "--alpha-start", "0.8", "--alpha-stop", "0.9", "--alpha-step", "0.1",
-     "--t", "10", "--eps=nan", "--out", "{out}"],
-    ["asymptotics", "--alpha-start", "1e308", "--alpha-stop", "1e308", "--alpha-step", "1",
-     "--t", "10", "--out", "{out}"]],
+@pytest.mark.parametrize("argv, says", [
+    (["simulate", "--t=-1", "--out", "{out}"], "steps must be nonnegative"),
+    (["verify", "--tol", "0", "--report", "{out}"], "verify needs a finite --tol > 0"),
+    (["verify", "--order", "3", "--m-max", "6", "--report", "{out}"],
+     "verify needs --order > --m-max"),
+    (["asymptotics", "--alpha-start", "0.8", "--alpha-stop", "0.9", "--alpha-step", "0.1",
+      "--t", "0", "--out", "{out}"], "asymptotics needs positive --t values"),
+    (["asymptotics", "--alpha-start", "0.8", "--alpha-stop", "0.9", "--alpha-step", "0.1",
+      "--t", "abc", "--out", "{out}"],
+     "asymptotics needs --t as comma-separated integers, got 'abc'"),
+    (["asymptotics", "--alpha-start", "0.9", "--alpha-stop", "0.8", "--alpha-step", "0.1",
+      "--t", "10", "--out", "{out}"], "--alpha-stop >= --alpha-start"),
+    (["asymptotics", "--alpha-start", "0.8", "--alpha-stop", "0.9", "--alpha-step", "0.1",
+      "--t", "10", "--eps=nan", "--out", "{out}"], "asymptotics needs a finite --eps"),
+    (["asymptotics", "--alpha-start", "1e308", "--alpha-stop", "1e308", "--alpha-step", "1",
+      "--t", "10", "--out", "{out}"], "asymptotics needs an alpha grid")],
     ids=["simulate-negative-t", "verify-tol-zero", "verify-order-below-m-max",
          "asymptotics-t-zero", "asymptotics-t-not-int", "asymptotics-reversed-grid",
          "asymptotics-eps-nan", "asymptotics-grid-overflows"])
-def test_config_error_takes_one_path(tmp_path, capsys, argv):
+def test_config_error_takes_one_path(tmp_path, capsys, argv, says):
     # every command checks its input by raising ValueError; main turns that
     # into one line and exit code 2 before any output file is opened
     out = tmp_path / "out"
@@ -534,3 +595,4 @@ def test_config_error_takes_one_path(tmp_path, capsys, argv):
     err = capsys.readouterr().err.splitlines()
     assert code == 2 and not out.exists()
     assert len(err) == 1 and err[0].startswith("configuration error: ")
+    assert says in err[0]

@@ -9,10 +9,19 @@ from hypothesis import strategies as st
 
 from hadwalk import jacobi
 from hadwalk.jacobi import (binomial, check_jacobi_identities, check_reflections,
-                            jacobi_at, psi_center_l, psi_center_r,
-                            psi_closed_l, psi_closed_r)
+                            jacobi_at, psi_closed_l, psi_closed_r)
 from hadwalk.ledger import Ledger
 from hadwalk.walk import WalkCache, evolve, initial_state, step
+
+
+def center_r(t):
+    """psi_R(0, t) mantissa at even t by the center form, on per-call numerators."""
+    return jacobi._center_r(jacobi._numerator, t)
+
+
+def center_l(t):
+    """psi_L(0, t) mantissa at even t by the center form, on per-call numerators."""
+    return jacobi._center_l(jacobi._numerator, t)
 
 
 @pytest.fixture(scope="module")
@@ -229,10 +238,11 @@ class TestClosedForms:
         assert psi_closed_r(0, 2) == 1  # value 1/2 at t = 2
 
     def test_center_forms(self, walk60):
-        assert psi_center_r(0) == 0 and psi_center_l(0) == 1
+        assert center_r(0) == 0 and center_l(0) == 1
+        # the public center amplitudes are the closed forms at n = 0
         for t in range(2, 61, 2):
-            assert psi_center_r(t) == walk60.state(t).mantissa_r(0)
-            assert psi_center_l(t) == walk60.state(t).mantissa_l(0)
+            assert center_r(t) == psi_closed_r(0, t) == walk60.state(t).mantissa_r(0)
+            assert center_l(t) == psi_closed_l(0, t) == walk60.state(t).mantissa_l(0)
 
     def test_closed_form_branches_connected_by_symmetry(self):
         # the n >= 0 and n < 0 branches reproduce the reflection relations
@@ -251,16 +261,16 @@ class TestClosedForms:
         cache = WalkCache()
         cache.state(200)
         for t in range(2, 201, 2):
-            assert psi_center_r(t) == cache.state(t).mantissa_r(0), t
-            assert psi_center_l(t) == cache.state(t).mantissa_l(0), t
+            assert center_r(t) == cache.state(t).mantissa_r(0), t
+            assert center_l(t) == cache.state(t).mantissa_l(0), t
 
     def test_domain_errors(self):
         with pytest.raises(ValueError, match="parity"):
             psi_closed_r(1, 2)
         with pytest.raises(ValueError, match="outside"):
             psi_closed_l(4, 2)
-        with pytest.raises(ValueError, match="even"):
-            psi_center_r(3)
+        with pytest.raises(ValueError, match="parity"):
+            psi_closed_r(0, 3)
 
 
 def closed_form_table(walk, t_max):
@@ -311,8 +321,8 @@ class TestClosedFormTable:
                 assert jacobi._closed_r(table, n, t) == psi_closed_r(n, t), (n, t)
                 assert jacobi._closed_l(table, n, t) == psi_closed_l(n, t), (n, t)
             if t % 2 == 0:
-                assert jacobi._center_r(table, t) == psi_center_r(t), t
-                assert jacobi._center_l(table, t) == psi_center_l(t), t
+                assert jacobi._center_r(table, t) == center_r(t), t
+                assert jacobi._center_l(table, t) == center_l(t), t
 
     # the sign and degree logic, solved by hand for the positions that read
     # each key: psi_R reads N((t-n)/2, 0, n-1) at n >= 0 and

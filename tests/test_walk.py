@@ -6,7 +6,12 @@ from fractions import Fraction
 import pytest
 
 from hadwalk.walk import (WalkCache, WalkState, as_printed, evolve, initial_state,
-                          mantissa_to_float, norm_squared_mantissas, probability, step)
+                          mantissa_to_float, probability, step)
+
+
+def norm_squared_mantissas(state):
+    """sum(mantissa**2) over both chiralities; exactly 2**t when unitary."""
+    return sum(m * m for m in (*state.psi_r, *state.psi_l))
 
 
 def printed_step(state):
