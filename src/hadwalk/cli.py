@@ -8,15 +8,16 @@ are a convenience.  Tables are written row by row as each row is made, and
 the ``simulate`` plot is drawn in one pass over its bars.
 
 Exit codes: 0 success, 1 verification failure, 2 I/O or configuration error.
-Every command checks its input by raising ``ValueError`` before it opens an
-output file; ``main`` prints each such error as one ``configuration error: ...``
-line on stderr.  If ``simulate`` cannot write its plot, it removes the table
-that the run created, so an I/O error on either path leaves no new file.
+Each command's flags come from one table, ``_commands``.  A flag that does not
+parse, and every command's own check of its input, raises ``ValueError``
+before an output file is opened; ``main`` prints each such error as one
+``configuration error: ...`` line on stderr, and no path raises SystemExit.
+If ``simulate`` cannot write its plot, it removes the table that the run
+created, so an I/O error on either path leaves no new file.
 """
 
 from __future__ import annotations
 
-import argparse
 import csv
 import json
 import math
@@ -24,6 +25,7 @@ import os
 import sys
 import time
 from collections import namedtuple
+from types import SimpleNamespace
 
 from . import asymptotics, genfun, jacobi, walk
 
@@ -351,49 +353,98 @@ def cmd_asymptotics(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# parser / entry point
+# flags / entry point
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="hadwalk",
-        description="Exact and asymptotic laboratory for the Hadamard walk on the line")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _orientation(text: str) -> str:
+    if text not in walk.ORIENTATIONS:
+        raise ValueError(text)
+    return text
 
-    sim = sub.add_parser("simulate", help="exact amplitude/probability table")
-    sim.add_argument("--t", type=int, required=True)
-    sim.add_argument("--orientation", choices=walk.ORIENTATIONS, default="canonical")
-    sim.add_argument("--out", required=True)
-    sim.add_argument("--plot", default=None, help="optional SVG output path")
-    sim.set_defaults(func=cmd_simulate)
 
-    ver = sub.add_parser("verify", help="run the exact verification suites")
-    # one flag per VerifyConfig field, typed by its default; inject_fault is a switch
-    for name in VerifyConfig._fields[:-1]:
-        default = VerifyConfig._field_defaults[name]
-        ver.add_argument("--" + name.replace("_", "-"), type=type(default), default=default)
-    ver.add_argument("--inject-fault", action="store_true",
-                     help="flip one mantissa to exercise failure reporting")
-    ver.add_argument("--report", required=True, help="JSON report path, - for stdout")
-    ver.set_defaults(func=cmd_verify)
+# what each flag parser accepts, for the error that names a refused value
+_KINDS = {int: "an integer", float: "a float", _orientation: " or ".join(walk.ORIENTATIONS)}
 
-    asy = sub.add_parser("asymptotics", help="decay-region error table")
-    asy.add_argument("--alpha-start", type=float, required=True)
-    asy.add_argument("--alpha-stop", type=float, required=True)
-    asy.add_argument("--alpha-step", type=float, required=True)
-    asy.add_argument("--t", required=True, help="comma-separated times")
-    asy.add_argument("--eps", type=float, default=1e-3)
-    asy.add_argument("--out", required=True)
-    asy.set_defaults(func=cmd_asymptotics)
-    return parser
+
+def _commands() -> dict:
+    """command -> (function, help line, {flag: (parse, default)}); a default
+    of ``...`` marks a required flag, and ``bool`` a switch that takes no
+    value.  Built per call, so that a ``cmd_*`` rebound on the module (as
+    perfbench's tracer does) is the one that runs."""
+    verify = {"--" + name.replace("_", "-"): (type(default), default)
+              for name, default in VerifyConfig._field_defaults.items()}
+    verify["--report"] = (str, ...)
+    return {
+        "simulate": (cmd_simulate, "exact amplitude/probability table",
+                     {"--t": (int, ...), "--orientation": (_orientation, "canonical"),
+                      "--out": (str, ...), "--plot": (str, None)}),
+        "verify": (cmd_verify, "run the exact verification suites", verify),
+        "asymptotics": (cmd_asymptotics, "decay-region error table",
+                        {"--alpha-start": (float, ...), "--alpha-stop": (float, ...),
+                         "--alpha-step": (float, ...), "--t": (str, ...),
+                         "--eps": (float, 1e-3), "--out": (str, ...)}),
+    }
+
+
+def _usage(commands: dict) -> int:
+    lines = ["usage: hadwalk COMMAND [--flag VALUE | --flag=VALUE | --switch]...",
+             "Exact and asymptotic laboratory for the Hadamard walk on the line"]
+    for name, (_, help_line, flags) in commands.items():
+        lines += [f"\n{name}: {help_line}"] + [
+            f"  {flag} " + ("(required)" if default is ... else f"(default {default})")
+            for flag, (_, default) in flags.items()]
+    print("\n".join(lines))
+    return 0
+
+
+def parse_args(argv: list) -> tuple:
+    """(function, namespace) from ``COMMAND [--flag VALUE | --flag=VALUE | --switch]...``.
+
+    The last repeated flag wins; a separated value may start with ``-``
+    (``--eps -inf``), not ``--``.  ``-h``/``--help``, alone or after a command,
+    gives ``_usage`` and what it prints.  Other bad tokens raise ValueError."""
+    commands = _commands()
+    if argv[:1] in (["-h"], ["--help"]):
+        return _usage, commands
+    if not argv or argv[0] not in commands:
+        raise ValueError(f"hadwalk needs a command ({', '.join(commands)}), got "
+                         + (repr(argv[0]) if argv else "none"))
+    command, tokens = argv[0], iter(argv[1:])
+    func, _, flags = commands[command]
+    given = {flag: default for flag, (_, default) in flags.items()}
+    for token in tokens:
+        flag, eq, text = token.partition("=")
+        if flag in ("-h", "--help") and not eq:
+            return _usage, {command: commands[command]}
+        if flag not in flags:
+            raise ValueError(f"{command} has no flag {flag!r}")  # repr: one line
+        parse = flags[flag][0]
+        if parse is bool:
+            if eq:
+                raise ValueError(f"{command} {flag} is a switch and takes no value")
+            given[flag] = True
+            continue
+        if not eq:
+            text = next(tokens, "--")  # the end of argv reads as a missing value
+            if text.startswith("--"):
+                raise ValueError(f"{command} needs a value after {flag}")
+        try:
+            given[flag] = parse(text)
+        except ValueError:
+            raise ValueError(f"{command} needs {flag} as {_KINDS[parse]}, "
+                             f"got {text!r}") from None
+    missing = [flag for flag, value in given.items() if value is ...]
+    if missing:
+        raise ValueError(f"{command} needs {' and '.join(missing)}")
+    return func, SimpleNamespace(**{flag[2:].replace("-", "_"): value
+                                    for flag, value in given.items()})
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        func, args = parse_args(sys.argv[1:] if argv is None else list(argv))
+        return func(args)
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 2

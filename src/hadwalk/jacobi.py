@@ -82,9 +82,10 @@ def binomial(a, k: int) -> Fraction:
 def _binomial_row(a: int, k: int, w: int) -> list:
     """[C(a, 0), C(a, 1) w, ..., C(a, k) w^k] as ints for integer a (negative a
     too) and any integer weight w."""
-    row = [1]
+    c, row = 1, [1]
     for i in range(k):
-        row.append(row[-1] * ((a - i) * w) // (i + 1))
+        c = c * ((a - i) * w) // (i + 1)
+        row.append(c)
     return row
 
 

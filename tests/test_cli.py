@@ -183,7 +183,7 @@ class TestVerify:
         def typed(config):
             return {name: (type(value), value) for name, value in config.items()}
 
-        args = cli.build_parser().parse_args(["verify", "--report", "-"])
+        _, args = cli.parse_args(["verify", "--report", "-"])
         assert typed(VerifyConfig()._asdict()) == typed(data["config"])
         assert typed({name: getattr(args, name) for name in VerifyConfig._fields}) == \
             typed(data["config"])
@@ -321,7 +321,6 @@ class TestAsymptoticsCmd:
              "step-inf", "alpha-times-t-overflows", "row-count-overflows"])
     def test_empty_alpha_grid_exits_2(self, tmp_path, capsys, start, stop, step):
         out = tmp_path / "x.csv"
-        # "=" keeps argparse from reading "-inf" as an option
         code = main(["asymptotics", f"--alpha-start={start}", f"--alpha-stop={stop}",
                      f"--alpha-step={step}", "--t", "40", "--out", str(out)])
         assert code == 2 and not out.exists()
@@ -445,13 +444,15 @@ class TestPackage:
         assert table.read_bytes() == (DATA / "asymptotics-grid.csv").read_bytes()
 
     def test_import_generates_no_code(self):
-        # the records are namedtuples and plain classes, and annotations stay
-        # strings, so importing the package and its CLI needs none of these
+        # the records are namedtuples and plain classes, annotations stay
+        # strings and the flags are one table, so importing the package and
+        # its CLI needs none of these
         src = str(Path(hadwalk.__file__).parents[1])
         code = ("import sys\n"
                 "sys.path.insert(0, sys.argv[1])\n"
                 "import hadwalk, hadwalk.cli\n"
-                "print(sorted({'dataclasses', 'inspect', 'typing', 'numpy'} & set(sys.modules)))\n")
+                "print(sorted({'argparse', 'dataclasses', 'inspect', 'typing', 'numpy'}\n"
+                "             & set(sys.modules)))\n")
         # -S: no site, whose .pth files may load typing themselves; -B: -E drops
         # PYTHONDONTWRITEBYTECODE, and the test must leave no .pyc in src
         out = subprocess.run([sys.executable, "-B", "-E", "-S", "-c", code, src],
@@ -497,7 +498,9 @@ class TestPackage:
         assert set(self.TEST_ONLY) <= uncalled  # a name that gains a caller leaves the list
 
 
-# Every token below is one argparse accepts, so each vector reaches the command.
+# Every token below parses as its flag's type, written as --flag=value or as
+# --flag value (a value such as "-inf" may start with one "-"), so each vector
+# reaches the command.
 # Per subcommand: flag -> (valid values, special values); None omits the flag.
 SPECIAL = ["-1", "0", "nan", "inf", "-inf", "1e308", "-1e308"]
 BAD_PATHS = ["{missing}", "{dir}"]
@@ -533,19 +536,21 @@ COMMANDS = {
 
 @st.composite
 def argvs(draw):
-    """A valid argument vector with at most one flag given a special value."""
+    """A valid argument vector with at most one flag given a special value,
+    each value in its own token or after "=", drawn per vector."""
     command = draw(st.sampled_from(sorted(COMMANDS)))
     flags = COMMANDS[command]
     values = {name: draw(st.sampled_from(list(valid))) for name, (valid, _) in flags.items()}
     spoiled = draw(st.sampled_from([None] + [name for name in flags if flags[name][1]]))
     if spoiled:
         values[spoiled] = draw(st.sampled_from(flags[spoiled][1]))
+    joined = draw(st.booleans())
     argv = [command]
     for name, value in values.items():
         if value == "":
             argv.append(name)
         elif value is not None:
-            argv.append(f"{name}={value}")  # "=" keeps argparse from reading "-inf" as a flag
+            argv += [f"{name}={value}"] if joined else [name, str(value)]
     return argv
 
 
@@ -556,6 +561,8 @@ class TestExitCodes:
               "--alpha-step=1", "--t", "10", "--out", "{ok}"])
     @example(["asymptotics", "--alpha-start=-1e308", "--alpha-stop=1e308",
               "--alpha-step=1e308", "--t", "10", "--out", "{ok}"])
+    @example(["asymptotics", "--alpha-start", "-1e308", "--alpha-stop", "1e308",
+              "--alpha-step", "1", "--t", "10", "--eps", "-inf", "--out", "{ok}"])
     def test_exit_code_contract(self, argv):
         with tempfile.TemporaryDirectory() as tmp:
             paths = {"ok": os.path.join(tmp, "out"), "dir": tmp,
@@ -583,16 +590,53 @@ class TestExitCodes:
     (["asymptotics", "--alpha-start", "0.8", "--alpha-stop", "0.9", "--alpha-step", "0.1",
       "--t", "10", "--eps=nan", "--out", "{out}"], "asymptotics needs a finite --eps"),
     (["asymptotics", "--alpha-start", "1e308", "--alpha-stop", "1e308", "--alpha-step", "1",
-      "--t", "10", "--out", "{out}"], "asymptotics needs an alpha grid")],
+      "--t", "10", "--out", "{out}"], "asymptotics needs an alpha grid"),
+    ([], "hadwalk needs a command (simulate, verify, asymptotics), got none"),
+    (["bogus", "--out", "{out}"], "hadwalk needs a command (simulate, verify, asymptotics), "
+     "got 'bogus'"),
+    (["verify", "--bogus", "1", "--report", "{out}"], "verify has no flag '--bogus'"),
+    (["verify", "--bo\ngus", "--report", "{out}"], "verify has no flag '--bo\\ngus'"),
+    (["asymptotics", "--alpha-start", "0.8", "--alpha-stop", "0.9", "--alpha-step", "0.1",
+      "--t", "10", "--ep", "0.01", "--out", "{out}"], "asymptotics has no flag '--ep'"),
+    (["simulate", "--out", "{out}", "--t"], "simulate needs a value after --t"),
+    (["simulate", "--t", "--out", "{out}"], "simulate needs a value after --t"),
+    (["simulate", "--t", "abc", "--out", "{out}"], "simulate needs --t as an integer, got 'abc'"),
+    (["simulate", "--t", "4", "--orientation", "sideways", "--out", "{out}"],
+     "simulate needs --orientation as canonical or as-printed, got 'sideways'"),
+    (["simulate", "--t", "4"], "simulate needs --out"),
+    (["verify", "--inject-fault=1", "--report", "{out}"],
+     "verify --inject-fault is a switch and takes no value")],
     ids=["simulate-negative-t", "verify-tol-zero", "verify-order-below-m-max",
          "asymptotics-t-zero", "asymptotics-t-not-int", "asymptotics-reversed-grid",
-         "asymptotics-eps-nan", "asymptotics-grid-overflows"])
+         "asymptotics-eps-nan", "asymptotics-grid-overflows", "no-command", "unknown-command",
+         "verify-unknown-flag", "verify-flag-with-a-newline", "asymptotics-abbreviated-flag",
+         "simulate-t-at-the-end", "simulate-t-before-a-flag", "simulate-t-not-int",
+         "simulate-unknown-orientation", "simulate-without-out", "verify-switch-with-value"])
 def test_config_error_takes_one_path(tmp_path, capsys, argv, says):
-    # every command checks its input by raising ValueError; main turns that
-    # into one line and exit code 2 before any output file is opened
+    # every command checks its input by raising ValueError, and so does the
+    # flag parser; main turns that into one line and exit code 2, raises no
+    # SystemExit, and opens no output file
     out = tmp_path / "out"
     code = main([token.format(out=out) for token in argv])
     err = capsys.readouterr().err.splitlines()
-    assert code == 2 and not out.exists()
+    assert code == 2 and list(tmp_path.iterdir()) == []
     assert len(err) == 1 and err[0].startswith("configuration error: ")
     assert says in err[0]
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["simulate", "--help"],
+                                  ["verify", "--t-max", "4", "-h"], ["asymptotics", "--help"]])
+def test_help_prints_every_flag(tmp_path, capsys, monkeypatch, argv):
+    # the usage of the command named, or of every command, on stdout; no file
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    shown = COMMANDS if argv[0] not in COMMANDS else {argv[0]: COMMANDS[argv[0]]}
+    lines = captured.out.splitlines()
+    assert lines[0].startswith("usage: hadwalk COMMAND")
+    for command in COMMANDS:
+        assert (f"{command}: " in captured.out) == (command in shown)
+    for flags in shown.values():
+        for flag in flags:
+            assert any(line.startswith(f"  {flag} (") for line in lines), flag
+    assert captured.err == "" and list(tmp_path.iterdir()) == []
