@@ -23,15 +23,12 @@ which the path-integral base b_pathintegral is provably identical.
 
 The quadrature oracle reads every position at time t from one FFT of the
 momentum integrands sampled at N equispaced nodes: the periodic trapezoid
-rule converges geometrically for integrands analytic in a strip, here
-|Im theta| < arcsinh 1 (Trefethen & Weideman, SIAM Review 56, 2014).  The
-FFT is the module's own radix-2 transform (Cooley & Tukey, Math. Comp. 19,
-1965) on lists of complex numbers; when N doubles it transforms only the new
-midpoint samples and merges them with the previous level's transform.  The
-contour shift integrates the real line and each straight leg of the shifted
-path with one composite 16-point Gauss-Legendre rule, which takes real or
-complex endpoints alike; its table is computed at import by Newton's method,
-so the module needs nothing beyond the standard library.
+rule (Trefethen & Weideman, SIAM Review 56, 2014, section 3), with N the
+least power of two >= 2t+2 at which its error is proved below the tolerance
+(``_node_count``).  The FFT is the module's own radix-2 transform (Cooley &
+Tukey, Math. Comp. 19, 1965) on lists of complex numbers.  The contour shift
+sums the same rule along a smooth periodic path through the saddle, so the
+module needs nothing beyond the standard library.
 """
 
 from __future__ import annotations
@@ -49,7 +46,6 @@ __all__ = [
     "omega",
     "BranchCutError",
     "ValidityError",
-    "QuadratureBudgetError",
     "GrowthBoundError",
     "growth_check",
     "saddle",
@@ -78,14 +74,6 @@ class ValidityError(ValueError):
 
 class GrowthBoundError(AssertionError):
     """Measured growth violates the large-|Im theta| bounds."""
-
-
-class QuadratureBudgetError(RuntimeError):
-    """Refinement budget exhausted before reaching the requested tolerance."""
-
-    def __init__(self, message: str, achieved: float):
-        super().__init__(message)
-        self.achieved = achieved
 
 
 def omega(theta: complex) -> complex:
@@ -229,63 +217,6 @@ def _decay_row(n: int, t: int, mantissa: int, eps: float) -> tuple:
 # quadrature oracles
 # ---------------------------------------------------------------------------
 
-def _gauss_legendre(n: int) -> tuple:
-    """Ascending nodes and weights of the n-point Gauss-Legendre rule on [-1, 1].
-
-    Newton's method on P_n from x = cos(pi (i + 3/4) / (n + 1/2)), with P_n
-    and P_n' from the three-term recurrence; w = 2 / ((1 - x^2) P_n'(x)^2).
-    """
-    def legendre(x):
-        p0, p1 = 1.0, x
-        for k in range(2, n + 1):
-            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-        return p1, n * (x * p1 - p0) / (x * x - 1.0)
-
-    rule = []
-    for i in range(n):
-        x = math.cos(math.pi * (i + 0.75) / (n + 0.5))
-        for _ in range(8):
-            p, dp = legendre(x)
-            x -= p / dp
-        dp = legendre(x)[1]
-        rule.append((x, 2.0 / ((1.0 - x * x) * dp * dp)))
-    rule.sort()
-    return tuple(x for x, _ in rule), tuple(w for _, w in rule)
-
-
-_GL_NODES, _GL_WEIGHTS = _gauss_legendre(16)
-
-
-def _panel_integrate(f, a: complex, b: complex, panels: int) -> complex:
-    """Composite 16-point Gauss-Legendre along the straight segment a -> b,
-    real or complex, for a scalar integrand."""
-    half = 0.5 * (b - a) / panels
-    total = 0j
-    for p in range(panels):
-        mid = a + (2 * p + 1) * half
-        total += sum(w * f(mid + half * x) for x, w in zip(_GL_NODES, _GL_WEIGHTS))
-    return half * total
-
-
-def _refine(f, a: complex, b: complex, tol: float, panels0: int,
-            max_nodes: int = 1 << 22) -> complex:
-    """Panel-doubling until two refinements agree; returns the last value."""
-    panels = panels0
-    prev = _panel_integrate(f, a, b, panels)
-    nodes = panels * 16
-    while True:
-        panels *= 2
-        cur = _panel_integrate(f, a, b, panels)
-        nodes += panels * 16
-        delta = abs(cur - prev)
-        if delta <= tol:
-            return cur
-        if nodes > max_nodes:
-            raise QuadratureBudgetError(
-                f"node budget exhausted at estimate {delta:g} (tol {tol:g})", delta)
-        prev = cur
-
-
 class QuadratureResult(namedtuple("QuadratureResult", "value node_count")):
     __slots__ = ()
 
@@ -356,45 +287,59 @@ def _fft(x: list, twiddles: list) -> list:
     return x
 
 
-def _quadrature_row(t: int, tol: float, max_nodes: int = 1 << 22) -> list:
-    """(psi_R, psi_L) QuadratureResult pairs for n = -t, -t+2, ..., t.
+def _node_count(t: int, tol: float) -> int:
+    """Least power of two N >= 2t+2 at which the N-node trapezoid sums of
+    both momentum integrals are proved within ``tol`` at every |n| <= t.
+
+    On |Im theta| <= a < arcsinh 1 both integrands are analytic and bounded by
+    M(a) = e^{t g(a)} max(e^a, q + cosh a)/q, g(a) = asinh(sinh a/sqrt2),
+    q = sqrt((3 - cosh 2a)/2), from |e^{-i omega t}| <= e^{t g(a)} (below),
+    |1 + cos^2 theta| = |3 + cos 2 theta|/2 >= q^2, |e^{i theta}| <= e^a and
+    |cos theta| <= cosh a.  So their Fourier coefficients obey
+    |c_m| <= M(a) e^{-a|m|}, and the sum at n, which adds c_{n+kN} for every
+    k != 0, errs by at most 2 M(a) e^{-a(N-t)}/(1 - e^{-aN}).  The least N at
+    which that is <= tol for one of 31 equispaced a in (0, arcsinh 1), with
+    1 - e^{-aN} taken at its least value N = 2t+2, is rounded up to a power
+    of two.
+
+    The growth bound: with w = sin theta/sqrt2, |Im arcsin w| =
+    arccosh((|w+1| + |w-1|)/2), which is constant on each ellipse with foci
+    +-1 and grows outward.  On Im theta = +-a, w runs over the ellipse
+    x = sin u cosh a/sqrt2, y = +-cos u sinh a/sqrt2.  The confocal ellipse
+    through its vertex (0, B), B = sinh a/sqrt2, has semi-major axis
+    A = sqrt(1 + B^2), and x^2/A^2 + y^2/B^2 = sin^2 u cosh^2 a/(2 + sinh^2 a)
+    + cos^2 u <= 1.  So |Im omega| <= arcsinh B = g(a), with equality at u = 0.
+    """
+    if not 1e-14 <= tol < math.inf:
+        raise ValueError("tolerance not finite or below attainable double precision")
+    least = 2 * t + 2
+    need = math.inf
+    for k in range(1, 32):
+        a = ARCSINH1 * k / 32
+        q = math.sqrt((3.0 - math.cosh(2.0 * a)) / 2.0)
+        log_m = t * math.asinh(math.sinh(a) * _INV_SQRT2) + math.log(
+            max(math.exp(a), q + math.cosh(a)) / q)
+        need = min(need, t + (math.log(2.0 / tol) + log_m
+                              - math.log1p(-math.exp(-a * least))) / a)
+    return 1 << (max(least, math.ceil(need)) - 1).bit_length()
+
+
+def _quadrature_row(t: int, tol: float) -> list:
+    """(psi_R, psi_L) QuadratureResult pairs for n = -t, -t+2, ..., t, each
+    within ``tol`` of its integral divided by 2 pi; node_count is
+    N = ``_node_count(t, tol)``.
 
     At theta_j = -pi + 2 pi j/N the N-node trapezoid sum at n is (-1)^n/N times
-    DFT entry n mod N; no |n| <= t aliases once N >= 2t+2.  Doubling keeps the
-    old nodes and stops once no position of either integral changes by more
-    than tol/4 before its 1/(2 pi).  The DFT is an in-package radix-2 FFT; a
-    doubling transforms only the N new midpoint samples and merges them with
-    the previous level's transform, so all levels together cost about one
-    FFT of the final size.  node_count is the final N; QuadratureBudgetError
-    carries the largest change once N reaches ``max_nodes``.
+    DFT entry n mod N; no |n| <= t aliases since N >= 2t+2.
     """
-    if tol < 1e-14:
-        raise ValueError("tolerance below attainable double precision")
-    index = range(-t, t + 1, 2)
-    nodes = 1 << (2 * t + 1).bit_length()
+    nodes = _node_count(t, tol)
     step = 2.0 * math.pi / nodes
     twiddles = _twiddles(nodes)
     spectra = [_fft(x, twiddles)
                for x in _sample_integrands([-math.pi + j * step for j in range(nodes)], t)]
-    prev = [[x[n % nodes] / nodes for n in index] for x in spectra]
-    while True:
-        mids = _sample_integrands([-math.pi + (j + 0.5) * step for j in range(nodes)], t)
-        twiddles = _twiddles(2 * nodes)
-        spectra = [_merge(x, _fft(m, twiddles[::2]), twiddles)
-                   for x, m in zip(spectra, mids)]
-        nodes *= 2
-        step = 2.0 * math.pi / nodes
-        cur = [[x[n % nodes] / nodes for n in index] for x in spectra]
-        delta = 2.0 * math.pi * max(abs(c - p) for pair in zip(cur, prev)
-                                    for c, p in zip(*pair))
-        if delta <= tol * 0.25:
-            break
-        if nodes >= max_nodes:
-            raise QuadratureBudgetError(
-                f"node budget exhausted at estimate {delta:g} (tol {tol * 0.25:g})", delta)
-        prev = cur
     sign = -1.0 if t % 2 else 1.0
-    parts = [[QuadratureResult(sign * v, nodes) for v in values] for values in cur]
+    parts = [[QuadratureResult(sign * x[n % nodes] / nodes, nodes) for n in range(-t, t + 1, 2)]
+             for x in spectra]
     return list(zip(*parts))
 
 
@@ -402,13 +347,9 @@ def quadrature_psi(n: int, t: int, tol: float = 1e-10) -> tuple:
     """Momentum-integral amplitudes (psi_R, psi_L) as QuadratureResult pair.
 
     Numeric oracle for the exact simulator: the two periodic integrals over
-    [-pi, pi], divided by 2 pi, by the periodic trapezoid rule (Trefethen &
-    Weideman, SIAM Review 56, 2014) and read at n from one FFT that serves
-    every position at time t.  Nodes double from the smallest power of two
-    >= 2t+2 until no position changes by more than tol/4 before the 1/(2 pi)
-    (``_quadrature_row``).  The imaginary part is pure noise.  If the node
-    budget runs out first, QuadratureBudgetError carries the achieved
-    estimate.
+    [-pi, pi], divided by 2 pi, each within ``tol``, read at n from the row
+    that one FFT gives for every position at time t (``_quadrature_row``).
+    The imaginary part is pure noise.
     """
     _require_position(n, t)
     return _quadrature_row(t, tol)[(n + t) // 2]
@@ -417,12 +358,9 @@ def quadrature_psi(n: int, t: int, tol: float = 1e-10) -> tuple:
 def check_quadrature(walk: WalkCache, t_max: int, tol: float = 1e-9) -> Ledger:
     """Momentum integrals == exact simulator amplitudes within ``tol``.
 
-    Both chiralities at every reachable (n, t) with t <= t_max.  Each t takes
-    all its positions from one FFT of the periodic trapezoid rule (Trefethen
-    & Weideman, SIAM Review 56, 2014) at tolerance tol/10: the node count
-    doubles from the smallest power of two >= 2t+2 until no position changes
-    by more than tol/40 before the 1/(2 pi) (``_quadrature_row``).  Witnesses
-    are (n, t, deviation).
+    Both chiralities at every reachable (n, t) with t <= t_max; each t takes
+    all its positions from one ``_quadrature_row`` at tolerance tol/10.
+    Witnesses are (n, t, deviation).
     """
     ledger = Ledger("momentum integrals == simulator", worst=0.0, tol=tol)
     for t in range(t_max + 1):
@@ -440,11 +378,6 @@ def check_quadrature(walk: WalkCache, t_max: int, tol: float = 1e-9) -> Ledger:
 # contour shift
 # ---------------------------------------------------------------------------
 
-# the shifted path's waypoints at Re theta = +-pi/2 sit below the branch
-# points at height arcsinh 1, so the path passes between the cuts
-_WAYPOINT_HEIGHT = 0.8 * ARCSINH1
-
-
 def _reflected_kernel(theta, alpha: float, t: int):
     """Integrand of the reflected right-amplitude representation.
 
@@ -456,51 +389,71 @@ def _reflected_kernel(theta, alpha: float, t: int):
     return cmath.exp(-1j * theta) / q * cmath.exp(-1j * (omega(theta) - theta * alpha) * t)
 
 
+def _shifted_path(alpha: float) -> tuple:
+    """(c0, c1, c2) of the height h(u) = c0 + c1 cos u + c2 cos 2u of the
+    path theta(u) = u + i h(u) through the saddle theta_alpha.
+
+    h(0) = Im theta_alpha; h(+-pi/2) = 0.8 arcsinh 1, below the branch
+    points, so the path crosses Re theta = +-pi/2 between the cuts; h(+-pi) =
+    max(1, Im theta_alpha + 0.5).  Without the cos 2u term the path dips
+    below the real axis near u = +-pi at large alpha and the kernel overflows.
+    """
+    top = saddle(alpha).imag
+    side = max(1.0, top + 0.5)
+    cross = 0.8 * ARCSINH1
+    return (top + side) / 4 + cross / 2, (top - side) / 2, (top + side) / 4 - cross / 2
+
+
+def _path_sum(alpha: float, t: int, path: tuple, nodes: int) -> complex:
+    """N-node periodic trapezoid rule for 1/(2 pi) times the integral of
+    ``_reflected_kernel`` along theta(u) = u + i h(u), -pi <= u <= pi, with
+    h's coefficients ``path``: the mean of kernel(theta(u_j)) theta'(u_j) at
+    u_j = -pi + 2 pi j/N.  The path (0, 0, 0) is the real line.
+    """
+    c0, c1, c2 = path
+    total = 0j
+    for j in range(nodes):
+        u = -math.pi + 2.0 * math.pi * j / nodes
+        theta = complex(u, c0 + c1 * math.cos(u) + c2 * math.cos(2.0 * u))
+        slope = -c1 * math.sin(u) - 2.0 * c2 * math.sin(2.0 * u)
+        total += _reflected_kernel(theta, alpha, t) * complex(1.0, slope)
+    return total / nodes
+
+
 def check_contour_shift(walk: WalkCache, points, tol: float = 1e-8) -> Ledger:
     """The right amplitude by the shifted contour == real line == simulator.
 
     For each decay-region (n, t) in ``points``, the reflected representation
-    (``_reflected_kernel``) is integrated once along [-pi, pi] and once along
-    the shifted path (-pi + iV) -> (-pi/2 + ih) -> theta_alpha -> (pi/2 + ih)
-    -> (pi + iV), h = ``_WAYPOINT_HEIGHT``, which threads between the cuts and
-    through the imaginary-axis saddle.  The closing vertical legs at
-    Re theta = +-pi cancel exactly by 2pi-periodicity of the integrand (alpha
-    t = n is an integer), so the path integral equals the [-pi, pi] integral
-    exactly; V only anchors the slant and its tail contribution is bounded by
-    exp(-(1-alpha) V t).  Three records per point, each with the witness
-    (n, t, deviation): shifted contour == real line, the momentum integral at
-    the reflected position 2 - n == real line, and shifted contour == the
-    simulator's amplitude.  Raises ValidityError outside the decay region.
+    (``_reflected_kernel``) is summed by one periodic trapezoid rule
+    (``_path_sum``) along the real line and along the smooth path
+    ``_shifted_path`` through the imaginary-axis saddle.  The kernel is
+    2 pi-periodic, since alpha t = n is an integer, and analytic between the
+    two paths, which cross Re theta = +-pi/2 only below the cuts; so by
+    Cauchy both integrals are equal.  Both sums take twice the momentum
+    rule's node count ``_node_count(t, tol/10)``; on the real line the kernel
+    is e^{i theta n} times a function bounded by the same M(a), so that
+    error bound holds there too.  Three records per point, each with the witness
+    (n, t, deviation): shifted contour == real line and the momentum integral
+    at the reflected position 2 - n == real line, both absolute, and shifted
+    contour == the simulator's amplitude, relative, so an amplitude that
+    underflows to 0 reads deviation inf.  Raises ValidityError outside the
+    decay region.
     """
     ledger = Ledger("contour shift", worst=0.0, tol=tol)
     for n, t in points:
         alpha = n / t
         _require_decay(alpha, 1e-3)
-        theta_alpha = saddle(alpha)
-        v_top = max(1.0, theta_alpha.imag + 0.5)
-        # grow V until the analytic tail bound is inside the error budget
-        while math.exp(-(1.0 - alpha) * v_top * t) > tol * 1e-3 and v_top < 60.0:
-            v_top += 1.0
-
+        nodes = 2 * _node_count(t, tol * 0.1)
         sign = (-1.0) ** (n + 1)
-
-        def f(theta):
-            return _reflected_kernel(theta, alpha, t)
-
-        real_line = sign * _refine(f, -math.pi, math.pi, tol * 0.05,
-                                   max(64, 2 * t)).real / (2.0 * math.pi)
-        h = _WAYPOINT_HEIGHT
-        waypoints = [complex(-math.pi, v_top), complex(-math.pi / 2, h), theta_alpha,
-                     complex(math.pi / 2, h), complex(math.pi, v_top)]
-        total = sum(_refine(f, za, zb, tol * 0.05, 16)
-                    for za, zb in zip(waypoints[:-1], waypoints[1:]))
-        shifted = sign * total.real / (2.0 * math.pi)
+        real_line = sign * _path_sum(alpha, t, (0.0, 0.0, 0.0), nodes).real
+        shifted = sign * _path_sum(alpha, t, _shifted_path(alpha), nodes).real
         # independent symmetry route: quadrature at the reflected position
         reflected = sign * quadrature_psi(2 - n, t, tol=tol * 0.1)[0].real
         exact = mantissa_to_float(walk.state(t).mantissa_r(n), t)
         for item, dev in (("shifted contour == real line", abs(shifted - real_line)),
                           ("reflected position == real line", abs(reflected - real_line)),
-                          ("shifted contour == simulator", abs(shifted - exact))):
+                          ("shifted contour == simulator",
+                           abs(shifted - exact) / abs(exact) if exact else math.inf)):
             ledger.worst = max(ledger.worst, dev)
             ledger.record(item, (n, t, dev), dev <= tol)
     return ledger

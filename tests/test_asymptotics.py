@@ -287,51 +287,61 @@ class TestQuadrature:
         with pytest.raises(ValueError, match="tolerance"):
             quadrature_psi(0, 2, tol=1e-15)
 
-    def test_budget_error_reports_achieved_estimate(self):
-        from hadwalk.asymptotics import QuadratureBudgetError, _refine
+    def test_non_finite_tolerance_rejected_before_sampling(self, walk400, monkeypatch):
+        def no_sampling(*args):
+            raise AssertionError("sampled before the tolerance was checked")
 
-        def nasty(theta):
-            return cmath.exp(1j * 3000.0 * math.cos(theta))
-
-        with pytest.raises(QuadratureBudgetError) as excinfo:
-            _refine(nasty, -math.pi, math.pi, 1e-12, 64, max_nodes=20_000)
-        assert excinfo.value.achieved > 1e-12
-
-
-class TestPanelIntegrator:
-    def test_complex_segment(self):
-        # the contour legs pass complex endpoints straight to the integrator
-        za, zb = complex(-math.pi, 2.5), complex(-math.pi / 2, 0.8 * ARCSINH1)
-        got = asymptotics._refine(cmath.exp, za, zb, 1e-14, 16)
-        assert abs(got - (cmath.exp(zb) - cmath.exp(za))) <= 1e-13
-
-
-class TestGaussLegendre:
-    def test_table_matches_numpy(self):
-        nodes, weights = np.polynomial.legendre.leggauss(16)
-        assert len(asymptotics._GL_NODES) == len(asymptotics._GL_WEIGHTS) == 16
-        assert np.max(np.abs(np.array(asymptotics._GL_NODES) - nodes)) <= 1e-15
-        assert np.max(np.abs(np.array(asymptotics._GL_WEIGHTS) - weights)) <= 1e-15
-        assert abs(math.fsum(asymptotics._GL_WEIGHTS) - 2.0) <= 1e-15
+        monkeypatch.setattr(asymptotics, "_sample_integrands", no_sampling)
+        monkeypatch.setattr(asymptotics, "_reflected_kernel", no_sampling)
+        for tol in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="tolerance"):
+                quadrature_psi(0, 2, tol=tol)
+            with pytest.raises(ValueError, match="tolerance"):
+                asymptotics.check_quadrature(walk400, 2, tol=tol)
+            with pytest.raises(ValueError, match="tolerance"):
+                check_contour_shift(walk400, [(14, 18)], tol=tol)
 
 
 class TestQuadratureRow:
-    @pytest.mark.parametrize("t, nodes", [(24, 128), (50, 256)])
+    @pytest.mark.parametrize("t, nodes", [(24, 128), (50, 128), (200, 512)])
     def test_final_node_count(self, t, nodes):
-        # starts at the smallest power of two >= 2t+2 and doubles once
+        # the least power of two >= 2t+2 at which the error bound is below tol
         row = asymptotics._quadrature_row(t, 1e-10)
         assert len(row) == t + 1
         assert {part.node_count for pair in row for part in pair} == {nodes}
 
-    def test_budget_error_reports_achieved_estimate(self, monkeypatch):
-        def nasty(thetas, t):
-            wave = [cmath.exp(1j * 3000.0 * math.cos(theta)) for theta in thetas]
-            return wave, list(wave)
+    def test_growth_lemma(self):
+        # sup over Re theta of Im omega on Im theta = +-a is asinh(sinh a/sqrt2)
+        us = [-math.pi + 2.0 * math.pi * j / 2000 for j in range(2000)]
+        for a in (k / 100 for k in range(10, 88)):
+            for v in (a, -a):
+                sup = max(omega(complex(u, v)).imag for u in us)
+                assert abs(sup - math.asinh(math.sinh(a) * INV_SQRT2)) <= 1e-12, a
 
-        monkeypatch.setattr(asymptotics, "_sample_integrands", nasty)
-        with pytest.raises(asymptotics.QuadratureBudgetError) as excinfo:
-            asymptotics._quadrature_row(24, 1e-10, max_nodes=1 << 12)
-        assert excinfo.value.achieved > 1e-10
+    @pytest.mark.parametrize("t", [0, 1, 6, 24, 50, 200, 400])
+    @pytest.mark.parametrize("tol", [1e-14, 1e-10, 1e-6])
+    def test_bound_holds_at_the_certified_count(self, t, tol):
+        def bound(nodes):
+            # 2 M(a) e^{-a(N-t)} / (1 - e^{-aN}), least over the same a grid
+            best = math.inf
+            for k in range(1, 32):
+                a = ARCSINH1 * k / 32
+                q = math.sqrt((3.0 - math.cosh(2.0 * a)) / 2.0)
+                m = (math.exp(t * math.asinh(math.sinh(a) * INV_SQRT2))
+                     * max(math.exp(a), q + math.cosh(a)) / q)
+                best = min(best, 2.0 * m * math.exp(-a * (nodes - t))
+                           / (1.0 - math.exp(-a * nodes)))
+            return best
+
+        nodes = asymptotics._node_count(t, tol)
+        assert nodes & (nodes - 1) == 0 and nodes >= 2 * t + 2
+        assert bound(nodes) <= tol
+        assert nodes // 2 < 2 * t + 2 or bound(nodes // 2) > tol
+
+    def test_check_passes_through_t200(self, walk400):
+        ledger = asymptotics.check_quadrature(walk400, 200, tol=1e-9)
+        assert ledger.passed, ledger.failures[:3]
+        assert ledger.checked == 201 * 202 // 2
 
     def test_point_oracle_is_a_view_of_the_row(self):
         row = asymptotics._quadrature_row(18, 1e-10)
@@ -392,8 +402,50 @@ class TestContourShift:
         assert ledger.passed, ledger.failures
         assert ledger.checked == 12
 
-    def test_waypoints_below_branch_points(self):
-        assert 0 < asymptotics._WAYPOINT_HEIGHT < ARCSINH1
+    def test_path_crosses_below_branch_points(self):
+        for alpha in (0.72, 0.8, 0.9, 0.98):
+            c0, c1, c2 = asymptotics._shifted_path(alpha)
+
+            def h(u):
+                return c0 + c1 * math.cos(u) + c2 * math.cos(2.0 * u)
+
+            assert abs(h(0.0) - saddle(alpha).imag) <= 1e-15
+            assert 0 < h(math.pi / 2) < ARCSINH1 and 0 < h(-math.pi / 2) < ARCSINH1
+            assert min(h(math.pi * j / 500) for j in range(-500, 501)) > 0
+
+    def test_simulator_record_is_relative(self, walk400, monkeypatch):
+        # negative control: at (196, 200) |psi_R| = 1.5e-26, so an absolute
+        # comparison would pass a shifted integral of 0; a relative one reads 1
+        kernel = asymptotics._reflected_kernel
+
+        def zero_off_axis(theta, alpha, t):
+            return kernel(theta, alpha, t) if theta.imag == 0 else 0j
+
+        monkeypatch.setattr(asymptotics, "_reflected_kernel", zero_off_axis)
+        ledger = check_contour_shift(walk400, [(196, 200)], tol=1e-8)
+        assert [item for item, _ in ledger.failures] == [self.ITEMS[2]]
+        (_, (n, t, deviation)), = ledger.failures
+        assert (n, t) == (196, 200) and abs(deviation - 1.0) <= 1e-12
+
+    def test_underflowed_amplitude_fails_without_raising(self, walk400, monkeypatch):
+        # from t ~ 2200 psi_R near the light cone underflows to 0.0
+        monkeypatch.setattr(asymptotics, "mantissa_to_float", lambda mantissa, t: 0.0)
+        ledger = check_contour_shift(walk400, [(14, 18)], tol=1e-8)
+        assert ledger.failures == [(self.ITEMS[2], (14, 18, math.inf))]
+
+    @pytest.mark.parametrize("n, t", [(14, 18), (160, 200), (74, 100), (86, 100),
+                                      (94, 100), (98, 100), (196, 200)])
+    def test_shifted_contour_relative_error(self, walk400, monkeypatch, n, t):
+        deviations = {}
+        record = asymptotics.Ledger.record
+
+        def keep(self, item, witness, ok):
+            deviations[item] = witness[2]
+            record(self, item, witness, ok)
+
+        monkeypatch.setattr(asymptotics.Ledger, "record", keep)
+        assert check_contour_shift(walk400, [(n, t)], tol=1e-8).passed
+        assert deviations[self.ITEMS[2]] <= 1e-13
 
     def test_oscillatory_alpha_rejected(self, walk400):
         with pytest.raises(ValidityError):

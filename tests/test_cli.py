@@ -145,8 +145,8 @@ class TestVerify:
         lines = capsys.readouterr().out.splitlines()
         assert lines[2] == ("PASS jacobi-identity: 5733 identity instances exact; "
                             "checked=5877")
-        assert lines[4] == ("PASS quadrature: max deviation 3.886e-16 through t=6; "
-                            "checked=28 worst=3.886e-16 tol=1e-09")
+        assert lines[4] == ("PASS quadrature: max deviation 3.331e-16 through t=6; "
+                            "checked=28 worst=3.331e-16 tol=1e-09")
 
     def test_fault_injection_fails_symmetry(self, tmp_path):
         code, data = run_pinned_verify(
