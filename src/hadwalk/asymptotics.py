@@ -21,14 +21,15 @@ oscillatory boundary, it matches the exact simulator, and it is the form for
 which the path-integral base b_pathintegral is provably identical.
 ``_decay_row`` is the one comparison of this law with an exact amplitude.
 
-The quadrature oracle reads every position at time t from one FFT of the
-momentum integrands sampled at N equispaced nodes: the periodic trapezoid
-rule (Trefethen & Weideman, SIAM Review 56, 2014, section 3), with N the
-least power of two >= 2t+2 at which its error is proved below the tolerance
-(``_node_count``).  The FFT is the module's own radix-2 transform (Cooley &
-Tukey, Math. Comp. 19, 1965) on lists of complex numbers.  The contour shift
-sums the same rule along a smooth periodic path through the saddle, so the
-module needs nothing beyond the standard library.
+The quadrature oracle reads every position at time t from one half-length
+transform per time: the periodic trapezoid rule (Trefethen & Weideman, SIAM
+Review 56, 2014, section 3) at N nodes, N the least power of two >= 2t+2 at
+which its error is proved below the tolerance (``_node_count``), with psi_R
+and psi_L packed into one complex sample list (Press et al., Numerical
+Recipes, section 12.3), folded to length N/2 for t's parity and transformed
+by the module's own radix-2 FFT (Cooley & Tukey, Math. Comp. 19, 1965).  The
+contour shift sums the same rule along a smooth periodic path through the
+saddle, so the module needs nothing beyond the standard library.
 """
 
 from __future__ import annotations
@@ -62,6 +63,7 @@ _SQRT2 = math.sqrt(2.0)
 _INV_SQRT2 = 1.0 / _SQRT2
 ARCSINH1 = math.asinh(1.0)
 _CUT_TOLERANCE = 1e-12
+_TOL_FLOOR = 1e-14  # below it rounding, not the trapezoid bound, sets the error
 
 
 class BranchCutError(ValueError):
@@ -217,27 +219,21 @@ def _decay_row(n: int, t: int, mantissa: int, eps: float) -> tuple:
 # quadrature oracles
 # ---------------------------------------------------------------------------
 
-class QuadratureResult(namedtuple("QuadratureResult", "value node_count")):
-    __slots__ = ()
-
-    @property
-    def real(self) -> float:
-        return self.value.real
+QuadratureResult = namedtuple("QuadratureResult", "value node_count")
 
 
-def _sample_integrands(thetas, t: int) -> tuple:
-    """Lists e^{i theta}/q e^{-i omega t} and (1 + cos theta/q) e^{-i omega t}
-    over ``thetas``: the psi_R, psi_L integrands without e^{-i theta n},
+def _sample_integrands(thetas, t: int) -> list:
+    """psi_R integrand + i psi_L integrand over ``thetas``, without e^{-i theta n}:
+    e^{i theta}/q e^{-i omega t} + i (1 + cos theta/q) e^{-i omega t},
     q = sqrt(1 + cos^2 theta); omega is real on the real line."""
-    right, left = [], []
+    samples = []
     for theta in thetas:
         c, s = math.cos(theta), math.sin(theta)
         q = math.sqrt(1.0 + c * c)
         om_t = math.asin(s * _INV_SQRT2) * t
-        phase = complex(math.cos(om_t), -math.sin(om_t))
-        right.append(complex(c, s) / q * phase)
-        left.append((1.0 + c / q) * phase)
-    return right, left
+        samples.append(complex(c / q, 1.0 + (c + s) / q)
+                       * complex(math.cos(om_t), -math.sin(om_t)))
+    return samples
 
 
 def _twiddles(n: int) -> list:
@@ -246,45 +242,16 @@ def _twiddles(n: int) -> list:
             for k in range(n // 2)]
 
 
-def _merge(even: list, odd: list, twiddles: list) -> list:
-    """Length-2m DFTs from length-m DFTs of the even- and odd-indexed samples.
-
-    ``even`` and ``odd`` each hold rows of m entries and row r of the result
-    is X[k] = E_r[k mod m] + e^{-i pi k/m} O_r[k mod m]; ``twiddles`` is
-    _twiddles(2m).  The rows are interleaved by whichever of rows and columns
-    is shorter.
-    """
-    m = len(twiddles)
-    rows = len(even) // m
-    odd = [w * o for w, o in zip(twiddles * rows, odd)]
-    low = [e + o for e, o in zip(even, odd)]
-    high = [e - o for e, o in zip(even, odd)]
-    out = [0j] * (2 * len(low))
-    if m <= rows:
-        for k in range(m):
-            out[k::2 * m] = low[k::m]
-            out[m + k::2 * m] = high[k::m]
-    else:
-        for r in range(0, len(low), m):
-            out[2 * r:2 * r + m] = low[r:r + m]
-            out[2 * r + m:2 * r + 2 * m] = high[r:r + m]
-    return out
-
-
 def _fft(x: list, twiddles: list) -> list:
     """DFT X[k] = sum_j x[j] e^{-2 pi i jk/n}, n = len(x) a power of two and
-    ``twiddles`` = _twiddles(n): iterative radix-2 decimation in time.
-
-    Before the stage that builds length-2m DFTs, row r of ``x`` is the DFT of
-    the samples j = r (mod n/m), so the rows for the even and odd samples of
-    residue r mod n/(2m) are row r of the first and of the second half.
-    """
-    n = len(x)
-    m = 1
-    while m < n:
-        x = _merge(x[:n // 2], x[n // 2:], twiddles[::n // (2 * m)])
-        m *= 2
-    return x
+    ``twiddles`` = _twiddles(n): recursive radix-2 decimation in time (Cooley
+    & Tukey), X[k] = E[k] + w^k O[k] and X[k + n/2] = E[k] - w^k O[k]."""
+    if len(x) == 1:
+        return list(x)
+    half = twiddles[0::2]
+    even = _fft(x[0::2], half)
+    odd = [w * o for w, o in zip(twiddles, _fft(x[1::2], half))]
+    return [e + o for e, o in zip(even, odd)] + [e - o for e, o in zip(even, odd)]
 
 
 def _node_count(t: int, tol: float) -> int:
@@ -310,7 +277,7 @@ def _node_count(t: int, tol: float) -> int:
     A = sqrt(1 + B^2), and x^2/A^2 + y^2/B^2 = sin^2 u cosh^2 a/(2 + sinh^2 a)
     + cos^2 u <= 1.  So |Im omega| <= arcsinh B = g(a), with equality at u = 0.
     """
-    if not 1e-14 <= tol < math.inf:
+    if not _TOL_FLOOR <= tol < math.inf:
         raise ValueError("tolerance not finite or below attainable double precision")
     least = 2 * t + 2
     need = math.inf
@@ -330,17 +297,26 @@ def _quadrature_row(t: int, tol: float) -> list:
     N = ``_node_count(t, tol)``.
 
     At theta_j = -pi + 2 pi j/N the N-node trapezoid sum at n is (-1)^n/N times
-    DFT entry n mod N; no |n| <= t aliases since N >= 2t+2.
+    DFT entry n mod N; no |n| <= t aliases since N >= 2t+2.  Both sums are
+    real (each integrand is conjugate-symmetric on these nodes), so the DFT
+    of the samples z = psi_R + i psi_L holds them as its real and imaginary
+    parts.  Only entries of t's parity are read: the N/2-point DFT of
+    y_j = z_j + z_{j+N/2} (t even) or (z_j - z_{j+N/2}) e^{-2 pi i j/N}
+    (t odd) holds them at (n mod N) // 2.
     """
     nodes = _node_count(t, tol)
+    half = nodes // 2
     step = 2.0 * math.pi / nodes
     twiddles = _twiddles(nodes)
-    spectra = [_fft(x, twiddles)
-               for x in _sample_integrands([-math.pi + j * step for j in range(nodes)], t)]
-    sign = -1.0 if t % 2 else 1.0
-    parts = [[QuadratureResult(sign * x[n % nodes] / nodes, nodes) for n in range(-t, t + 1, 2)]
-             for x in spectra]
-    return list(zip(*parts))
+    z = _sample_integrands([-math.pi + j * step for j in range(nodes)], t)
+    if t % 2:
+        y = [(a - b) * w for a, b, w in zip(z[:half], z[half:], twiddles)]
+    else:
+        y = [a + b for a, b in zip(z[:half], z[half:])]
+    spectrum = _fft(y, twiddles[0::2])
+    sign = (-1.0 if t % 2 else 1.0) / nodes
+    return [(QuadratureResult(sign * x.real, nodes), QuadratureResult(sign * x.imag, nodes))
+            for x in (spectrum[(n % nodes) // 2] for n in range(-t, t + 1, 2))]
 
 
 def quadrature_psi(n: int, t: int, tol: float = 1e-10) -> tuple:
@@ -348,8 +324,8 @@ def quadrature_psi(n: int, t: int, tol: float = 1e-10) -> tuple:
 
     Numeric oracle for the exact simulator: the two periodic integrals over
     [-pi, pi], divided by 2 pi, each within ``tol``, read at n from the row
-    that one FFT gives for every position at time t (``_quadrature_row``).
-    The imaginary part is pure noise.
+    that one half-length transform per time gives for every position at
+    time t (``_quadrature_row``).
     """
     _require_position(n, t)
     return _quadrature_row(t, tol)[(n + t) // 2]
@@ -367,8 +343,8 @@ def check_quadrature(walk: WalkCache, t_max: int, tol: float = 1e-9) -> Ledger:
         st = walk.state(t)
         row = _quadrature_row(t, tol * 0.1)
         for n, (qr, ql) in zip(range(-t, t + 1, 2), row):
-            dev = max(abs(qr.real - mantissa_to_float(st.mantissa_r(n), t)),
-                      abs(ql.real - mantissa_to_float(st.mantissa_l(n), t)))
+            dev = max(abs(qr.value - mantissa_to_float(st.mantissa_r(n), t)),
+                      abs(ql.value - mantissa_to_float(st.mantissa_l(n), t)))
             ledger.worst = max(ledger.worst, dev)
             ledger.record("momentum integral", (n, t, dev), dev <= tol)
     return ledger
@@ -448,7 +424,7 @@ def check_contour_shift(walk: WalkCache, points, tol: float = 1e-8) -> Ledger:
         real_line = sign * _path_sum(alpha, t, (0.0, 0.0, 0.0), nodes).real
         shifted = sign * _path_sum(alpha, t, _shifted_path(alpha), nodes).real
         # independent symmetry route: quadrature at the reflected position
-        reflected = sign * quadrature_psi(2 - n, t, tol=tol * 0.1)[0].real
+        reflected = sign * quadrature_psi(2 - n, t, tol=tol * 0.1)[0].value
         exact = mantissa_to_float(walk.state(t).mantissa_r(n), t)
         for item, dev in (("shifted contour == real line", abs(shifted - real_line)),
                           ("reflected position == real line", abs(reflected - real_line)),

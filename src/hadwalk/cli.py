@@ -124,6 +124,10 @@ class VerifyConfig(namedtuple("VerifyConfig",
                              f"--order {self.order} and --m-max {self.m_max}")
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ValueError(f"verify needs a finite --tol > 0, got {self.tol}")
+        # check_quadrature asks each time's row for tol * 0.1
+        if self.quad_t_max and self.tol * 0.1 < asymptotics._TOL_FLOOR:
+            raise ValueError(f"verify needs --tol >= {asymptotics._TOL_FLOOR * 10:g} "
+                             f"when --quad-t-max > 0, got {self.tol}")
         return self
 
     @classmethod

@@ -255,19 +255,18 @@ class TestPsiAsymptotic:
 class TestQuadrature:
     def test_t1_value(self):
         qr, _ = quadrature_psi(1, 1)
-        assert abs(qr.real - 0.7071067811865476) < 1e-12
-        assert abs(qr.value.imag) < 1e-12
+        assert abs(qr.value - 0.7071067811865476) < 1e-12
 
     def test_t0_left_unit(self):
         _, ql = quadrature_psi(0, 0)
-        assert abs(ql.real - 1.0) < 1e-12
+        assert abs(ql.value - 1.0) < 1e-12
 
     def test_t2_matches_exact_mantissas(self, walk400):
         for n in (-2, 0, 2):
             qr, ql = quadrature_psi(n, 2)
             exact_r, exact_l = exact(walk400, n, 2)
-            assert abs(qr.real - exact_r) < 1e-10
-            assert abs(ql.real - exact_l) < 1e-10
+            assert abs(qr.value - exact_r) < 1e-10
+            assert abs(ql.value - exact_l) < 1e-10
 
     def test_matches_exact_through_t20(self, walk400):
         for t in range(21):
@@ -276,8 +275,8 @@ class TestQuadrature:
                     continue
                 qr, ql = quadrature_psi(n, t, tol=1e-10)
                 exact_r, exact_l = exact(walk400, n, t)
-                assert abs(qr.real - exact_r) < 1e-9
-                assert abs(ql.real - exact_l) < 1e-9
+                assert abs(qr.value - exact_r) < 1e-9
+                assert abs(ql.value - exact_l) < 1e-9
 
     def test_domain_errors(self):
         with pytest.raises(ValueError, match="parity"):
@@ -303,6 +302,15 @@ class TestQuadrature:
 
 
 class TestQuadratureRow:
+    @pytest.mark.parametrize("n", [1 << p for p in range(11)])
+    def test_fft_matches_direct_dft(self, n):
+        rng = random.Random(n)
+        x = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(n)]
+        roots = [cmath.exp(-2j * math.pi * k / n) for k in range(n)]
+        dft = [sum(xj * roots[j * k % n] for j, xj in enumerate(x)) for k in range(n)]
+        got = asymptotics._fft(x, asymptotics._twiddles(n))
+        assert max(abs(a - b) for a, b in zip(got, dft)) <= 1e-12 * n
+
     @pytest.mark.parametrize("t, nodes", [(24, 128), (50, 128), (200, 512)])
     def test_final_node_count(self, t, nodes):
         # the least power of two >= 2t+2 at which the error bound is below tol
@@ -343,6 +351,26 @@ class TestQuadratureRow:
         assert ledger.passed, ledger.failures[:3]
         assert ledger.checked == 201 * 202 // 2
 
+    @pytest.mark.parametrize("t", [0, 1, 7, 24])
+    def test_each_value_is_its_own_trapezoid_sum(self, t):
+        # the packed, folded half-length transform gives, at every n, the
+        # direct N-node sum of that chirality's integrand alone
+        def integrands(theta):
+            q = math.sqrt(1.0 + math.cos(theta) ** 2)
+            phase = cmath.exp(-1j * math.asin(math.sin(theta) * INV_SQRT2) * t)
+            return cmath.exp(1j * theta) / q * phase, (1.0 + math.cos(theta) / q) * phase
+
+        row = asymptotics._quadrature_row(t, 1e-10)
+        nodes = row[0][0].node_count
+        thetas = [-math.pi + 2.0 * math.pi * j / nodes for j in range(nodes)]
+        samples = [integrands(theta) for theta in thetas]
+        for n, pair in zip(range(-t, t + 1, 2), row):
+            for k, part in enumerate(pair):
+                direct = sum(f[k] * cmath.exp(-1j * theta * n)
+                             for f, theta in zip(samples, thetas)) / nodes
+                assert isinstance(part.value, float)
+                assert abs(part.value - direct) <= 1e-13, (n, t, k)
+
     def test_point_oracle_is_a_view_of_the_row(self):
         row = asymptotics._quadrature_row(18, 1e-10)
         for n, pair in zip(range(-18, 19, 2), row):
@@ -355,10 +383,9 @@ class TestQuadratureRow:
     def test_dropping_one_over_q_fails_the_suite(self, walk400, monkeypatch):
         # negative control: the oracle is not a tautology of the simulator
         def without_q(thetas, t):
-            phases = [cmath.exp(-1j * math.asin(math.sin(theta) * INV_SQRT2) * t)
-                      for theta in thetas]
-            return ([cmath.exp(1j * theta) * phase for theta, phase in zip(thetas, phases)],
-                    [(1.0 + math.cos(theta)) * phase for theta, phase in zip(thetas, phases)])
+            return [(cmath.exp(1j * theta) + 1j * (1.0 + math.cos(theta)))
+                    * cmath.exp(-1j * math.asin(math.sin(theta) * INV_SQRT2) * t)
+                    for theta in thetas]
 
         monkeypatch.setattr(asymptotics, "_sample_integrands", without_q)
         ledger = asymptotics.check_quadrature(walk400, 24, tol=1e-9)

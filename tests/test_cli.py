@@ -145,8 +145,8 @@ class TestVerify:
         lines = capsys.readouterr().out.splitlines()
         assert lines[2] == ("PASS jacobi-identity: 5733 identity instances exact; "
                             "checked=5877")
-        assert lines[4] == ("PASS quadrature: max deviation 3.331e-16 through t=6; "
-                            "checked=28 worst=3.331e-16 tol=1e-09")
+        assert lines[4] == ("PASS quadrature: max deviation 4.233e-16 through t=6; "
+                            "checked=28 worst=4.233e-16 tol=1e-09")
 
     def test_fault_injection_fails_symmetry(self, tmp_path):
         code, data = run_pinned_verify(
@@ -226,6 +226,13 @@ class TestVerify:
         # the bridge relations need order >= m_max + 1
         with pytest.raises(ValueError, match="--order .* --m-max"):
             VerifyConfig(order=4)
+
+    def test_tol_floor_applies_only_to_the_quadrature_suite(self):
+        # check_quadrature asks each row for tol/10, and the rows accept >= 1e-14
+        assert VerifyConfig(tol=1e-13).tol == 1e-13
+        assert VerifyConfig(tol=5e-14, quad_t_max=0).tol == 5e-14
+        with pytest.raises(ValueError, match="--tol >= 1e-13"):
+            VerifyConfig(tol=5e-14)
 
     def test_make_and_replace_run_the_checks(self):
         # namedtuple builds these without __new__ unless _make goes through it
@@ -516,7 +523,7 @@ COMMANDS = {
         "--order": (range(7), [-1]),
         "--m-max": (range(7), [-3]),
         "--quad-t-max": (range(3), [-1]),
-        "--tol": (["1e-9", "1e308"], ["nan", "inf", "-inf", "0", "-1", "-1e308"]),
+        "--tol": (["1e-9", "1e308"], ["nan", "inf", "-inf", "0", "-1", "-1e308", "5e-14"]),
         "--seed": (range(3), []),
         "--inject-fault": ([None, ""], []),
         "--report": (["{ok}", "-"], BAD_PATHS),
@@ -578,6 +585,8 @@ class TestExitCodes:
 @pytest.mark.parametrize("argv, says", [
     (["simulate", "--t=-1", "--out", "{out}"], "steps must be nonnegative"),
     (["verify", "--tol", "0", "--report", "{out}"], "verify needs a finite --tol > 0"),
+    (["verify", "--tol", "5e-14", "--report", "{out}"],
+     "verify needs --tol >= 1e-13 when --quad-t-max > 0, got 5e-14"),
     (["verify", "--order", "3", "--m-max", "6", "--report", "{out}"],
      "verify needs --order > --m-max"),
     (["asymptotics", "--alpha-start", "0.8", "--alpha-stop", "0.9", "--alpha-step", "0.1",
@@ -606,7 +615,8 @@ class TestExitCodes:
     (["simulate", "--t", "4"], "simulate needs --out"),
     (["verify", "--inject-fault=1", "--report", "{out}"],
      "verify --inject-fault is a switch and takes no value")],
-    ids=["simulate-negative-t", "verify-tol-zero", "verify-order-below-m-max",
+    ids=["simulate-negative-t", "verify-tol-zero", "verify-tol-below-floor",
+         "verify-order-below-m-max",
          "asymptotics-t-zero", "asymptotics-t-not-int", "asymptotics-reversed-grid",
          "asymptotics-eps-nan", "asymptotics-grid-overflows", "no-command", "unknown-command",
          "verify-unknown-flag", "verify-flag-with-a-newline", "asymptotics-abbreviated-flag",
