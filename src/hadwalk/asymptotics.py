@@ -35,6 +35,7 @@ saddle, so the module needs nothing beyond the standard library.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import sys
 from collections import namedtuple
@@ -236,13 +237,14 @@ def _sample_integrands(thetas, t: int) -> list:
     return samples
 
 
-def _twiddles(n: int) -> list:
+@functools.cache  # N takes a few powers of two, so each table is built once
+def _twiddles(n: int) -> tuple:
     """e^{-2 pi i k/n} for k < n/2."""
-    return [complex(math.cos(2.0 * math.pi * k / n), -math.sin(2.0 * math.pi * k / n))
-            for k in range(n // 2)]
+    return tuple(complex(math.cos(2.0 * math.pi * k / n), -math.sin(2.0 * math.pi * k / n))
+                 for k in range(n // 2))
 
 
-def _fft(x: list, twiddles: list) -> list:
+def _fft(x: list, twiddles: tuple) -> list:
     """DFT X[k] = sum_j x[j] e^{-2 pi i jk/n}, n = len(x) a power of two and
     ``twiddles`` = _twiddles(n): recursive radix-2 decimation in time (Cooley
     & Tukey), X[k] = E[k] + w^k O[k] and X[k + n/2] = E[k] - w^k O[k]."""
@@ -252,6 +254,17 @@ def _fft(x: list, twiddles: list) -> list:
     even = _fft(x[0::2], half)
     odd = [w * o for w, o in zip(twiddles, _fft(x[1::2], half))]
     return [e + o for e, o in zip(even, odd)] + [e - o for e, o in zip(even, odd)]
+
+
+def _bound_term(a: float) -> tuple:
+    """(a, g(a), log(max(e^a, q + cosh a)/q)): the t-independent parts of
+    ``_node_count``'s bound at one a."""
+    q = math.sqrt((3.0 - math.cosh(2.0 * a)) / 2.0)
+    return (a, math.asinh(math.sinh(a) * _INV_SQRT2),
+            math.log(max(math.exp(a), q + math.cosh(a)) / q))
+
+
+_BOUND_TERMS = tuple(_bound_term(ARCSINH1 * k / 32) for k in range(1, 32))
 
 
 def _node_count(t: int, tol: float) -> int:
@@ -281,12 +294,8 @@ def _node_count(t: int, tol: float) -> int:
         raise ValueError("tolerance not finite or below attainable double precision")
     least = 2 * t + 2
     need = math.inf
-    for k in range(1, 32):
-        a = ARCSINH1 * k / 32
-        q = math.sqrt((3.0 - math.cosh(2.0 * a)) / 2.0)
-        log_m = t * math.asinh(math.sinh(a) * _INV_SQRT2) + math.log(
-            max(math.exp(a), q + math.cosh(a)) / q)
-        need = min(need, t + (math.log(2.0 / tol) + log_m
+    for a, g, log_factor in _BOUND_TERMS:
+        need = min(need, t + (math.log(2.0 / tol) + (t * g + log_factor)
                               - math.log1p(-math.exp(-a * least))) / a)
     return 1 << (max(least, math.ceil(need)) - 1).bit_length()
 

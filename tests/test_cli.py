@@ -275,6 +275,101 @@ class TestVerify:
         assert "time" not in captured.out
 
 
+# pinned report -> the verify flags that wrote it
+PINNED_REPORTS = {
+    "verify-pass.json": ["--t-max", "12", "--order", "8", "--m-max", "2", "--quad-t-max", "6"],
+    "verify-inject-fault.json": ["--t-max", "12", "--order", "8", "--m-max", "2",
+                                 "--quad-t-max", "4", "--inject-fault"],
+    "verify-vacuous.json": ["--t-max", "0", "--order", "0", "--quad-t-max", "0"],
+    "verify-default.json": [],
+}
+SMALL_RUN = ["verify", "--t-max", "6", "--order", "4", "--m-max", "1", "--quad-t-max", "2"]
+
+
+def counted_forks(monkeypatch, forked: bool) -> list:
+    """Sets which path run_verify takes; the list gets one entry per fork."""
+    monkeypatch.setattr(cli, "_two_cpus_usable", lambda: forked)
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    return forks
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _raises_boom(cfg, cache):
+    raise ValueError("boom")
+
+
+def _exits_3(cfg, cache):
+    os._exit(3)
+
+
+def _sends_200_kb(cfg, cache):
+    return {"passed": True, "vacuous": False, "detail": "x" * 200_000}, []
+
+
+class TestVerifyPaths:
+    """run_verify forks the suites of _FORKED_SUITES when two CPUs are usable,
+    and runs all of them in process otherwise; both write the same bytes."""
+
+    @pytest.mark.parametrize("pinned", sorted(PINNED_REPORTS))
+    def test_both_paths_write_the_same_bytes(self, tmp_path, capsys, monkeypatch, pinned):
+        outputs = []
+        for forked in (True, False):
+            forks = counted_forks(monkeypatch, forked)
+            code, data = run_pinned_verify(tmp_path, pinned, PINNED_REPORTS[pinned])
+            assert len(forks) == forked
+            captured = capsys.readouterr()
+            assert [line.partition(": ")[0] for line in captured.err.splitlines()] == [
+                f"time {name}" for name in sorted(cli._SUITES)]
+            outputs.append((code, captured.out))
+            if pinned == "verify-inject-fault.json":  # symmetry runs in the child
+                assert "symmetry" in cli._FORKED_SUITES
+                assert data["suites"]["symmetry"]["witness"] == {"n": -2, "t": 6}
+        assert outputs[0] == outputs[1]
+        assert [line.partition(":")[0].split()[1] for line in outputs[0][1].splitlines()] == \
+            sorted(cli._SUITES)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("suite, replacement, says", [
+        ("symmetry", _raises_boom, "configuration error: boom"),
+        ("symmetry", _exits_3, "I/O error: verify's forked suites exited with status 3 "),
+        ("lagrange", _raises_boom, "configuration error: boom"),
+    ], ids=["child-raises", "child-exits", "caller-raises"])
+    def test_a_failed_half_keeps_the_exit_code_contract(self, tmp_path, capsys, monkeypatch,
+                                                        suite, replacement, says):
+        assert "symmetry" in cli._FORKED_SUITES and "lagrange" not in cli._FORKED_SUITES
+        forks = counted_forks(monkeypatch, True)
+        monkeypatch.setitem(cli._SUITES, suite, replacement)
+        report = tmp_path / "report.json"
+        assert main([*SMALL_RUN, "--report", str(report)]) == 2
+        assert len(forks) == 1 and not report.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(says)
+        assert_no_child_left()
+
+    def test_a_result_beyond_the_pipe_buffer_arrives(self, tmp_path, capsys, monkeypatch):
+        # the caller reads the pipe to EOF before it waits for the child
+        counted_forks(monkeypatch, True)
+        monkeypatch.setitem(cli._SUITES, "symmetry", _sends_200_kb)
+        report, ledgers, seconds = cli.run_verify(VerifyConfig(t_max=6, order=4, m_max=1,
+                                                               quad_t_max=2))
+        assert report["suites"]["symmetry"]["detail"] == "x" * 200_000
+        assert ledgers["symmetry"] == [] and list(seconds) == sorted(cli._SUITES)
+        assert_no_child_left()
+
+    def test_one_cpu_or_no_affinity_runs_in_process(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert not cli._two_cpus_usable()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+        assert cli._two_cpus_usable()
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert not cli._two_cpus_usable()
+
+
 class TestAsymptoticsCmd:
     def test_table_contents(self, tmp_path):
         out = tmp_path / "asym.csv"
@@ -458,7 +553,8 @@ class TestPackage:
         code = ("import sys\n"
                 "sys.path.insert(0, sys.argv[1])\n"
                 "import hadwalk, hadwalk.cli\n"
-                "print(sorted({'argparse', 'dataclasses', 'inspect', 'typing', 'numpy'}\n"
+                "print(sorted({'argparse', 'dataclasses', 'inspect', 'typing', 'numpy',\n"
+                "              'pickle'}\n"
                 "             & set(sys.modules)))\n")
         # -S: no site, whose .pth files may load typing themselves; -B: -E drops
         # PYTHONDONTWRITEBYTECODE, and the test must leave no .pyc in src
