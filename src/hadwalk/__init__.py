@@ -6,9 +6,8 @@ from .jacobi import (check_jacobi_identities, check_reflections, jacobi_at,
                      psi_closed_l, psi_closed_r)
 from .genfun import (closed_form_series, definitional_series, equivalence_ledger,
                      jacobi_generating, lagrange_invert, srivastava_singhal_series)
-from .asymptotics import (b_pathintegral, btilde, check_contour_shift,
-                          growth_check, omega, psi_asymptotic, quadrature_psi,
-                          saddle)
+from .asymptotics import (b_pathintegral, btilde, check_contour_shift, omega,
+                          psi_asymptotic, quadrature_psi, saddle)
 
 __version__ = "0.1.0"
 
@@ -21,6 +20,6 @@ __all__ = [
     "jacobi_generating", "equivalence_ledger", "lagrange_invert",
     "srivastava_singhal_series",
     "omega", "saddle", "btilde", "b_pathintegral", "psi_asymptotic",
-    "quadrature_psi", "check_contour_shift", "growth_check",
+    "quadrature_psi", "check_contour_shift",
     "__version__",
 ]

@@ -19,7 +19,8 @@ positive imaginary axis and the per-step decay base is
 the sqrt(2)-denominator form: it is the unique choice with Btilde -> 1 at the
 oscillatory boundary, it matches the exact simulator, and it is the form for
 which the path-integral base b_pathintegral is provably identical.
-``_decay_row`` is the one comparison of this law with an exact amplitude.
+``_decay_row`` is the one comparison of this law with an exact amplitude, in
+floats or, below the normal floats, on the logs of both amplitudes.
 
 The quadrature oracle reads every position at time t from one half-length
 transform per time: the periodic trapezoid rule (Trefethen & Weideman, SIAM
@@ -48,8 +49,6 @@ __all__ = [
     "omega",
     "BranchCutError",
     "ValidityError",
-    "GrowthBoundError",
-    "growth_check",
     "saddle",
     "btilde",
     "b_pathintegral",
@@ -75,10 +74,6 @@ class ValidityError(ValueError):
     """alpha outside the region where the requested expansion is valid."""
 
 
-class GrowthBoundError(AssertionError):
-    """Measured growth violates the large-|Im theta| bounds."""
-
-
 def omega(theta: complex) -> complex:
     """Principal-branch phase value; raises BranchCutError on the cuts.
 
@@ -93,29 +88,6 @@ def omega(theta: complex) -> complex:
             and abs(abs(u) - math.pi / 2) <= _CUT_TOLERANCE):
         raise BranchCutError(f"theta={theta} lies on a branch cut")
     return cmath.asin(cmath.sin(theta) * _INV_SQRT2)
-
-
-def growth_check(u: float, v: float, t: int) -> float:
-    """Measured |exp(-i omega(u+iv) t)| for large v, with its growth asserted.
-
-    Inside |u| < pi/2 the modulus must track (e^v / sqrt2)^t, in the outer
-    strips (sqrt2 e^-v)^t, within a factor 4^t of those forms.
-    """
-    if v <= 0:
-        raise ValueError("growth bounds are stated for v > 0")
-    if abs(abs(u) - math.pi / 2) < 1e-6:
-        raise ValueError("u too close to +-pi/2: ill-conditioned")
-    om = omega(complex(u, v))
-    measured = abs(cmath.exp(-1j * om * t))
-    if abs(u) < math.pi / 2:
-        reference = (math.exp(v) * _INV_SQRT2) ** t
-    else:
-        reference = (_SQRT2 * math.exp(-v)) ** t
-    bound = 4.0**t
-    if not (reference / bound <= measured <= reference * bound):
-        raise GrowthBoundError(
-            f"|e^(-i omega t)| = {measured:g} vs reference {reference:g} at u={u}, v={v}")
-    return measured
 
 
 def _check_alpha(alpha: float, eps: float) -> None:
@@ -165,15 +137,20 @@ def b_pathintegral(alpha: float) -> float:
             * ((alpha * alpha + s) / (1.0 - alpha * alpha)) ** ((1.0 - alpha) / 2.0))
 
 
-def _asym_pair(n: int, t: int) -> tuple:
-    """Steepest-descent values for 0 < n < t in the decay region."""
+def _asym_terms(n: int, t: int) -> tuple:
+    """(a + s, t log Btilde(a), 2 pi (1 - a^2) s t) at a = n/t for 0 < n < t
+    in the decay region: |psi_R(n, t)| ~ (a + s) e^(t log Btilde)/sqrt(the last)."""
     a = n / t
     s = math.sqrt(2.0 * a * a - 1.0)
-    base = btilde(a)
-    scale = math.exp(t * math.log(base)) / math.sqrt(
-        2.0 * math.pi * (1.0 - a * a) * s * t)
-    psi_r = (-1.0) ** (n + 1) * (a + s) * scale
-    psi_l = (-1.0) ** n * (1.0 - a) * scale
+    return a + s, t * math.log(btilde(a)), 2.0 * math.pi * (1.0 - a * a) * s * t
+
+
+def _asym_pair(n: int, t: int) -> tuple:
+    """Steepest-descent values for 0 < n < t in the decay region."""
+    lead, growth, spread = _asym_terms(n, t)
+    scale = math.exp(growth) / math.sqrt(spread)
+    psi_r = (-1.0) ** (n + 1) * lead * scale
+    psi_l = (-1.0) ** n * (1.0 - n / t) * scale
     return psi_r, psi_l
 
 
@@ -199,21 +176,50 @@ def psi_asymptotic(n: int, t: int, eps: float = 1e-3) -> tuple:
     return psi_r, psi_l
 
 
+def _log_decimal(negative: bool, log_abs: float) -> str:
+    """-e^log_abs or e^log_abs as a decimal of 17 significant digits, for a
+    value below the normal floats."""
+    power = log_abs / math.log(10.0)
+    exponent = math.floor(power)
+    return f"{'-' if negative else ''}{10.0 ** (power - exponent):.17g}e{exponent}"
+
+
 def _decay_row(n: int, t: int, mantissa: int, eps: float) -> tuple:
     """(exact, asymptotic, rel_error, btilde, b, status) of the right amplitude
     at (n, t), exact = mantissa * 2^(-t/2) from the caller's oracle (0 outside
     the light cone); None where the row has no value.  status is ``excluded``
-    where psi_asymptotic does not hold, ``underflow`` where either amplitude
-    is below the normal floats and so has lost its digits, else ``ok``."""
+    where psi_asymptotic does not hold, else ``ok``.
+
+    Two normal floats are compared as floats; otherwise the logs and signs
+    are.  log|exact| = log|mantissa| - (t/2) log 2, where math.log reads a
+    big int's leading bits and length; log|asymptotic| is ``_asym_pair``'s
+    psi_R without its exp, at |n| + 2 for n < 0 as in psi_asymptotic, whose
+    float keeps the sign as +-0.0.  With equal signs rel_error =
+    |expm1(log|asymptotic| - log|exact|)|.  An amplitude below the normal
+    floats comes back as the string ``_log_decimal`` makes of its log, good
+    to about 1e-11 relative.  The log of the exact amplitude is finite: no
+    zero lies in t/sqrt2 < |n| < t (tested to t = 400)."""
     exact = mantissa_to_float(mantissa, t)
     try:
         asym, _ = psi_asymptotic(n, t, eps=eps)
     except ValidityError:
         return exact, None, None, None, None, "excluded"
     a = abs(n) / t
-    if min(abs(exact), abs(asym)) < sys.float_info.min:
-        return exact, asym, None, btilde(a), b_pathintegral(a), "underflow"
-    return exact, asym, abs(asym / exact - 1.0), btilde(a), b_pathintegral(a), "ok"
+    tiny = sys.float_info.min
+    if abs(exact) >= tiny and abs(asym) >= tiny:
+        return exact, asym, abs(asym / exact - 1.0), btilde(a), b_pathintegral(a), "ok"
+    log_exact = math.log(abs(mantissa)) - t / 2 * math.log(2.0)
+    lead, growth, spread = _asym_terms(n if n >= 0 else 2 - n, t)
+    log_asym = math.log(lead) + growth - 0.5 * math.log(spread)
+    negative_exact, negative_asym = mantissa < 0, math.copysign(1.0, asym) < 0
+    gap = log_asym - log_exact
+    rel_error = (abs(math.expm1(gap)) if negative_exact == negative_asym
+                 else 1.0 + math.exp(gap))
+    if abs(exact) < tiny:
+        exact = _log_decimal(negative_exact, log_exact)
+    if abs(asym) < tiny:
+        asym = _log_decimal(negative_asym, log_asym)
+    return exact, asym, rel_error, btilde(a), b_pathintegral(a), "ok"
 
 
 # ---------------------------------------------------------------------------

@@ -34,8 +34,10 @@ from types import SimpleNamespace
 from . import asymptotics, genfun, jacobi, walk
 
 
-def _fmt(x: float | None) -> str:
-    return "" if x is None else format(x, ".17g")
+def _fmt(x: float | str | None) -> str:
+    """A float at 17 significant digits; a decimal string (an amplitude
+    below the normal floats, ``asymptotics._log_decimal``) as it is."""
+    return "" if x is None else x if isinstance(x, str) else format(x, ".17g")
 
 
 def _exact_str(mantissa: int, t: int) -> str:
@@ -300,16 +302,22 @@ def _current_cpu() -> int | None:
         return None
 
 
+class _ChildTraceback(Exception):
+    """The traceback text of an exception raised in verify's forked child."""
+
+
 def _run_forked(cfg: VerifyConfig, names) -> dict:
     """``_run_suites`` over ``names``: those in _FORKED_SUITES in a forked
     child, the rest here at the same time.
 
     The child moves itself off the caller's CPU: a kernel may leave a forked
     child on its parent's CPU, and then the halves take turns, not run side
-    by side.  It pickles its results, or the exception its half raised, into
-    one pipe, and the exception is raised again here.  A child that exits
-    without sending a result raises OSError.  The child is reaped on every
-    path."""
+    by side.  It pickles its results, or the exception its half raised with
+    that exception's traceback text, into one pipe, and the exception is
+    raised again here with the text as its cause (``_ChildTraceback``, as
+    concurrent.futures does), so a failure shows the child's frames.  A child
+    that exits without sending a result raises OSError.  The child is reaped
+    on every path."""
     import pickle  # only verify moves objects between processes
 
     others = set()
@@ -326,7 +334,8 @@ def _run_forked(cfg: VerifyConfig, names) -> dict:
             try:
                 result = _run_suites(cfg, [name for name in names if name in _FORKED_SUITES])
             except BaseException as exc:  # sent to the caller, which raises it again
-                result = exc
+                import traceback
+                result = exc, traceback.format_exc()
             with open(write_fd, "wb") as pipe:
                 pickle.dump(result, pipe, pickle.HIGHEST_PROTOCOL)
             status = 0
@@ -344,8 +353,9 @@ def _run_forked(cfg: VerifyConfig, names) -> dict:
         raise OSError(f"verify's forked suites exited with status {status} "
                       "without sending a result")
     theirs = pickle.loads(payload)
-    if isinstance(theirs, BaseException):
-        raise theirs
+    if isinstance(theirs, tuple):
+        exc, text = theirs
+        raise exc from _ChildTraceback(text)
     results.update(theirs)
     return results
 

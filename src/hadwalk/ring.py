@@ -11,9 +11,9 @@ product's digits are read back, over the product of the denominators.  A sum
 cross-multiplies, and scaling by q sqrt(2)^k multiplies through.  The
 reciprocal runs its recurrence over one common denominator that each step
 extends only by the factor its new term needs, so the integers stay near the
-size of the reduced result.  The rational power runs its recurrence over
-powers of the constant term's numerator, and the square root is the power 1/2
-of the series over its constant term.  Each operation ends with one pass that
+size of the reduced result.  The rational power of a series whose constant
+term is 1 runs its recurrence over powers of that term's numerator, and the
+square root is its power 1/2.  Each operation ends with one pass that
 absorbs any power of 2 out of sqrt(2)^grade, (sqrt 2)^(2e + b) = 2^e
 (sqrt 2)^b, and one gcd pass, which keeps gcd(den, *nums) == 1, so equal
 series have equal parts.
@@ -66,27 +66,6 @@ def _canonical(nums, den: int, order: int, grade: int) -> "RationalSeries":
     series = object.__new__(RationalSeries)
     series._set(nums, den, order, grade)
     return series
-
-
-def _constant_root(c0: Fraction, grade: int) -> tuple:
-    """(r, k) with r rational and (r sqrt(2)**k)**2 == c0 sqrt(2)**grade.
-
-    A nonzero value has a root in the ring iff it is rational, positive and
-    of the form (a/b)**2 * 2**j; the root is then (a/b) * sqrt(2)**j.  Zero and
-    every other value raise ValueError.
-    """
-    if c0 == 0:
-        raise ValueError("series has no square root in ring")
-    if not grade and c0 > 0:
-        num, den = c0.numerator, c0.denominator
-        tn = (num & -num).bit_length() - 1
-        td = (den & -den).bit_length() - 1
-        num >>= tn
-        den >>= td
-        rn, rd = math.isqrt(num), math.isqrt(den)
-        if rn * rn == num and rd * rd == den:
-            return Fraction(rn, rd), tn - td
-    raise ValueError("series has no square root in ring")
 
 
 def _powers(base, top: int, first=1) -> list:
@@ -298,19 +277,12 @@ class RationalSeries:
     def __truediv__(self, other) -> "RationalSeries":
         if isinstance(other, (int, Fraction)):
             return self.scaled(1 / Fraction(other))
-        if isinstance(other, RationalSeries):
-            return self * other.reciprocal()
         return NotImplemented
 
     def sqrt(self) -> "RationalSeries":
-        """Series square root; the constant term must be a square in the ring.
-
-        self = c0 (1 + u) with c0 rational, and the root is
-        root(c0) (1 + u)^(1/2), the binomial power of ``pow_rational``.
-        """
-        c0 = self.coefficient(0)
-        root0, k = _constant_root(c0, self.grade)
-        return self.scaled(1 / c0).pow_rational(Fraction(1, 2)).scaled(root0, k)
+        """Series square root (1 + u)^(1/2), the binomial power of
+        ``pow_rational``; requires constant term 1."""
+        return self.pow_rational(Fraction(1, 2))
 
     def pow_int(self, n: int) -> "RationalSeries":
         """Integer power; negative exponents go through the reciprocal."""

@@ -307,6 +307,10 @@ def _exits_3(cfg, cache):
     os._exit(3)
 
 
+def _raises_type_error(cfg, cache):
+    raise TypeError("not a suite result")
+
+
 def _sends_200_kb(cfg, cache):
     return {"passed": True, "vacuous": False, "detail": "x" * 200_000}, []
 
@@ -361,6 +365,18 @@ class TestVerifyPaths:
         assert ledgers["symmetry"] == [] and list(seconds) == sorted(cli._SUITES)
         assert_no_child_left()
 
+    def test_a_child_error_shows_the_child_frame(self, monkeypatch):
+        # the child's traceback text is the cause of the error raised again here
+        assert "symmetry" in cli._FORKED_SUITES
+        counted_forks(monkeypatch, True)
+        monkeypatch.setitem(cli._SUITES, "symmetry", _raises_type_error)
+        with pytest.raises(TypeError, match="not a suite result") as raised:
+            cli.run_verify(VerifyConfig(t_max=6, order=4, m_max=1, quad_t_max=2))
+        cause = raised.value.__cause__
+        assert isinstance(cause, cli._ChildTraceback)
+        assert ", in _raises_type_error\n    raise TypeError(" in str(cause)
+        assert_no_child_left()
+
     def test_one_cpu_or_no_affinity_runs_in_process(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         assert not cli._two_cpus_usable()
@@ -395,19 +411,21 @@ class TestAsymptoticsCmd:
 
     def test_underflow_rows_compare_nothing(self, tmp_path):
         # at alpha 0.9, t = 8000 both amplitudes are below the normal floats
-        # (~3e-536): the row reads underflow with no rel_error, not an ok inf
+        # (~3e-536): the row is compared on their logs, not left without a
+        # rel_error, and prints each amplitude as a decimal read from its log
         out = tmp_path / "asym.csv"
         code = main(["asymptotics", "--alpha-start", "0.8", "--alpha-stop", "0.9",
                      "--alpha-step", "0.1", "--t", "4000,8000", "--out", str(out)])
         assert code == 0
         rows = {(r["alpha"][:3], r["t"]): r for r in read_csv(out)}
         assert len(rows) == 4
-        low = rows.pop(("0.9", "8000"))
-        assert low["status"] == "underflow" and low["rel_error"] == ""
-        assert abs(float(low["exact"])) < sys.float_info.min
         for r in rows.values():
             assert r["status"] == "ok"
             assert 0 < float(r["rel_error"]) < 1e-3
+        low = rows[("0.9", "8000")]
+        assert low["exact"].endswith("e-536") and low["asymptotic"].endswith("e-536")
+        exact = Fraction(jacobi.psi_closed_r(7200, 8000), 2**4000)
+        assert abs(Fraction(low["exact"]) / exact - 1) < 1e-10
 
     def test_bad_t_list_exits_2(self, tmp_path):
         code = main(["asymptotics", "--alpha-start", "0.8", "--alpha-stop",
@@ -567,7 +585,6 @@ class TestPackage:
         "binomial": "a per-layer span of perfbench/tracer.py",
         "closed_form_series": "a per-layer span of perfbench/tracer.py",
         "psi_closed_l": "psi_closed_r's other chirality at every (n, t); a tracer span",
-        "growth_check": "waits for verify to check the steepest-descent law",
         "check_contour_shift": "waits for verify to check the steepest-descent law",
     }
 
