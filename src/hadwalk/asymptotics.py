@@ -184,6 +184,32 @@ def _log_decimal(negative: bool, log_abs: float) -> str:
     return f"{'-' if negative else ''}{10.0 ** (power - exponent):.17g}e{exponent}"
 
 
+def _exact_decimal(mantissa: int, t: int) -> str:
+    """mantissa * 2^(-t/2) as a decimal of 17 significant digits, correctly
+    rounded, for a value below 1: with v = |mantissa| 2^(-t/2) and k > 0,
+    q = isqrt(mantissa^2 10^(2k) >> t) = floor(10^k v) exactly, and k is
+    stepped until q has 18 digits, the last a guard digit; a tie (q exact,
+    guard 5) rounds to even."""
+    square = mantissa * mantissa
+    k = 17 - math.floor(math.log10(abs(mantissa)) - t / 2 * math.log10(2.0))
+    while True:
+        q = math.isqrt(square * 10 ** (2 * k) >> t)
+        if q < 10**17:
+            k += 1
+        elif q >= 10**18:
+            k -= 1
+        else:
+            break
+    digits, guard = divmod(q, 10)
+    if guard > 5 or guard == 5 and (digits % 2 or q * q << t != square * 10 ** (2 * k)):
+        digits += 1
+    if digits == 10**17:
+        digits, k = 10**16, k - 1
+    text = str(digits)
+    frac = text[1:].rstrip("0")
+    return f"{'-' if mantissa < 0 else ''}{text[0]}{'.' if frac else ''}{frac}e{17 - k}"
+
+
 def _decay_row(n: int, t: int, mantissa: int, eps: float) -> tuple:
     """(exact, asymptotic, rel_error, btilde, b, status) of the right amplitude
     at (n, t), exact = mantissa * 2^(-t/2) from the caller's oracle (0 outside
@@ -196,9 +222,11 @@ def _decay_row(n: int, t: int, mantissa: int, eps: float) -> tuple:
     psi_R without its exp, at |n| + 2 for n < 0 as in psi_asymptotic, whose
     float keeps the sign as +-0.0.  With equal signs rel_error =
     |expm1(log|asymptotic| - log|exact|)|.  An amplitude below the normal
-    floats comes back as the string ``_log_decimal`` makes of its log, good
-    to about 1e-11 relative.  The log of the exact amplitude is finite: no
-    zero lies in t/sqrt2 < |n| < t (tested to t = 400)."""
+    floats comes back as a decimal string: the exact one from the mantissa's
+    integers (``_exact_decimal``), correctly rounded, the asymptotic one
+    from its log (``_log_decimal``), good to about 1e-11 relative.  The log
+    of the exact amplitude is finite: no zero lies in t/sqrt2 < |n| < t
+    (tested to t = 400)."""
     exact = mantissa_to_float(mantissa, t)
     try:
         asym, _ = psi_asymptotic(n, t, eps=eps)
@@ -216,7 +244,7 @@ def _decay_row(n: int, t: int, mantissa: int, eps: float) -> tuple:
     rel_error = (abs(math.expm1(gap)) if negative_exact == negative_asym
                  else 1.0 + math.exp(gap))
     if abs(exact) < tiny:
-        exact = _log_decimal(negative_exact, log_exact)
+        exact = _exact_decimal(mantissa, t)
     if abs(asym) < tiny:
         asym = _log_decimal(negative_asym, log_asym)
     return exact, asym, rel_error, btilde(a), b_pathintegral(a), "ok"

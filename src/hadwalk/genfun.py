@@ -11,22 +11,26 @@ where psiTilde_L(n, t) = t/(t-n) * psi_L(n, t) for n < t; at the n = t
 boundary the inversion is singular and the value is taken from the Jacobi
 forms instead (see ``_h_boundary`` / ``_i_boundary``).
 
-Closed forms, with R = sqrt(1+z^2) and D = 1 - z + R:
+The odd-time families F and H carry one factor sqrt(2)^(-1) each, so both
+are held times sqrt(2): the coefficients of sqrt(2) F_m and sqrt(2) H_m are
+rational (for F, the simulator mantissa over 2^t), and every series here is
+a ``RationalSeries`` over Q.  Closed forms, with R = sqrt(1+z^2) and
+D = 1 - z + R:
 
-    F_m = 2^(m-1/2) z^m / (R D^(2m))
+    sqrt(2) F_m = 2^m z^m / (R D^(2m))
     G_m = -2^(m-1) z^m / (R D^(2m-1)),  m >= 1;   G_0 = z / (R D)
-    H_m = -2^(m-1/2) (1+z) z^m / (R D^(2m+1))
+    sqrt(2) H_m = -2^m (1+z) z^m / (R D^(2m+1))
     I_m = 2^(m-1) (1+z) z^m / (R D^(2m)),  m >= 1;   I_0 = 1/2 + (1+z)/(2R)
 
 The family map above is written once, in ``_closed_core``, which reads a
-body 1/(R D^k) times sqrt(2)^grade in one pass over its integers.  The
+body 1/(R D^k) in one pass over its integers.  The
 basis is written once too: ``_basis`` returns R, D and D+ = 1 + z + R (with
 R = sqrt(1 - 2xz + z^2) off x = 0), and every caller here reads it.  The
 equivalence ledger builds one basis per call: R, D, 1/R and 1/D once.  Its
 closed side inverts R D^(2 m_max + 1) once and steps down, 1/(R D^k) =
 1/(R D^(k+1)) times D (I_0 reads k = 0, 1/R); its Jacobi side steps D^(-k)
 by one product each and builds the generating series R^(-1) (D^(-1))^k 2^k
-once per k, which the same map reads at grade -2k, the reassembly.  Every
+once per k, which the same map reads times 2^(-k), the reassembly.  Every
 family with exponent k reads the same two bodies.  The two routes share R, D
 and the map, never each other's bodies.  ``closed_form_series`` and
 ``jacobi_generating`` are one-shot wrappers around the same cores
@@ -100,42 +104,34 @@ def _d_exponent(family: Family, m: int) -> int:
     return 2 * m
 
 
-def _closed_core(family: Family, m: int, body: RationalSeries,
-                 grade: int = 0) -> RationalSeries:
-    """Closed form of ``family``'s m-th series from body sqrt(2)^grade, where
-    body = 1/(R D^k) with k = ``_d_exponent(family, m)``.
+def _closed_core(family: Family, m: int, body: RationalSeries) -> RationalSeries:
+    """Closed form of ``family``'s m-th series (times sqrt(2) for F and H)
+    from body = 1/(R D^k) with k = ``_d_exponent(family, m)``.
 
-    One pass on the body's integers: (1+z) body is nums[i] + nums[i-1], and
-    the shift by z^m, the sign and the sqrt(2) exponent of the family all go
-    into one ``_canonical`` call, the sign through the denominator's.  I_0 adds
-    1/2, which needs an even total grade; an odd one raises ValueError.
+    One pass on the body's integers: (1+z) body is nums[i] + nums[i-1], the
+    shift by z^m and the family's power of 2 go into the numerators, and
+    the sign into one ``_canonical`` call through the denominator's.  I_0
+    adds 1/2 over twice the body's denominator.
     """
     nums, den, order = body.nums, body.den, body.order
-    grade += body.grade
     if family in ("H", "I"):
         nums = (nums[0], *map(operator.add, nums[1:], nums))
     if family == "I" and m == 0:
-        # 1/2 + (1+z) body sqrt(2)^grade / 2, with sqrt(2)^grade = 2^e
-        if grade % 2:
-            raise ValueError("cannot combine series of mixed sqrt(2) grade")
-        e = grade // 2
-        if e >= 0:
-            nums = [a << e for a in nums]
-        else:
-            den <<= -e
-        return _canonical([nums[0] + den, *nums[1:]], 2 * den, order, 0)
-    # 2^(m-1/2) = sqrt(2)^(2m-1) and 2^(m-1) = sqrt(2)^(2m-2); G_0 = z body
+        # 1/2 + (1+z) body / 2
+        return _canonical([nums[0] + den, *nums[1:]], 2 * den, order)
+    # 2^m for sqrt(2) F_m and sqrt(2) H_m, 2^(m-1) for G_m and I_m; G_0 = z body
     if family == "G" and m == 0:
         sign, exponent, m = 1, 0, 1
     else:
         sign = -1 if family in ("G", "H") else 1
-        exponent = 2 * m - 1 if family in ("F", "H") else 2 * m - 2
-    nums = (0,) * m + nums[:order + 1 - m]
-    return _canonical(nums, sign * den, order, grade + exponent)
+        exponent = m if family in ("F", "H") else m - 1
+    nums = [a << exponent for a in (0,) * m + nums[:order + 1 - m]]
+    return _canonical(nums, sign * den, order)
 
 
 def closed_form_series(family: Family, m: int, order: int) -> RationalSeries:
-    """Exact truncated series of the closed form of ``family``'s m-th series."""
+    """Exact truncated series of the closed form of ``family``'s m-th series;
+    for F and H, of that series times sqrt(2)."""
     _check_series(family, m, order)
     root, big_d, _ = _basis(order)
     body = (root * big_d.pow_int(_d_exponent(family, m))).reciprocal()
@@ -143,9 +139,9 @@ def closed_form_series(family: Family, m: int, order: int) -> RationalSeries:
 
 
 def _h_boundary(m: int) -> Fraction:
-    """psiTilde_L(2m+1, 2m+1) / sqrt(2): -2^(-m-2) [J_0 + J_{-1}]."""
+    """sqrt(2) psiTilde_L(2m+1, 2m+1): -2^(-m-1) [J_0 + J_{-1}]."""
     j = jacobi_at(0, 2 * m + 1, 0) + jacobi_at(-1, 2 * m + 1, 0)
-    return -Fraction(1, 2 ** (m + 2)) * j
+    return -Fraction(1, 2 ** (m + 1)) * j
 
 
 def _i_boundary(m: int) -> Fraction:
@@ -158,36 +154,37 @@ def _i_boundary(m: int) -> Fraction:
 
 def definitional_series(family: Family, m: int, order: int,
                         walk: WalkCache) -> RationalSeries:
-    """Series whose coefficient t is the exact simulator amplitude.
+    """Series whose coefficient t is the exact simulator amplitude, times
+    sqrt(2) for F and H.
 
-    The numerators are ints over one denominator: 2^(order+1) for F and G,
-    and for H and I 2^(order+2) times lcm(1..order-m), which clears every
-    t/(t-m) of psiTilde_L, with the boundary value scaled in.  The series is
-    canonicalised once.
+    The numerators are ints over one denominator: 2^order for F,
+    2^(order+1) for G, and for H and I 2^(order+1) times lcm(1..order-m),
+    which clears every t/(t-m) of psiTilde_L, with the boundary value scaled
+    in.  The series is canonicalised once.
     """
     _check_series(family, m, order)
     nums = [0] * m  # t < m: position 2m (or 2m+1) is outside the light cone
     top = order + 1
     if family == "F":
-        # amplitude mantissa * sqrt(2)^(-(2t+1)) == (mantissa/2^(t+1)) * sqrt2
+        # sqrt2 * mantissa * sqrt(2)^(-(2t+1)) == mantissa / 2^t
         nums += [walk.state(2 * t + 1).mantissa_r(2 * m + 1) << (order - t)
                  for t in range(m, top)]
-        return _canonical(nums, 1 << top, order, 1)
+        return _canonical(nums, 1 << order, order)
     if family == "G":
         nums += [walk.state(2 * t).mantissa_r(2 * m) << (top - t) for t in range(m, top)]
-        return _canonical(nums, 1 << top, order, 0)
+        return _canonical(nums, 1 << top, order)
     boundary = _h_boundary(m) if family == "H" else _i_boundary(m)
-    den = math.lcm(math.lcm(*range(1, order - m + 1)) << (order + 2), boundary.denominator)
+    den = math.lcm(math.lcm(*range(1, order - m + 1)) << top, boundary.denominator)
     nums.append(boundary.numerator * (den // boundary.denominator))
     if family == "H":
-        # psiTilde_L / sqrt2 == (2t+1) mantissa / ((t-m) 2^(t+2))
+        # sqrt2 * psiTilde_L == (2t+1) mantissa / ((t-m) 2^(t+1))
         nums += [(2 * t + 1) * walk.state(2 * t + 1).mantissa_l(2 * m + 1)
-                 * (den // ((t - m) << (t + 2))) for t in range(m + 1, top)]
-        return _canonical(nums, den, order, 1)
-    # psiTilde_L == t mantissa / ((t-m) 2^t)
-    nums += [t * walk.state(2 * t).mantissa_l(2 * m) * (den // ((t - m) << t))
-             for t in range(m + 1, top)]
-    return _canonical(nums, den, order, 0)
+                 * (den // ((t - m) << (t + 1))) for t in range(m + 1, top)]
+    else:
+        # psiTilde_L == t mantissa / ((t-m) 2^t)
+        nums += [t * walk.state(2 * t).mantissa_l(2 * m) * (den // ((t - m) << t))
+                 for t in range(m + 1, top)]
+    return _canonical(nums, den, order)
 
 
 def _record_bridge(ledger: Ledger, item: str, m: int, rhs: RationalSeries,
@@ -197,17 +194,18 @@ def _record_bridge(ledger: Ledger, item: str, m: int, rhs: RationalSeries,
     equal = rhs == lhs
     index = None if equal else next(
         i for i, (x, y) in enumerate(zip(rhs.nums, lhs.nums))
-        if x * lhs.den != y * rhs.den or (x and rhs.grade != lhs.grade))
+        if x * lhs.den != y * rhs.den)
     ledger.record(item, (m, index), equal)
 
 
 def check_intermediate_relations(walk: WalkCache, m_max: int, order: int) -> Ledger:
     """Exact checks, on definitional series, of the two bridge relations
 
-        H_m == (1+z)/(2(1-z)) * (F_{m+1} - F_m)
-        I_m == sqrt(2)/(4(1-z)) * (2(2-z) F_m - z F_{|m-1|} - z F_{m+1})
+        sqrt(2) H_m == (1+z)/(2(1-z)) * (sqrt(2) F_{m+1} - sqrt(2) F_m)
+        I_m == (2(2-z) sqrt(2) F_m - z sqrt(2) F_{|m-1|} - z sqrt(2) F_{m+1})
+               / (4(1-z))
 
-    for every m <= m_max.  Each F_m and 1/(1-z) is built once per call.
+    for every m <= m_max, all over Q.  Each F_m and 1/(1-z) is built once per call.
     Witnesses are (m, first mismatching coefficient), searched for only on a
     failure.
     """
@@ -226,7 +224,7 @@ def check_intermediate_relations(walk: WalkCache, m_max: int, order: int) -> Led
         _record_bridge(ledger, "H bridge", m, rhs_h, h_m)
 
         bracket = two_minus_z * f[m] * 2 - (f[abs(m - 1)] + f[m + 1]).shift(1)
-        rhs_i = (inv_one_minus_z * bracket).scaled(Fraction(1, 4), 1)
+        rhs_i = inv_one_minus_z * bracket / 4
         _record_bridge(ledger, "I bridge", m, rhs_i, i_m)
     return ledger
 
@@ -261,8 +259,8 @@ def check_jacobi_generating(k_max: int, rs_max: int) -> Ledger:
 
     The comparison is in integers: with N(k, r, s) = 2^k J_k^{(r,s)}(0), the
     explicit sum of ``jacobi`` over weighted binomial rows built once per
-    call, each coefficient must have nums[k] 2^k == N(k, r, s) den, and be 0
-    unless the series has grade 0.  Witnesses are (k, r, s).
+    call, each coefficient must have nums[k] 2^k == N(k, r, s) den.
+    Witnesses are (k, r, s).
     """
     ledger = Ledger("Jacobi generating coefficients")
     root, d_minus, d_plus = _basis(k_max)
@@ -273,11 +271,10 @@ def check_jacobi_generating(k_max: int, rs_max: int) -> Ledger:
     for r in range(rs_max + 1):
         for s in range(rs_max + 1):
             series = _jacobi_core(inv_root, minus[r], plus[s], r, s)
-            rational, nums, den = series.grade == 0, series.nums, series.den
+            nums, den = series.nums, series.den
             for k in range(k_max + 1):
                 ledger.record("generating coefficient", (k, r, s),
-                              (rational or not nums[k])
-                              and nums[k] * 2**k == numerator(k, r, s) * den)
+                              nums[k] * 2**k == numerator(k, r, s) * den)
     return ledger
 
 
@@ -286,7 +283,8 @@ def equivalence_ledger(walk: WalkCache, m_max: int = 10, order: int = 40
     """Machine check of the full equivalence chain at desk scale.
 
     For every family and m <= m_max: definitional series == closed form,
-    and the closed form == its reassembly from the Jacobi generating series.
+    and the closed form == its reassembly from the Jacobi generating series,
+    all over Q (F and H times sqrt(2), as ``closed_form_series`` returns them).
     For every m <= m_max and m <= t <= order the simulator mantissas equal
     the Jacobi-polynomial expressions for the amplitudes (both the raw
     generating-function extraction and the reduced single-J forms), and equal
@@ -299,7 +297,7 @@ def equivalence_ledger(walk: WalkCache, m_max: int = 10, order: int = 40
     so three reciprocals serve the whole call.  The Jacobi side steps D^(-k)
     for k <= K by one product each and builds R^(-1) (D^(-1))^k 2^k with its
     own 1/R once per k.  The reassembly is the closed map ``_closed_core``
-    read on that Jacobi series at grade -2k in place of 1/(R D^k), so the
+    read on that Jacobi series times 2^(-k) in place of 1/(R D^k), so the
     check compares (R D^K)^(-1) D^(K-k) with R^(-1) (D^(-1))^k.  The families
     with the same k (F_m and I_m at 2m, G_m and H_(m-1) at 2m-1) read the
     same two bodies.  The two sides share R, D and the map, never each
@@ -329,8 +327,8 @@ def equivalence_ledger(walk: WalkCache, m_max: int = 10, order: int = 40
     # per step down, reversed so that bodies[k] = 1/(R D^k)
     bodies = _powers(big_d, top, (root * big_d.pow_int(top)).reciprocal())[::-1]
     # the Jacobi series of r = k, s = 0 is 2^k/(R D^k), read by the same
-    # closed map at grade -2k; D^0 = 1 is never read
-    generating = [_jacobi_core(inv_root, d_down, None, k, 0)
+    # closed map times 2^(-k); D^0 = 1 is never read
+    generating = [_jacobi_core(inv_root, d_down, None, k, 0).scaled(Fraction(1, 1 << k))
                   for k, d_down in enumerate(_powers(big_d.reciprocal(), top))]
     for m in range(m_max + 1):
         for fam in "FGHI":
@@ -339,7 +337,7 @@ def equivalence_ledger(walk: WalkCache, m_max: int = 10, order: int = 40
             rep.record(f"{fam}: definitional == closed", (fam, m),
                        definitional_series(fam, m, order, walk) == closed)
             rep.record(f"{fam}: closed == Jacobi generating reassembly", (fam, m),
-                       closed == _closed_core(fam, m, generating[k], -2 * k))
+                       closed == _closed_core(fam, m, generating[k]))
 
     # bounded: an unbounded cache about doubles the call's peak memory
     numerator = functools.lru_cache(8)(
@@ -393,8 +391,6 @@ def lagrange_invert(phi: RationalSeries, f: RationalSeries) -> RationalSeries:
         raise ValueError(f"phi and f have mixed truncation orders {order} and {f.order}")
     if phi.nums[0] == 0:
         raise ValueError("not a valid inversion problem")
-    if phi.grade or f.grade:
-        raise ValueError("inversion needs rational-graded series")
     fprime = f.differentiate()
     out = [f.coefficient(0)]
     power = RationalSeries.one(order)

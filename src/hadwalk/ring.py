@@ -1,22 +1,20 @@
-"""Exact truncated-power-series arithmetic over rationals scaled by sqrt(2).
+"""Exact truncated-power-series arithmetic over the rationals.
 
-Every amplitude of the walk and every generating-function coefficient lives in
-Q union sqrt(2)*Q, so no general computer algebra is required.  A series is a
-tuple of integer numerators over one positive integer denominator, and a grade
-bit in {0, 1}: the power of sqrt(2) that every coefficient carries.  Its
+Every generating-function coefficient of the walk is rational once the
+odd-time families carry their one factor sqrt(2) in their definition (see
+``genfun``), so no general computer algebra is required.  A series is a
+tuple of integer numerators over one positive integer denominator, and its
 arithmetic runs on Python ints alone.  A product is one big-integer multiply
 (Kronecker substitution): each factor's numerators are packed into one int as
 signed digits wide enough for every coefficient of the product, and the
 product's digits are read back, over the product of the denominators.  A sum
-cross-multiplies, and scaling by q sqrt(2)^k multiplies through.  The
+cross-multiplies, and scaling by a rational multiplies through.  The
 reciprocal runs its recurrence over one common denominator that each step
 extends only by the factor its new term needs, so the integers stay near the
 size of the reduced result.  The rational power of a series whose constant
 term is 1 runs its recurrence over powers of that term's numerator, and the
-square root is its power 1/2.  Each operation ends with one pass that
-absorbs any power of 2 out of sqrt(2)^grade, (sqrt 2)^(2e + b) = 2^e
-(sqrt 2)^b, and one gcd pass, which keeps gcd(den, *nums) == 1, so equal
-series have equal parts.
+square root is its power 1/2.  Each operation ends with one gcd pass, which
+keeps gcd(den, *nums) == 1, so equal series have equal parts.
 
 Series keep an explicit truncation order.  Binary operations on series of
 different orders raise instead of silently truncating, because silent
@@ -48,23 +46,16 @@ def _as_fraction(value: RationalLike) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
-def _canonical(nums, den: int, order: int, grade: int) -> "RationalSeries":
-    """Series sqrt(2)**grade * sum nums[i]/den z^i for a nonzero den and any
-    integer grade, in canonical form: with grade = 2e + b, b in {0, 1}, the
-    factor 2**|e| goes into the numerators or the denominator, then one gcd
-    pass."""
-    e, grade = divmod(grade, 2)
-    if e > 0:
-        nums = [a << e for a in nums]
-    elif e < 0:
-        den <<= -e
+def _canonical(nums, den: int, order: int) -> "RationalSeries":
+    """Series sum nums[i]/den z^i for a nonzero den, in canonical form: a
+    positive denominator, then one gcd pass."""
     if den < 0:
         nums, den = [-a for a in nums], -den
     g = math.gcd(den, *nums)
     if g != 1:
         nums, den = [a // g for a in nums], den // g
     series = object.__new__(RationalSeries)
-    series._set(nums, den, order, grade)
+    series._set(nums, den, order)
     return series
 
 
@@ -128,19 +119,18 @@ def _convolve(a: tuple, b: tuple, n: int) -> list:
 
 
 class RationalSeries:
-    """Truncated formal power series sqrt(2)**grade * sum (nums[i] / den) z^i.
+    """Truncated formal power series sum (nums[i] / den) z^i.
 
-    ``nums`` is a tuple of ints, ``den`` one positive int and ``grade`` 0 or
-    1, so the coefficient of z^i is ``coefficient(i) = Fraction(nums[i], den)``
-    times sqrt(2)**grade.  The form is canonical: ``gcd(den, *nums) == 1`` and the zero series has
-    ``den == 1`` and grade 0, so two series are equal exactly when their
-    ``(order, grade, den, nums)`` are.  The constructor takes ints and
-    Fractions.
+    ``nums`` is a tuple of ints and ``den`` one positive int, so the
+    coefficient of z^i is ``coefficient(i) = Fraction(nums[i], den)``.  The
+    form is canonical: ``gcd(den, *nums) == 1``, so the zero series has
+    ``den == 1`` and two series are equal exactly when their
+    ``(order, den, nums)`` are.  The constructor takes ints and Fractions.
     """
 
-    __slots__ = ("nums", "den", "order", "grade")
+    __slots__ = ("nums", "den", "order")
 
-    def __init__(self, coeffs: Iterable[RationalLike], order: int, grade: int = 0):
+    def __init__(self, coeffs: Iterable[RationalLike], order: int):
         coeffs = tuple(coeffs)
         for c in coeffs:
             if not isinstance(c, (int, Fraction)):
@@ -149,18 +139,15 @@ class RationalSeries:
             raise ValueError("order must be nonnegative")
         if len(coeffs) != order + 1:
             raise ValueError(f"need {order + 1} coefficients, got {len(coeffs)}")
-        if grade not in (0, 1):
-            raise ValueError(f"grade must be 0 or 1, got {grade}")
         # over the lcm of lowest-terms denominators the numerators share no
         # factor with it, so this is already canonical
         den = math.lcm(*(c.denominator for c in coeffs))
-        self._set([c.numerator * (den // c.denominator) for c in coeffs], den, order, grade)
+        self._set([c.numerator * (den // c.denominator) for c in coeffs], den, order)
 
-    def _set(self, nums, den: int, order: int, grade: int) -> None:
+    def _set(self, nums, den: int, order: int) -> None:
         object.__setattr__(self, "nums", tuple(nums))
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "grade", grade if any(nums) else 0)
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalSeries is immutable")
@@ -176,23 +163,19 @@ class RationalSeries:
         return cls.polynomial([0, 1], order)
 
     @classmethod
-    def polynomial(cls, low_coeffs: Sequence[RationalLike], order: int,
-                   grade: int = 0) -> "RationalSeries":
+    def polynomial(cls, low_coeffs: Sequence[RationalLike], order: int) -> "RationalSeries":
         if len(low_coeffs) > order + 1:
             raise ValueError("polynomial degree exceeds series order")
         coeffs = list(low_coeffs) + [0] * (order + 1 - len(low_coeffs))
-        return cls(coeffs, order, grade)
+        return cls(coeffs, order)
 
     # -- accessors ----------------------------------------------------------
 
     def coefficient(self, i: int) -> Fraction:
-        """The rational part of the coefficient of z^i; it carries sqrt(2)**grade."""
+        """The coefficient of z^i."""
         if not 0 <= i <= self.order:
             raise IndexError(f"coefficient index {i} outside 0..{self.order}")
         return Fraction(self.nums[i], self.den)
-
-    def is_zero(self) -> bool:
-        return not any(self.nums)
 
     # -- helpers -------------------------------------------------------------
 
@@ -207,33 +190,25 @@ class RationalSeries:
         if not isinstance(other, RationalSeries):
             return NotImplemented
         self._require_same_order(other)
-        if self.grade != other.grade:
-            # the zero series has grade 0 and adds to either grade
-            if self.is_zero():
-                return other
-            if other.is_zero():
-                return self
-            raise ValueError("cannot combine series of mixed sqrt(2) grade")
         den_a, den_b = self.den, other.den
         g = math.gcd(den_a, den_b)
         mul_a, mul_b = den_b // g, den_a // g
         nums = [x * mul_a + y * mul_b for x, y in zip(self.nums, other.nums)]
-        return _canonical(nums, den_a // g * den_b, self.order, self.grade)
+        return _canonical(nums, den_a // g * den_b, self.order)
 
     def __neg__(self) -> "RationalSeries":
-        return _canonical([-a for a in self.nums], self.den, self.order, self.grade)
+        return _canonical([-a for a in self.nums], self.den, self.order)
 
     def __sub__(self, other) -> "RationalSeries":
         if not isinstance(other, RationalSeries):
             return NotImplemented
         return self + (-other)
 
-    def scaled(self, q: RationalLike = 1, k: int = 0) -> "RationalSeries":
-        """self * q * sqrt(2)**k for a rational q and any integer k."""
+    def scaled(self, q: RationalLike) -> "RationalSeries":
+        """self * q for a rational q."""
         q = _as_fraction(q)
         num = q.numerator  # a Python-level property: read once, not per coefficient
-        return _canonical([a * num for a in self.nums], self.den * q.denominator,
-                          self.order, self.grade + k)
+        return _canonical([a * num for a in self.nums], self.den * q.denominator, self.order)
 
     def __mul__(self, other) -> "RationalSeries":
         if isinstance(other, (int, Fraction)):
@@ -242,8 +217,7 @@ class RationalSeries:
             return NotImplemented
         self._require_same_order(other)
         n = self.order
-        return _canonical(_convolve(self.nums, other.nums, n), self.den * other.den,
-                          n, self.grade + other.grade)
+        return _canonical(_convolve(self.nums, other.nums, n), self.den * other.den, n)
 
     __rmul__ = __mul__
 
@@ -255,8 +229,7 @@ class RationalSeries:
         over one common denominator d.  The new term is t / (d a0) with t an
         integer, so d grows only by a0 / gcd(t, a0), the part of a0 that t
         does not cancel, and stays near the reduced result's denominator
-        instead of a0^(m+1).  The grade is negated: 1/(x sqrt2) =
-        sqrt2^(-1) / x = sqrt2 / (2x).
+        instead of a0^(m+1).
         """
         a = self.nums
         a0 = a[0]
@@ -272,7 +245,7 @@ class RationalSeries:
                 b = [x * f for x in b]
                 d *= f
             b.append(t // g)
-        return _canonical([x * self.den for x in b], d, n, -self.grade)
+        return _canonical([x * self.den for x in b], d, n)
 
     def __truediv__(self, other) -> "RationalSeries":
         if isinstance(other, (int, Fraction)):
@@ -307,7 +280,7 @@ class RationalSeries:
         (m-1)!/(m-j)! g_(m-j), all in integers.
         """
         c = _as_fraction(c)
-        if self.grade or self.nums[0] != self.den:
+        if self.nums[0] != self.den:
             raise ValueError("rational powers need constant term exactly 1")
         p, q = c.numerator, c.denominator
         a = self.nums
@@ -325,21 +298,19 @@ class RationalSeries:
             g.append(acc)
         fact = math.factorial(n)  # over the common denominator (q a0)^n n!
         nums = [g[m] * pw[n - m] * (fact // math.factorial(m)) for m in range(n + 1)]
-        return _canonical(nums, pw[n] * fact, n, 0)
+        return _canonical(nums, pw[n] * fact, n)
 
     def differentiate(self) -> "RationalSeries":
         """Formal derivative, truncated at the same order (top coefficient 0)."""
         n = self.order
         nums = [self.nums[i + 1] * (i + 1) for i in range(n)] + [0]
-        return _canonical(nums, self.den, n, self.grade)
+        return _canonical(nums, self.den, n)
 
     def compose(self, inner: "RationalSeries") -> "RationalSeries":
         """Substitution self(inner(z)); inner must have zero constant term."""
         self._require_same_order(inner)
         if inner.nums[0] != 0:
             raise ValueError("substitution needs zero constant term")
-        if inner.grade:
-            raise ValueError("substitution argument must be rational-graded")
         n = self.order
         # sum nums[k] inner^k, divided by den at the end
         out = RationalSeries.polynomial([self.nums[0]], n)
@@ -348,31 +319,29 @@ class RationalSeries:
             power = power * inner
             if self.nums[k]:
                 out = out + power * self.nums[k]
-        return _canonical(out.nums, out.den * self.den, n, self.grade)
+        return _canonical(out.nums, out.den * self.den, n)
 
     def shift(self, m: int) -> "RationalSeries":
         """Multiply by z**m, truncating at the order."""
         if m < 0:
             raise ValueError("negative shift")
         nums = ((0,) * m + self.nums)[: self.order + 1]
-        return _canonical(nums, self.den, self.order, self.grade)
+        return _canonical(nums, self.den, self.order)
 
     # -- comparisons ---------------------------------------------------------
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalSeries):
             return NotImplemented
-        return ((self.order, self.grade, self.den, self.nums)
-                == (other.order, other.grade, other.den, other.nums))
+        return (self.order, self.den, self.nums) == (other.order, other.den, other.nums)
 
     def __hash__(self):
-        return hash((self.order, self.grade, self.den, self.nums))
+        return hash((self.order, self.den, self.nums))
 
     def __repr__(self) -> str:
         head = ", ".join(str(a) for a in self.nums[: min(5, self.order + 1)])
         tail = ", ..." if self.order >= 5 else ""
-        return (f"RationalSeries(nums=[{head}{tail}], den={self.den}, "
-                f"order={self.order}, grade={self.grade})")
+        return f"RationalSeries(nums=[{head}{tail}], den={self.den}, order={self.order})"
 
 
 def random_rational_series(rng, order: int, constant: RationalLike | None = None

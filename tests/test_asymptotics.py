@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -257,6 +258,29 @@ class TestPsiAsymptotic:
             errors.append(row[2])
         for e_t, e_2t in zip(errors, errors[1:]):
             assert 1.9 <= e_t / e_2t <= 2.1
+
+    def test_exact_decimal_is_correctly_rounded(self):
+        # mantissa * 2^(-t/2) at 17 digits equals the 90-digit value rounded
+        # half to even, on random odd and even t, on exact ties (t = 2j,
+        # mantissa w 2^(j-k), so 10^k times the value is w 5^k, ending in 5)
+        # and on values around each power of ten, where rounding carries
+        rng = random.Random(37)
+        cases = [(rng.choice([-1, 1]) * rng.randint(1, 2 ** rng.randint(1, t // 2 - 1)), t)
+                 for t in (rng.randint(4, 3000) for _ in range(300))]
+        ties = [(w << 40, 2 * (k + 40)) for k in (21, 22, 24) for w in range(1, 400, 2)
+                if 10**17 <= w * 5**k < 10**18]
+        assert len(ties) > 100
+        for e in range(1, 30):
+            edge = math.isqrt(10 ** (120 - 2 * e) << 4001) // 10**60
+            cases += [(edge + d, 4001) for d in range(-2, 3)]
+        for mantissa, t in cases + ties + [(-w, t) for w, t in ties]:
+            got = asymptotics._exact_decimal(mantissa, t)
+            with localcontext() as ctx:
+                ctx.prec = 90
+                value = Decimal(mantissa) * (Decimal(2) ** -t).sqrt()
+                ctx.prec = 17
+                assert Decimal(got) == +value, (mantissa, t, got)
+            assert len(got.split("e")[0].lstrip("-").replace(".", "")) <= 17
 
     def test_negative_position_via_symmetry(self, walk400):
         asym_r, asym_l = psi_asymptotic(-160, 200)

@@ -9,6 +9,7 @@ import sys
 import tempfile
 import time
 from collections import Counter
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
 
@@ -426,6 +427,29 @@ class TestAsymptoticsCmd:
         assert low["exact"].endswith("e-536") and low["asymptotic"].endswith("e-536")
         exact = Fraction(jacobi.psi_closed_r(7200, 8000), 2**4000)
         assert abs(Fraction(low["exact"]) / exact - 1) < 1e-10
+
+    def test_exact_cells_are_correctly_rounded(self, tmp_path):
+        # every exact cell is mantissa / 2^(t/2) rounded: a normal float cell
+        # is the nearest float, and below the normal floats a decimal printed
+        # from the mantissa's integers, within 1e-16
+        out = tmp_path / "asym.csv"
+        assert main(["asymptotics", "--alpha-start", "0.72", "--alpha-stop", "0.99",
+                     "--alpha-step", "0.03", "--t", "4000,8000", "--out", str(out)]) == 0
+        rows = read_csv(out)
+        assert len(rows) == 20
+        below = 0
+        with localcontext() as ctx:
+            ctx.prec = 40
+            for r in rows:
+                n, t = int(r["n"]), int(r["t"])
+                mantissa = jacobi.psi_closed_r(n, t)
+                if abs(Fraction(mantissa, 2 ** (t // 2))) >= sys.float_info.min:
+                    assert float(r["exact"]) == float(Fraction(mantissa, 2 ** (t // 2))), r
+                    continue
+                below += 1
+                want = Decimal(mantissa) / Decimal(2) ** (t // 2)
+                assert abs(Decimal(r["exact"]) / want - 1) < Decimal("1e-16"), r
+        assert below == 8
 
     def test_bad_t_list_exits_2(self, tmp_path):
         code = main(["asymptotics", "--alpha-start", "0.8", "--alpha-stop",

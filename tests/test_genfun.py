@@ -29,15 +29,16 @@ def walk():
 
 class TestClosedForms:
     def test_f0_low_coefficients(self):
+        # sqrt(2) F_0 = 1/R: F_0 starts 2^(-1/2), 0, -2^(-3/2)
         s = closed_form_series("F", 0, 3)
-        assert s.grade == 1
-        assert s.coefficient(0) == Fraction(1, 2)    # 2^(-1/2) = sqrt2 / 2
+        assert s.coefficient(0) == 1
         assert s.coefficient(1) == 0
-        assert s.coefficient(2) == Fraction(-1, 4)   # -2^(-3/2) = -sqrt2 / 4
+        assert s.coefficient(2) == Fraction(-1, 2)
 
     def test_coefficient_is_fraction_read_with_grade(self):
+        # the odd-time families are series over Q too, with no sqrt(2) grade
         s = closed_form_series("F", 0, 3)
-        assert s.grade == 1
+        assert not hasattr(s, "grade")
         for i in range(4):
             assert type(s.coefficient(i)) is Fraction
             assert s.coefficient(i) == Fraction(s.nums[i], s.den)
@@ -45,12 +46,13 @@ class TestClosedForms:
     def test_g0_and_i0_constants(self):
         assert closed_form_series("G", 0, 5).coefficient(0) == 0
         i0 = closed_form_series("I", 0, 5)
-        assert (i0.coefficient(0), i0.grade) == (1, 0)
+        assert i0.coefficient(0) == 1
 
     def test_h0_constant_is_negative(self):
-        # the left-series boundary value: psiTilde_L(1,1) = -2^(-3/2)
+        # the left-series boundary value: psiTilde_L(1,1) = -2^(-3/2), so
+        # sqrt(2) H_0 starts -1/2
         h0 = closed_form_series("H", 0, 5)
-        assert (h0.coefficient(0), h0.grade) == (Fraction(-1, 4), 1)
+        assert h0.coefficient(0) == Fraction(-1, 2)
 
     def test_order_validation(self):
         with pytest.raises(ValueError, match="order"):
@@ -59,20 +61,20 @@ class TestClosedForms:
             definitional_series("Q", 0, 3, WalkCache())
 
 
-def composed_map(family, m, body, grade):
+def composed_map(family, m, body):
     """The family map as series operations: multiply by 1+z, shift by z^m,
-    scale by the sign and power of sqrt(2), and add 1/2 for I_0."""
+    scale by the sign and power of 2, and add 1/2 for I_0; F and H come out
+    times sqrt(2)."""
     one_plus_z = RationalSeries.polynomial([1, 1], body.order)
-    body = body.scaled(1, grade)
     if family == "I" and m == 0:
         return RationalSeries.polynomial([Fraction(1, 2)], body.order) + one_plus_z * body / 2
     if family == "F":
-        return body.shift(m).scaled(1, 2 * m - 1)
+        return body.shift(m) * 2**m
     if family == "G":
-        return body.shift(1) if m == 0 else body.shift(m).scaled(-1, 2 * m - 2)
+        return body.shift(1) if m == 0 else body.shift(m) * -2 ** (m - 1)
     if family == "H":
-        return (one_plus_z * body).shift(m).scaled(-1, 2 * m - 1)
-    return (one_plus_z * body).shift(m).scaled(1, 2 * m - 2)
+        return (one_plus_z * body).shift(m) * -2**m
+    return (one_plus_z * body).shift(m) * 2 ** (m - 1)
 
 
 class TestClosedMap:
@@ -84,30 +86,20 @@ class TestClosedMap:
         bodies = [random_rational_series(rng, order, constant=Fraction(3, 5)) for _ in range(3)]
         bodies.append((root * (RationalSeries.polynomial([1, -1], order) + root)
                        .pow_int(5)).reciprocal())
-        for body in bodies + [b.scaled(1, 1) for b in bodies]:
+        for body in bodies:
             for m in range(11):
-                k = genfun._d_exponent(family, m)
-                for grade in (0, -2 * k):
-                    if family == "I" and m == 0 and body.grade:
-                        with pytest.raises(ValueError):
-                            composed_map(family, m, body, grade)
-                        with pytest.raises(ValueError, match="grade"):
-                            genfun._closed_core(family, m, body, grade)
-                        continue
-                    assert (genfun._closed_core(family, m, body, grade)
-                            == composed_map(family, m, body, grade)), (body, m, grade)
+                # the reassembly reads the body times 2^(-k)
+                scale = Fraction(1, 2 ** genfun._d_exponent(family, m))
+                for read in (body, body.scaled(scale)):
+                    assert (genfun._closed_core(family, m, read)
+                            == composed_map(family, m, read)), (read, m)
 
-    # I_0 adds 1/2, so the power of sqrt(2) must be one of 2
-    @pytest.mark.parametrize("grade", [-4, -2, 2, 1, -1, 3])
+    # I_0 adds 1/2 to a rational series, so a body times sqrt(2)^grade
+    # reaches it only at an even grade, as 2^(grade/2)
+    @pytest.mark.parametrize("grade", [-4, -2, 2])
     def test_i0_needs_an_even_grade(self, grade):
-        body = RationalSeries.polynomial([1, 2], 4)
-        if grade % 2 == 0:
-            assert genfun._closed_core("I", 0, body, grade) == composed_map("I", 0, body, grade)
-            return
-        with pytest.raises(ValueError, match="grade"):
-            genfun._closed_core("I", 0, body, grade)
-        with pytest.raises(ValueError):
-            composed_map("I", 0, body, grade)
+        body = RationalSeries.polynomial([1, 2], 4).scaled(Fraction(2) ** (grade // 2))
+        assert genfun._closed_core("I", 0, body) == composed_map("I", 0, body)
 
 
 class TestDefinitionalVsClosed:
@@ -116,6 +108,26 @@ class TestDefinitionalVsClosed:
     def test_exact_agreement(self, walk, family, m):
         assert (definitional_series(family, m, 16, walk)
                 == closed_form_series(family, m, 16))
+
+    @pytest.mark.parametrize("family", "FH")
+    def test_odd_families_are_rational(self, walk, family):
+        # sqrt(2) F_m has coefficient t = mantissa / 2^t, and sqrt(2) H_m
+        # (2t+1) mantissa / ((t-m) 2^(t+1)) for t > m and -2^(-m-1) at t = m
+        for m in range(4):
+            got = definitional_series(family, m, 20, walk)
+            closed = closed_form_series(family, m, 20)
+            for t in range(21):
+                state = walk.state(2 * t + 1)
+                if t < m:
+                    want = 0
+                elif family == "F":
+                    want = Fraction(state.mantissa_r(2 * m + 1), 2**t)
+                elif t == m:
+                    want = Fraction(-1, 2 ** (m + 1))
+                else:
+                    want = Fraction((2 * t + 1) * state.mantissa_l(2 * m + 1),
+                                    (t - m) * 2 ** (t + 1))
+                assert got.coefficient(t) == closed.coefficient(t) == want, (m, t)
 
     def test_leading_zeros_below_m(self, walk):
         s = definitional_series("I", 3, 10, walk)
@@ -149,7 +161,6 @@ class TestIntermediateRelations:
 class TestJacobiGenerating:
     def test_x0_trivial_coefficients(self):
         s = jacobi_generating(0, 0, 0, 6)
-        assert s.grade == 0
         assert s.coefficient(0) == 1
         assert s.coefficient(2) == Fraction(-1, 2)
 
@@ -162,7 +173,6 @@ class TestJacobiGenerating:
     @pytest.mark.parametrize("x", [Fraction(0), Fraction(1, 2), Fraction(-1, 2)])
     def test_coefficients_match_explicit_sum(self, r, s, x):
         series = jacobi_generating(x, r, s, 12)
-        assert series.grade == 0
         for k in range(13):
             assert series.coefficient(k) == jacobi_at(k, r, s, x), (k, r, s, x)
 
@@ -185,12 +195,12 @@ class TestJacobiGenerating:
                                 ("generating coefficient", (3, r, s))]
 
     def test_check_reads_the_grade(self, monkeypatch):
-        # times sqrt(2), a series fails wherever J_k^{(0,0)}(0) != 0: at even k
+        # times 2, a series fails wherever J_k^{(0,0)}(0) != 0: at even k
         core = genfun._jacobi_core
 
         def wrong_core(inv_root, minus_power, plus_power, r, s):
             series = core(inv_root, minus_power, plus_power, r, s)
-            return series.scaled(1, 1) if (r, s) == (0, 0) else series
+            return series * 2 if (r, s) == (0, 0) else series
 
         monkeypatch.setattr(genfun, "_jacobi_core", wrong_core)
         rep = genfun.check_jacobi_generating(12, 3)
@@ -357,14 +367,16 @@ class TestEquivalenceLedger:
 
     def test_bodies_are_the_inverses_of_r_d_k(self, walk81, monkeypatch):
         # the closed side reads bodies[k] as the one body of every family
-        # with exponent k; the reassembly passes its grade, the closed side not
-        bodies = {}
+        # with exponent k; each (family, m) reads its closed body first, then
+        # the reassembly's
+        bodies, seen = {}, set()
         core = genfun._closed_core
 
-        def spy(family, m, body, *grade):
-            if not grade:
+        def spy(family, m, body):
+            if (family, m) not in seen:
+                seen.add((family, m))
                 bodies.setdefault(genfun._d_exponent(family, m), body)
-            return core(family, m, body, *grade)
+            return core(family, m, body)
 
         monkeypatch.setattr(genfun, "_closed_core", spy)
         assert equivalence_ledger(walk81, m_max=10, order=40).passed
@@ -455,12 +467,6 @@ class TestLagrange:
         with pytest.raises(ValueError, match="mixed truncation orders 4 and 5"):
             lagrange_invert(RationalSeries.one(4), RationalSeries.z(5))
 
-    def test_rejects_irrational_grade(self):
-        one, ident = RationalSeries.one(4), RationalSeries.z(4)
-        for phi, f in [(one.scaled(1, 1), ident), (one, ident.scaled(1, 1))]:
-            with pytest.raises(ValueError, match="rational-graded"):
-                lagrange_invert(phi, f)
-
 
 class TestSrivastavaSinghal:
     def test_walk_case_equals_reciprocal_root(self):
@@ -468,12 +474,11 @@ class TestSrivastavaSinghal:
 
     def test_order_zero_coefficient(self):
         s = srivastava_singhal_series(0, 1, 0, 0, 8)
-        assert (s.coefficient(0), s.grade) == (1, 0)
+        assert s.coefficient(0) == 1
 
     def test_parameter_slope_one(self):
         # a=gamma=0, b=1, beta=0 enumerates J_j^{(0,j)}(0)
         s = srivastava_singhal_series(0, 1, 0, 0, 10)
-        assert s.grade == 0
         for j in range(11):
             assert s.coefficient(j) == jacobi_at(j, 0, j), j
 
@@ -486,7 +491,6 @@ class TestSrivastavaSinghal:
         phihat = (RationalSeries.polynomial([1, -1], 6).pow_rational(1)
                   * RationalSeries.polynomial([1, 1], 6).pow_rational(1) / (-2))
         u = lagrange_invert(phihat, RationalSeries.z(6))
-        assert u.grade == 0
         assert u.coefficient(1) == Fraction(-1, 2)
         assert u.coefficient(2) == 0
         assert u.coefficient(3) == Fraction(1, 8)

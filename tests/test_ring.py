@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from hadwalk.ring import RationalSeries, random_rational_series
 
 fractions_st = st.fractions(min_value=-5, max_value=5, max_denominator=7)
-scalings_st = st.tuples(fractions_st, st.integers(-3, 3))
 
 
 def poly(coeffs, order):
@@ -29,24 +28,28 @@ class TestRationalSeries:
         with pytest.raises(ValueError, match="constant term"):
             poly([4], 3).sqrt()
 
-    @pytest.mark.parametrize("value, root, k", [
-        (4, 2, 0),
-        (2, 1, 1),
-        (Fraction(9, 2), Fraction(3, 2), 1),
-        (Fraction(1, 4), Fraction(1, 2), 0),
+    @pytest.mark.parametrize("value, root", [
+        (4, 2),
+        (2, None),
+        (Fraction(9, 2), None),
+        (Fraction(1, 4), Fraction(1, 2)),
     ], ids=["4", "2", "9_2", "1_4"])
-    def test_sqrt_exact_constant(self, value, root, k):
-        # sqrt refuses the constant term c0; the root of c0 is root *
-        # sqrt(2)**k, and times the root of s / c0 it is the root of s
+    def test_sqrt_exact_constant(self, value, root):
+        # sqrt refuses the constant term c0, but the root of s / c0 squares
+        # back to s / c0; where c0 is a rational square (root not None), the
+        # root of c0 times that root is the root of s
         s = poly([value, 1, -3], 4)
         with pytest.raises(ValueError, match="constant term"):
             s.sqrt()
-        got = s.scaled(1 / Fraction(value)).sqrt().scaled(root, k)
-        assert (got.coefficient(0), got.grade) == (root, k)
-        assert got * got == s
+        unit = s.scaled(1 / Fraction(value)).sqrt()
+        assert unit.coefficient(0) == 1 and unit * unit * value == s
+        if root is not None:
+            got = unit.scaled(root)
+            assert got.coefficient(0) == root and got * got == s
 
+    # the root of the constant term 2 would be sqrt(2), which is not in Q
     @pytest.mark.parametrize("bad", [
-        poly([3, 1], 4), poly([-1, 1], 4), RationalSeries.polynomial([1, 1], 4, grade=1),
+        poly([3, 1], 4), poly([-1, 1], 4), poly([2, 1], 4),
     ], ids=["3", "-1", "sqrt2"])
     def test_sqrt_rejects_non_squares(self, bad):
         with pytest.raises(ValueError, match="constant term"):
@@ -67,80 +70,40 @@ class TestRationalSeries:
         with pytest.raises(ValueError, match="not invertible"):
             poly([0, 1], 3).reciprocal()
 
-    @pytest.mark.parametrize("grade", [2, -1])
-    def test_grade_outside_0_1_rejected(self, grade):
-        with pytest.raises(ValueError, match="grade must be 0 or 1"):
-            RationalSeries([1], 0, grade)
-
     def test_mixed_orders_rejected(self):
         with pytest.raises(ValueError, match="orders"):
             poly([1], 3) * poly([1], 4)
         with pytest.raises(ValueError, match="orders"):
             poly([1], 3) + poly([1], 4)
 
-    def test_mixed_grade_addition_rejected(self):
-        a = poly([1, 1], 3)
-        b = RationalSeries.polynomial([1], 3, grade=1)
-        with pytest.raises(ValueError, match="grade"):
-            a + b
-
-    def test_mixed_grade_constants_rejected(self):
-        # 1 + sqrt(2) has no single-grade representation
-        one = poly([1], 3)
-        sqrt2 = RationalSeries.polynomial([1], 3, grade=1)
-        for a, b in ((one, sqrt2), (sqrt2, one)):
-            with pytest.raises(ValueError, match="mixed"):
-                a + b
-
-    def test_scaled_addition_merges_parity(self):
-        a = RationalSeries.polynomial([1], 3, grade=1)      # sqrt2
-        b = RationalSeries.polynomial([3], 3, grade=1)      # 3 sqrt2
-        assert ((a + b).coefficient(0), (a + b).grade) == (4, 1)
-
-    def test_zero_adds_to_either_grade(self):
-        zero = RationalSeries.polynomial([0], 3, grade=1)
-        assert zero.grade == 0
-        for grade in (0, 1):
-            s = RationalSeries.polynomial([3, 1], 3, grade)
-            assert zero + s == s and s + zero == s
-
-    def test_scaled_absorbs_two(self):
-        s = poly([1, Fraction(-2, 3)], 3)
-        assert s.scaled(1, 2) == s.scaled(2, 0)
-        assert s.scaled(1, 3) == s.scaled(2, 1)
-        assert s.scaled(1, -1) == s.scaled(Fraction(1, 2), 1)
-        assert s.scaled(0, 1).grade == 0
-
-    @given(fractions_st, st.integers(-9, 9), st.integers(0, 1))
+    @given(fractions_st, st.integers(-9, 9))
     @settings(deadline=None)
-    def test_scaled_matches_power_of_two(self, q, k, grade):
-        s = RationalSeries.polynomial([3, Fraction(-1, 2)], 2, grade)
-        assert values(s.scaled(q, k)) == scaled([q * c for c in fractions_of(s)], grade + k)
+    def test_scaled_matches_power_of_two(self, q, k):
+        s = poly([3, Fraction(-1, 2)], 2)
+        factor = q * Fraction(2) ** k
+        assert fractions_of(s.scaled(factor)) == [factor * c for c in fractions_of(s)]
 
-    def test_sqrt2_twice_is_two(self):
-        for grade in (0, 1):
-            s = RationalSeries.polynomial([1, Fraction(5, 3), -2], 3, grade)
-            assert s.scaled(1, 1).scaled(1, 1) == s * 2
-            assert s.scaled(1, 1).grade == 1 - grade
-
-    @given(scalings_st, scalings_st, st.integers(0, 1))
+    @given(fractions_st, fractions_st)
     @settings(deadline=None)
-    def test_scaling_commutes(self, a, b, grade):
-        s = RationalSeries.polynomial([2, Fraction(-3, 4)], 2, grade)
-        assert s.scaled(*a).scaled(*b) == s.scaled(*b).scaled(*a)
+    def test_scaling_commutes(self, a, b):
+        s = poly([2, Fraction(-3, 4)], 2)
+        assert s.scaled(a).scaled(b) == s.scaled(b).scaled(a)
 
-    @given(scalings_st, scalings_st, st.integers(0, 1))
+    @given(fractions_st, fractions_st)
     @settings(deadline=None)
-    def test_scaling_composes(self, a, b, grade):
-        s = RationalSeries.polynomial([2, Fraction(-3, 4)], 2, grade)
-        assert s.scaled(*a).scaled(*b) == s.scaled(a[0] * b[0], a[1] + b[1])
+    def test_scaling_composes(self, a, b):
+        s = poly([2, Fraction(-3, 4)], 2)
+        assert s.scaled(a).scaled(b) == s.scaled(a * b)
 
     def test_immutability(self):
+        # a plain series over Q: nums, den and order, and nothing else
         s = poly([1, 2], 3)
+        assert RationalSeries.__slots__ == ("nums", "den", "order")
+        assert not hasattr(s, "grade")
         with pytest.raises(AttributeError):
             s.nums = (3, 4, 0, 0)
         with pytest.raises(AttributeError):
-            s.grade = 1
+            s.den = 2
 
     @given(st.integers(0, 6), st.integers(0, 2**31 - 1))
     @settings(max_examples=60, deadline=None)
@@ -169,7 +132,7 @@ class TestRationalSeries:
         # unit constant term carried jointly by numerator and denominator
         s = RationalSeries.polynomial([1, Fraction(3, 2)], 6)
         assert s.nums[0] == s.den == 2
-        assert (s.coefficient(0), s.grade) == (1, 0)
+        assert s.coefficient(0) == 1
         half = s.pow_rational(Fraction(1, 2))
         assert half * half == s
 
@@ -204,9 +167,9 @@ class TestRationalSeries:
         assert s.differentiate() == poly([3, 4, 21, 0], 3)
 
     def test_coefficient_accessor_carries_scale(self):
-        # the coefficient is the rational part; the grade carries the sqrt(2)
-        s = RationalSeries.polynomial([Fraction(1, 2), 1], 4, grade=1)
-        assert s.grade == 1
+        # the coefficient is a Fraction of the numerator over the denominator
+        s = poly([Fraction(1, 2), 1], 4)
+        assert (s.nums[:2], s.den) == ((1, 2), 2)
         assert s.coefficient(0) == Fraction(1, 2) and type(s.coefficient(0)) is Fraction
         assert s.coefficient(1) == 1 and type(s.coefficient(1)) is Fraction
         with pytest.raises(IndexError):
@@ -277,26 +240,11 @@ def fractions_of(series):
     return [Fraction(a, series.den) for a in series.nums]
 
 
-def values(series):
-    """The series as (rational parts of its coefficients, grade)."""
-    return fractions_of(series), series.grade
-
-
-def scaled(coeffs, k):
-    """Rationals times sqrt(2)**k for any integer k, as (Fractions, grade) with
-    the grade in {0, 1} and 0 for all-zero coefficients."""
-    e, grade = divmod(k, 2)
-    coeffs = [c * Fraction(2) ** e for c in coeffs]
-    return coeffs, grade if any(coeffs) else 0
-
-
 def assert_canonical(series):
     assert all(type(a) is int for a in series.nums)
     assert len(series.nums) == series.order + 1
     assert type(series.den) is int and series.den > 0
     assert math.gcd(series.den, *series.nums) == 1
-    assert series.grade in (0, 1)
-    assert series.grade == 0 or any(series.nums)
 
 
 REFERENCE_ORDERS = [0, 1, 2, 40]
@@ -309,13 +257,13 @@ def random_factor(rng):
 
 
 def random_cases(seed, order, constants=CONSTANTS):
-    """Series over every constant term, times a random rational, in both grades."""
+    """Two series over every constant term, each times a random rational."""
     rng = random.Random(seed)
     for constant in constants:
-        for grade in (0, 1):
+        for _ in range(2):
             raw = random_rational_series(rng, order, constant=constant)
             factor = random_factor(rng)
-            yield RationalSeries([factor * c for c in fractions_of(raw)], order, grade)
+            yield RationalSeries([factor * c for c in fractions_of(raw)], order)
 
 
 class TestIntegerRepresentation:
@@ -327,7 +275,7 @@ class TestIntegerRepresentation:
                 product = a * b
                 assert_canonical(product)
                 want = reference_mul(fractions_of(a), fractions_of(b))
-                assert values(product) == scaled(want, a.grade + b.grade)
+                assert fractions_of(product) == want
 
     @pytest.mark.parametrize("order", REFERENCE_ORDERS)
     def test_reciprocal_matches_reference(self, order):
@@ -335,27 +283,20 @@ class TestIntegerRepresentation:
             inverse = s.reciprocal()
             assert_canonical(inverse)
             want = reference_reciprocal(fractions_of(s))
-            # the inverse of sqrt(2)**grade * x is sqrt(2)**(-grade) / x
-            assert values(inverse) == scaled(want, -s.grade)
+            assert fractions_of(inverse) == want
 
     @pytest.mark.parametrize("order", REFERENCE_ORDERS)
     def test_sqrt_matches_reference(self, order):
         rng = random.Random(3000 + order)
-        # constant term 1 over the series' common denominator, in both
-        # grades; in grade 1 the constant term is sqrt(2), which is refused
+        # constant term 1 over the series' common denominator
         for _ in range(6):
-            for grade in (0, 1):
-                factor = random_factor(rng)
-                coeffs = fractions_of(random_rational_series(rng, order))
-                coeffs[0] = 1 / factor
-                s = RationalSeries([factor * c for c in coeffs], order, grade)
-                if grade:
-                    with pytest.raises(ValueError, match="constant term"):
-                        s.sqrt()
-                    continue
-                root_series = s.sqrt()
-                assert_canonical(root_series)
-                assert values(root_series) == scaled(reference_sqrt(coeffs), 0)
+            factor = random_factor(rng)
+            coeffs = fractions_of(random_rational_series(rng, order))
+            coeffs[0] = 1 / factor
+            s = RationalSeries([factor * c for c in coeffs], order)
+            root_series = s.sqrt()
+            assert_canonical(root_series)
+            assert fractions_of(root_series) == reference_sqrt(coeffs)
 
     @pytest.mark.parametrize("order", REFERENCE_ORDERS)
     def test_pow_rational_matches_reference(self, order):
@@ -367,30 +308,27 @@ class TestIntegerRepresentation:
             s = RationalSeries([factor * c for c in coeffs], order)
             power = s.pow_rational(c)
             assert_canonical(power)
-            assert values(power) == scaled(reference_pow_rational(coeffs, c), 0)
+            assert fractions_of(power) == reference_pow_rational(coeffs, c)
 
     @pytest.mark.parametrize("order", REFERENCE_ORDERS)
     def test_every_operation_is_canonical(self, order):
         cases = list(random_cases(5000 + order, order))
         rng = random.Random(order)
-        rational = [s for s in cases if s.grade == 0]
         for a, b in zip(cases, cases[1:] + cases[:1]):
-            same_grade = RationalSeries([3 * c for c in fractions_of(b)], order, a.grade)
             results = [a * b, -a, a * 0, a * -4, a * Fraction(-6, 35),
-                       a.scaled(2, 1), a.scaled(Fraction(-3, 5), -3), a.scaled(0), a / -6,
+                       a.scaled(2), a.scaled(Fraction(-3, 40)), a.scaled(0), a / -6,
                        a / Fraction(-10, 21),
-                       a.pow_int(3), a.differentiate(), a + same_grade,
-                       a - same_grade, a - a]
-            want_sum = [x + y for x, y in zip(fractions_of(a), fractions_of(same_grade))]
-            assert values(a + same_grade) == scaled(want_sum, a.grade)
-            assert (a - a).is_zero() and (a - a).den == 1
+                       a.pow_int(3), a.differentiate(), a + b, a - b, a - a]
+            want_sum = [x + y for x, y in zip(fractions_of(a), fractions_of(b))]
+            assert fractions_of(a + b) == want_sum
+            assert (a - a).nums == (0,) * (order + 1) and (a - a).den == 1
             for m in range(order + 2):
                 results.append(a.shift(m))
                 want = ([0] * m + fractions_of(a))[: order + 1]
-                assert values(a.shift(m)) == scaled(want, a.grade)
-            if not b.is_zero() and b.nums[0]:
+                assert fractions_of(a.shift(m)) == want
+            if b.nums[0]:
                 results += [b.reciprocal(), a * b.reciprocal(), b.pow_int(-2)]
-            inner = rng.choice(rational)
+            inner = rng.choice(cases)
             inner = inner - RationalSeries.polynomial([inner.coefficient(0)], order)
             results.append(a.compose(inner))
             for series in results:
@@ -400,10 +338,10 @@ class TestIntegerRepresentation:
     def test_equality_matches_coefficients(self, order):
         cases = list(random_cases(6000 + order, order))
         cases += [a * 0 for a in cases[:2]] + [-a for a in cases[:4]]
-        cases += [RationalSeries([0] * (order + 1), order, grade=1)]
+        cases += [RationalSeries([0] * (order + 1), order)]
         for a in cases:
             for b in cases:
-                equal = values(a) == values(b)
+                equal = fractions_of(a) == fractions_of(b)
                 assert (a == b) == equal
                 if equal:
                     assert hash(a) == hash(b)
@@ -445,11 +383,11 @@ def assert_kernels_match_reference(cases):
             product = a * b
             assert_canonical(product)
             want = reference_mul(fractions_of(a), fractions_of(b))
-            assert values(product) == scaled(want, a.grade + b.grade)
+            assert fractions_of(product) == want
         if a.nums[0]:
             inverse = a.reciprocal()
             assert_canonical(inverse)
-            assert values(inverse) == scaled(reference_reciprocal(fractions_of(a)), -a.grade)
+            assert fractions_of(inverse) == reference_reciprocal(fractions_of(a))
 
 
 def random_ints(rng, count, low_bits, high_bits):
@@ -466,10 +404,10 @@ class TestKernelsAtSize:
     def test_large_numerators(self, order):
         rng = random.Random(7000 + order)
         cases = []
-        for grade in (0, 1, 0):
+        for _ in range(3):
             nums = random_ints(rng, order + 1, 200, 2000)
             den = rng.choice([1, 3, 2**64 + 1, 6**90])
-            cases.append(RationalSeries([Fraction(x, den) for x in nums], order, grade))
+            cases.append(RationalSeries([Fraction(x, den) for x in nums], order))
         assert all(200 <= abs(x).bit_length() <= 2000 for s in cases for x in s.nums)
         assert_kernels_match_reference(cases)
 
@@ -481,7 +419,7 @@ class TestKernelsAtSize:
         for constant, den in [(2**40, 3), (-2**7, 1), (1, 5), (-1, 2**9), (2**61 - 1, 1),
                               (-45, 7), (12, 2**5 * 9), (-2**10 * 15, 2**6 * 3 * 5**4)]:
             nums = [constant] + random_ints(rng, order, 1, 50)
-            series = RationalSeries([Fraction(x, den) for x in nums], order, rng.randint(0, 1))
+            series = RationalSeries([Fraction(x, den) for x in nums], order)
             assert series.coefficient(0) == Fraction(constant, den)
             cases.append(series)
         assert any(math.gcd(s.nums[0], s.den) > 1 for s in cases)
@@ -491,11 +429,10 @@ class TestKernelsAtSize:
     def test_short_factors_and_zeros(self, order):
         # degree 0 and 1, nonzero prefixes followed by zeros, and zero series
         rng = random.Random(9000 + order)
-        cases = [RationalSeries.polynomial([0], order, grade=1),
-                 RationalSeries.polynomial([0], order)]
+        cases = [RationalSeries.polynomial([0], order)]
         for length in (1, 2, order // 2 + 1, order + 1):
             low = [Fraction(x, rng.randint(1, 9)) for x in random_ints(rng, length, 1, 90)]
-            cases.append(RationalSeries.polynomial(low[: order + 1], order, rng.randint(0, 1)))
+            cases.append(RationalSeries.polynomial(low[: order + 1], order))
         if order >= 2:
             cases.append(RationalSeries.polynomial([0, 0, -3], order))
         assert_kernels_match_reference(cases)
@@ -525,11 +462,11 @@ class TestKernelsAtSize:
         for _ in range(22):
             product = root * power
             want = reference_mul(fractions_of(root), fractions_of(power))
-            assert values(product) == scaled(want, 0)
+            assert fractions_of(product) == want
             cases.append(product)
             want = reference_mul(fractions_of(power), fractions_of(big_d))
             power = power * big_d
-            assert values(power) == scaled(want, 0)
+            assert fractions_of(power) == want
         assert all(s.nums[0] for s in cases)
         for s in cases:
             assert_kernels_match_reference([s])
