@@ -18,11 +18,16 @@ of a = k+s (w = p-q); one kernel, ``_explicit_sum``, does this for every
 caller.  ``jacobi_at`` divides N by (2q)^k once; ``check_jacobi_identities``
 never divides, but compares each identity multiplied through by (2q)^k as
 integers.  A table, ``_numerator_table``, builds the rows of every a it
-serves once for its point; ``_numerator``, behind ``jacobi_at`` and the
-public closed forms, builds the two rows of its one sum per call.  The
-identity sweep, ``check_closed_forms`` and ``genfun``'s generating-coefficient
-sweep and equivalence ledger read their numerators from tables.  Nothing
-persists between calls.
+serves once for its point; ``_numerator``, behind ``jacobi_at``, builds the
+two rows of its one sum per call.  The identity sweep, ``check_closed_forms``
+and ``genfun``'s generating-coefficient sweep and equivalence ledger read
+their numerators from tables.  The public closed forms read a second kernel,
+``_ratio_sum``: at x = 0 it sums the same terms from the top degree down by
+their ratio, one small-int multiply and one exact small-int division per
+term, so its cost grows ~k^2 in the degree k against the dot product's
+~k^2.8.  The two kernels share no code, so ``check_closed_forms`` and the
+public closed forms compute each amplitude independently.  Nothing persists
+between calls.
 
 The closed forms here are written for the canonical walk orientation (the one
 matching the momentum-integral representations).  They return the walk's own
@@ -42,7 +47,7 @@ checked to leave no remainder.  Note the left-amplitude sign convention: both
 chirality branches carry the factor (-1)^(n+1), and the left edge value is
 psi_L(-t, t) = +2^(-t/2).  These forms are written once, in ``_closed_r``,
 ``_closed_l``, ``_center_r`` and ``_center_l``, which read N from a source
-numerator(k, r, s): ``_numerator`` for the public functions, a table for the
+numerator(k, r, s): ``_ratio_sum`` for the public functions, a table for the
 checks.  The public center amplitudes are ``psi_closed_r/l(0, t)``; the
 center forms are ``check_closed_forms``' second route at n = 0.  The
 polynomials' generating series build their basis in ``genfun._basis``.
@@ -123,6 +128,26 @@ def _numerator(k: int, r: int, s: int, p: int = 0, q: int = 1) -> int:
                          _binomial_row(k + s, k, p - q))
 
 
+def _ratio_sum(k: int, r: int, s: int) -> int:
+    """N(k, r, s) = 2^k J_k^{(r,s)}(0) for k >= -1, r in {0, 1}, s >= -1, the
+    domain of the closed forms; 0 for k < 0.
+
+    The terms are the explicit sum's own, T_j = (-1)^(k-j) C(k+r, j)
+    C(k+s, k-j), summed from the top degree down: T_k = C(k+r, k) and
+    T_{j-1} = T_j (-j (s+j)) / ((k-j+1) (k-j+1+r)).  Every T_j is an int, so
+    the floor division is exact; no T_j with j >= 1 is 0, and at s = -1 the
+    factor s + j makes T_0 = 0.  No Jacobi recurrence or identity enters.
+    """
+    if k < 0:
+        return 0
+    term = total = k + 1 if r else 1
+    for j in range(k, 0, -1):
+        i = k - j + 1
+        term = term * (-j * (s + j)) // (i * (i + r))
+        total += term
+    return total
+
+
 def jacobi_at(k: int, r: int, s: int, x=Fraction(0)) -> Fraction:
     """Degree-k Jacobi polynomial with integer parameters at an exact rational
     x (int or Fraction); a float raises TypeError."""
@@ -178,14 +203,14 @@ def psi_closed_r(n: int, t: int) -> int:
     """Mantissa of the right-chirality amplitude at (n, t), from the Jacobi
     closed forms: the int m with psi_R(n, t) = m sqrt(2)^(-t)."""
     _require_position(n, t)
-    return _closed_r(_numerator, n, t)
+    return _closed_r(_ratio_sum, n, t)
 
 
 def psi_closed_l(n: int, t: int) -> int:
     """Mantissa of the left-chirality amplitude at (n, t), from the Jacobi
     closed forms: the int m with psi_L(n, t) = m sqrt(2)^(-t)."""
     _require_position(n, t)
-    return _closed_l(_numerator, n, t)
+    return _closed_l(_ratio_sum, n, t)
 
 
 def check_closed_forms(walk: WalkCache, t_max: int) -> Ledger:

@@ -15,13 +15,15 @@ from hadwalk.walk import WalkCache, evolve, initial_state, step
 
 
 def center_r(t):
-    """psi_R(0, t) mantissa at even t by the center form, on per-call numerators."""
-    return jacobi._center_r(jacobi._numerator, t)
+    """psi_R(0, t) mantissa at even t by the center form, on the numerators the
+    public closed forms read."""
+    return jacobi._center_r(jacobi._ratio_sum, t)
 
 
 def center_l(t):
-    """psi_L(0, t) mantissa at even t by the center form, on per-call numerators."""
-    return jacobi._center_l(jacobi._numerator, t)
+    """psi_L(0, t) mantissa at even t by the center form, on the numerators the
+    public closed forms read."""
+    return jacobi._center_l(jacobi._ratio_sum, t)
 
 
 @pytest.fixture(scope="module")
@@ -151,6 +153,71 @@ class TestKernel:
         assert jacobi._numerator_table(-1, -1, k, p, q)(k, r, r) == reference
 
 
+def closed_form_keys(t_max):
+    """Every (k, r, s) that the closed and center forms read for t <= t_max."""
+    keys = set()
+
+    def record(k, r, s):
+        keys.add((k, r, s))
+        return 0
+
+    for t in range(t_max + 1):
+        for n in range(-t, t + 1, 2):
+            jacobi._closed_r(record, n, t)
+            jacobi._closed_l(record, n, t)
+        if t % 2 == 0:
+            jacobi._center_r(record, t)
+            jacobi._center_l(record, t)
+    return keys
+
+
+def _ratio_cases():
+    """Seeded (k, r, s) on the closed forms' domain, k up to 5,000: k = -1 and
+    0, both r, s = -1 and s >> k, and log-uniform degrees."""
+    rng = random.Random(38)
+    cases = [(-1, 0, -1), (-1, 1, 4), (0, 0, -1), (0, 1, -1), (0, 1, 9), (1, 0, -1),
+             (5000, 0, -1), (5000, 1, -1), (4999, 0, 4999), (5000, 1, 0),
+             (60, 1, 50000), (1200, 0, 60000)]
+    for _ in range(24):
+        s = rng.choice([-1, rng.randint(0, 200), rng.randint(0, 20000)])
+        cases.append((int(10 ** rng.uniform(0, 3.7)), rng.randint(0, 1), s))
+    return cases
+
+
+class TestRatioSum:
+    """``_ratio_sum``, the closed forms' kernel, against the dot product."""
+
+    def test_every_closed_form_read_through_t300(self):
+        keys = closed_form_keys(300)
+        assert {r for k, r, s in keys} == {0, 1}
+        assert min(k for k, r, s in keys) == -1 and min(s for k, r, s in keys) == -1
+        # the dot-product kernel on rows built once, as check_closed_forms builds them
+        numerator = jacobi._numerator_table(150, 300, 150, 0, 1)
+        for key in keys:
+            assert jacobi._ratio_sum(*key) == numerator(*key), key
+
+    def test_seeded_cases_to_degree_5000(self):
+        cases = _ratio_cases()
+        assert {r for k, r, s in cases} == {0, 1}
+        assert any(s == -1 and k > 1000 for k, r, s in cases)
+        assert any(s > 10 * k for k, r, s in cases if k > 0)
+        for k, r, s in cases:
+            assert jacobi._ratio_sum(k, r, s) == jacobi._numerator(k, r, s, 0, 1), (k, r, s)
+
+    def test_closed_forms_never_read_the_rows(self, walk60, monkeypatch):
+        # the public closed forms and the table checks share no kernel code
+        def refuse(*args):
+            raise AssertionError("dot-product kernel reached")
+
+        monkeypatch.setattr(jacobi, "_binomial_row", refuse)
+        monkeypatch.setattr(jacobi, "_explicit_sum", refuse)
+        for t in (10, 11):
+            st = walk60.state(t)
+            for n in range(-t, t + 1, 2):
+                assert psi_closed_r(n, t) == st.mantissa_r(n), (n, t)
+                assert psi_closed_l(n, t) == st.mantissa_l(n), (n, t)
+
+
 @pytest.fixture(scope="module")
 def row_minus_one():
     """C(-1, j) for j <= 1000 by upper negation, C(-1, j) = (-1)^j C(j, j),
@@ -224,7 +291,7 @@ class TestClosedForms:
     def test_inexact_left_division_raises(self, monkeypatch):
         # (t-n) N / (t+n) must be an int; a wrong N that leaves a remainder
         # raises instead of being rounded
-        monkeypatch.setattr(jacobi, "_numerator", lambda k, r, s: 1)
+        monkeypatch.setattr(jacobi, "_ratio_sum", lambda k, r, s: 1)
         with pytest.raises(ArithmeticError, match="n=-1, t=5"):
             psi_closed_l(-1, 5)
 
