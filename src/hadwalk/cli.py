@@ -267,10 +267,9 @@ _SUITES = {
 }
 
 
-# The suites that run_verify hands to a forked child when two CPUs are usable.
-# At the defaults, in process on a 2 vCPU VM, this half takes ~17.5 ms
-# (jacobi-identity 14, exact-equivalence 2, symmetry 0.6) and the caller's
-# ~18 ms (lagrange 10, generating-function 4.5, quadrature 4).
+# The suites that run_verify hands to a forked child when two CPUs are usable,
+# chosen so that at the defaults both halves take about the same time in
+# process (per-suite times: ROADMAP, Numbers).
 _FORKED_SUITES = ("exact-equivalence", "jacobi-identity", "symmetry")
 
 

@@ -28,13 +28,13 @@ basis is written once too: ``_basis`` returns R, D and D+ = 1 + z + R (with
 R = sqrt(1 - 2xz + z^2) off x = 0), and every caller here reads it.  The
 equivalence ledger builds one basis per call: R, D, 1/R and 1/D once.  Its
 closed side inverts R D^(2 m_max + 1) once and steps down, 1/(R D^k) =
-1/(R D^(k+1)) times D (I_0 reads k = 0, 1/R); its Jacobi side steps D^(-k)
-by one product each and builds the generating series R^(-1) (D^(-1))^k 2^k
-once per k, which the same map reads times 2^(-k), the reassembly.  Every
-family with exponent k reads the same two bodies.  The two routes share R, D
-and the map, never each other's bodies.  ``closed_form_series`` and
-``jacobi_generating`` are one-shot wrappers around the same cores
-(``_closed_core``, ``_jacobi_core``) that raise D with ``pow_int``.  The
+1/(R D^(k+1)) times D (I_0 reads k = 0, 1/R); its Jacobi side is one run of
+products with 1/D from 1/R, the mirror of the closed side, whose entry k,
+R^(-1) (D^(-1))^k, is 2^(-k) times the generating series of (r, s) = (k, 0)
+and is read by the same map, the reassembly.  Every family with exponent k
+reads the same two bodies.  The two routes share R, D and the map, never
+each other's bodies.  ``closed_form_series`` and ``jacobi_generating`` wrap
+``_closed_core`` and ``_jacobi_core`` once, raising D by ``pow_int``.  The
 ledger compares amplitudes as integers: each simulator mantissa against an
 explicit-sum numerator N(k, r, s) = 2^k J_k^{(r,s)}(0) of ``jacobi``, e.g.
 psi_R(2m+1, 2t+1) = 2^(-m-1/2) N(t-m, 2m, 0) / 2^(t-m) = N(t-m, 2m, 0)
@@ -229,8 +229,8 @@ def check_intermediate_relations(walk: WalkCache, m_max: int, order: int) -> Led
     return ledger
 
 
-def _jacobi_core(inv_root: RationalSeries, minus_power: RationalSeries | None,
-                 plus_power: RationalSeries | None, r: int, s: int) -> RationalSeries:
+def _jacobi_core(inv_root: RationalSeries, minus_power: RationalSeries,
+                 plus_power: RationalSeries, r: int, s: int) -> RationalSeries:
     """2^(r+s) / (R (1-z+R)^r (1+z+R)^s) from 1/R and the powers (1-z+R)^(-r)
     and (1+z+R)^(-s); a power whose exponent is 0 is not read."""
     series = inv_root
@@ -294,14 +294,14 @@ def equivalence_ledger(walk: WalkCache, m_max: int = 10, order: int = 40
     One basis per call: R, D, 1/R and 1/D are built once.  With
     K = 2 m_max + 1, the closed side inverts R D^K once (D^K by ``pow_int``)
     and steps down by one product with D each, 1/(R D^k) = 1/(R D^(k+1)) D,
-    so three reciprocals serve the whole call.  The Jacobi side steps D^(-k)
-    for k <= K by one product each and builds R^(-1) (D^(-1))^k 2^k with its
-    own 1/R once per k.  The reassembly is the closed map ``_closed_core``
-    read on that Jacobi series times 2^(-k) in place of 1/(R D^k), so the
-    check compares (R D^K)^(-1) D^(K-k) with R^(-1) (D^(-1))^k.  The families
-    with the same k (F_m and I_m at 2m, G_m and H_(m-1) at 2m-1) read the
-    same two bodies.  The two sides share R, D and the map, never each
-    other's bodies.
+    so three reciprocals serve the whole call.  The Jacobi side is one run of
+    products with 1/D from 1/R, the mirror of the closed side: entry k is
+    R^(-1) (D^(-1))^k, 2^(-k) times the Jacobi generating series of
+    (r, s) = (k, 0).  The reassembly is the closed map ``_closed_core`` read
+    on that entry in place of 1/(R D^k), so the check compares
+    (R D^K)^(-1) D^(K-k) with R^(-1) (D^(-1))^k.  The families with the same
+    k (F_m and I_m at 2m, G_m and H_(m-1) at 2m-1) read the same two bodies.
+    The two sides share R, D and the map, never each other's bodies.
 
     The amplitude checks are integer comparisons of each mantissa with
     N(k, r, s) = 2^k J_k^{(r,s)}(0), the explicit sum of ``jacobi`` as one dot
@@ -321,15 +321,14 @@ def equivalence_ledger(walk: WalkCache, m_max: int = 10, order: int = 40
                          f"got order={order} and m_max={m_max}")
     rep = Ledger("equivalence chain")
     root, big_d, _ = _basis(order)
-    inv_root = root.reciprocal()
     top = 2 * m_max + 1
     # 1/(R D^k) for k = top, top-1, ..., 0: one inverse, then one product by D
     # per step down, reversed so that bodies[k] = 1/(R D^k)
     bodies = _powers(big_d, top, (root * big_d.pow_int(top)).reciprocal())[::-1]
-    # the Jacobi series of r = k, s = 0 is 2^k/(R D^k), read by the same
-    # closed map times 2^(-k); D^0 = 1 is never read
-    generating = [_jacobi_core(inv_root, d_down, None, k, 0).scaled(Fraction(1, 1 << k))
-                  for k, d_down in enumerate(_powers(big_d.reciprocal(), top))]
+    # the mirror: one run of products with 1/D from 1/R, so that
+    # generating[k] = R^(-1) (D^(-1))^k, 2^(-k) times the Jacobi series of
+    # (r, s) = (k, 0), read by the same closed map
+    generating = _powers(big_d.reciprocal(), top, root.reciprocal())
     for m in range(m_max + 1):
         for fam in "FGHI":
             k = _d_exponent(fam, m)

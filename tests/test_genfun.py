@@ -272,15 +272,19 @@ class TestEquivalenceLedger:
         assert rep.failures == failures
 
     def test_wrong_jacobi_series_fails_only_its_reassembly(self, walk, monkeypatch):
-        # r = 3 is read by H_1 (r = 2m+1) and G_2 (r = 2m-1); the closed side
-        # never reads the Jacobi side, so no definitional check fails
-        core = genfun._jacobi_core
+        # entry 3 of the Jacobi side's run from 1/R, 2^(-3) times the series
+        # of r = 3, is read by H_1 (r = 2m+1) and G_2 (r = 2m-1); the closed
+        # side never reads the Jacobi side, so no definitional check fails
+        powers = genfun._powers
+        inv_root = RationalSeries.polynomial([1, 0, 1], 12).sqrt().reciprocal()
 
-        def wrong_core(inv_root, minus_power, plus_power, r, s):
-            series = core(inv_root, minus_power, plus_power, r, s)
-            return series + RationalSeries.one(series.order) if r == 3 else series
+        def wrong_powers(base, top, first=1):
+            out = powers(base, top, first)
+            if first == inv_root:
+                out[3] = out[3] + RationalSeries.one(out[3].order)
+            return out
 
-        monkeypatch.setattr(genfun, "_jacobi_core", wrong_core)
+        monkeypatch.setattr(genfun, "_powers", wrong_powers)
         rep = equivalence_ledger(walk, m_max=4, order=12)
         assert rep.checked == 413
         assert rep.failures == [("H: closed == Jacobi generating reassembly", ("H", 1)),
@@ -321,10 +325,10 @@ class TestEquivalenceLedger:
         assert rep.passed, rep.failures[:5]
 
     def test_one_basis_per_call(self, walk81, monkeypatch):
-        # counts, not timings, at (10, 40): one sqrt(1+z^2), R D^k and D^-k
-        # stepped by one product each, one Jacobi series per k, rows built
-        # once per call (the Fraction ledger made 88 square roots,
-        # 130 reciprocals, 703 products, 172 pow_int calls and 5,438 rows)
+        # counts, not timings, at (10, 40): one sqrt(1+z^2), 1/(R D^k) and
+        # 1/R (1/D)^k stepped by one product each, rows built once per call
+        # (the Fraction ledger made 88 square roots, 130 reciprocals, 703
+        # products, 172 pow_int calls and 5,438 rows)
         calls = Counter()
 
         def counted(owner, name):
@@ -345,19 +349,18 @@ class TestEquivalenceLedger:
         # one inverse for every closed body, 1/(R D^21); then 1/R and 1/D for
         # the Jacobi side
         assert calls["reciprocal"] == 3
-        # one Jacobi series per D-exponent k = 0..21, read by every family
-        # with that k (F_m and I_m share 2m, G_m and H_(m-1) share 2m-1)
-        assert calls["_jacobi_core"] == 2 * 10 + 2
+        # the Jacobi side is read as it is stepped, with no Jacobi series
+        # built per k: entry k serves every family with that k (F_m and I_m
+        # share 2m, G_m and H_(m-1) share 2m-1)
+        assert calls["_jacobi_core"] == 0
         # D^21 by pow_int (21 = 0b10101: three products into the result and
         # four squarings) and R times it (1); the bodies 1/(R D^k) for
-        # k = 20..0, each the last times D (21); D^-k for k = 2..21, each from
-        # the last (20); in the 22 Jacobi series 1/R D^-k for k >= 1 (21) and
-        # the 2^k scaling (22).  The family map multiplies by 1+z on the
-        # body's integers, with no series product
-        assert calls["__mul__"] == (3 + 4) + 1 + 21 + 20 + (21 + 22)
-        # D^-1 is the int 1 times 1/D: the stepper's first term is 1, so that
-        # one product goes through the reflected operator
-        assert calls["__rmul__"] == 1
+        # k = 20..0, each the last times D (21); the Jacobi side 1/R (1/D)^k
+        # for k = 1..21, each the last times 1/D (21).  The family map
+        # multiplies by 1+z on the body's integers, with no series product
+        assert calls["__mul__"] == (3 + 4) + 1 + 21 + 21
+        # both runs start from a series, so no product has an int on the left
+        assert calls["__rmul__"] == 0
         assert calls["pow_int"] == 1
         # two weighted rows (p+q and p-q) per a in -1..50 for the ledger's own
         # table, which the closed amplitudes read too, and two for each of the
@@ -385,6 +388,25 @@ class TestEquivalenceLedger:
         big_d = RationalSeries.polynomial([1, -1], 40) + root
         for k, body in bodies.items():
             assert body == (root * big_d.pow_int(k)).reciprocal(), k
+
+    def test_jacobi_side_is_the_generating_series(self, walk81, monkeypatch):
+        # the reassembly of every family with exponent k reads R^(-1) (D^(-1))^k,
+        # 2^(-k) times the public Jacobi generating series of (r, s) = (k, 0);
+        # each (family, m) reads its closed body first, then this one
+        generating, seen = {}, set()
+        core = genfun._closed_core
+
+        def spy(family, m, body):
+            if (family, m) in seen:
+                generating.setdefault(genfun._d_exponent(family, m), body)
+            seen.add((family, m))
+            return core(family, m, body)
+
+        monkeypatch.setattr(genfun, "_closed_core", spy)
+        assert equivalence_ledger(walk81, m_max=10, order=40).passed
+        assert sorted(generating) == list(range(22))
+        for k, series in generating.items():
+            assert jacobi_generating(0, k, 0, 40).scaled(Fraction(1, 2**k)) == series, k
 
     def test_memory_bounded_by_one_call(self):
         # in a fresh interpreter, so that a table kept between calls is filled
